@@ -32,6 +32,7 @@
 #include "cpwl/segment_table.hpp"
 #include "tensor/kernels/elementwise.hpp"
 #include "tensor/kernels/gemm.hpp"
+#include "tensor/kernels/gemm_int16.hpp"
 #include "tensor/kernels/thread_pool.hpp"
 #include "tensor/kernels/transpose.hpp"
 #include "tensor/matrix.hpp"
@@ -307,6 +308,7 @@ void write_json(const std::string& path, const std::vector<GemmResult>& gemms,
   out << "  \"threads\": " << kernels::ThreadPool::instance().threads() << ",\n";
   out << "  \"hardware_threads\": " << std::thread::hardware_concurrency() << ",\n";
   out << "  \"deterministic\": " << (kernels::deterministic() ? "true" : "false") << ",\n";
+  out << "  \"int16_kernel\": \"" << kernels::int16_kernel_name() << "\",\n";
   out << "  \"gemm\": [\n";
   for (std::size_t i = 0; i < gemms.size(); ++i) {
     const GemmResult& g = gemms[i];

@@ -7,27 +7,57 @@ namespace onesa::net {
 
 namespace {
 
-// Little-endian scalar put/get. Byte-by-byte so the wire format is identical
-// on any host; the compiler folds these to single moves on little-endian
-// machines anyway.
+// Little-endian scalar stores/loads. Byte-by-byte so the wire format is
+// identical on any host; the compiler folds these to single moves on
+// little-endian machines anyway. Each store writes into a buffer the
+// encoder sized once and returns the position after the field.
 
-void put_u16(std::vector<unsigned char>& out, std::uint16_t v) {
-  out.push_back(static_cast<unsigned char>(v & 0xFF));
-  out.push_back(static_cast<unsigned char>((v >> 8) & 0xFF));
+unsigned char* store_u16(unsigned char* p, std::uint16_t v) {
+  p[0] = static_cast<unsigned char>(v & 0xFF);
+  p[1] = static_cast<unsigned char>((v >> 8) & 0xFF);
+  return p + 2;
 }
 
-void put_u32(std::vector<unsigned char>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i)
-    out.push_back(static_cast<unsigned char>((v >> (8 * i)) & 0xFF));
+unsigned char* store_u32(unsigned char* p, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) p[i] = static_cast<unsigned char>((v >> (8 * i)) & 0xFF);
+  return p + 4;
 }
 
-void put_u64(std::vector<unsigned char>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i)
-    out.push_back(static_cast<unsigned char>((v >> (8 * i)) & 0xFF));
+unsigned char* store_u64(unsigned char* p, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) p[i] = static_cast<unsigned char>((v >> (8 * i)) & 0xFF);
+  return p + 8;
 }
 
-void put_f64(std::vector<unsigned char>& out, double v) {
-  put_u64(out, std::bit_cast<std::uint64_t>(v));
+unsigned char* store_f64(unsigned char* p, double v) {
+  return store_u64(p, std::bit_cast<std::uint64_t>(v));
+}
+
+unsigned char* store_bytes(unsigned char* p, const void* src, std::size_t len) {
+  if (len > 0) std::memcpy(p, src, len);
+  return p + len;
+}
+
+/// Row-major doubles; on a little-endian host the wire bytes are the
+/// matrix's own bytes.
+unsigned char* store_matrix(unsigned char* p, const tensor::Matrix& m) {
+  if constexpr (std::endian::native == std::endian::little)
+    return store_bytes(p, m.data().data(), m.size() * sizeof(double));
+  for (std::size_t i = 0; i < m.size(); ++i) p = store_f64(p, m.at_flat(i));
+  return p;
+}
+
+/// Grow `out` once by a whole frame, write the header and return where the
+/// `payload_len`-byte payload goes.
+unsigned char* begin_frame(std::vector<unsigned char>& out, FrameType type,
+                           std::uint64_t request_id, std::size_t payload_len) {
+  const std::size_t at = out.size();
+  out.resize(at + kHeaderBytes + payload_len);
+  unsigned char* p = store_bytes(out.data() + at, kMagic, 4);
+  *p++ = static_cast<unsigned char>(type);
+  *p++ = 0;              // flags
+  p = store_u16(p, 0);   // reserved
+  p = store_u64(p, request_id);
+  return store_u32(p, static_cast<std::uint32_t>(payload_len));
 }
 
 std::uint16_t get_u16(const unsigned char* p) {
@@ -117,32 +147,23 @@ bool known_type(std::uint8_t t) {
 void encode_frame(std::vector<unsigned char>& out, FrameType type,
                   std::uint64_t request_id, const unsigned char* payload,
                   std::size_t payload_len) {
-  out.reserve(out.size() + kHeaderBytes + payload_len);
-  out.insert(out.end(), kMagic, kMagic + 4);
-  out.push_back(static_cast<unsigned char>(type));
-  out.push_back(0);  // flags
-  put_u16(out, 0);   // reserved
-  put_u64(out, request_id);
-  put_u32(out, static_cast<std::uint32_t>(payload_len));
-  if (payload_len > 0) out.insert(out.end(), payload, payload + payload_len);
+  store_bytes(begin_frame(out, type, request_id, payload_len), payload, payload_len);
 }
 
 // ----------------------------------------------------------------- infer
 
 void encode_infer(std::vector<unsigned char>& out, std::uint64_t request_id,
                   const InferRequest& req) {
-  std::vector<unsigned char> payload;
-  payload.reserve(20 + req.model.size() + req.input.size() * 8);
-  payload.push_back(static_cast<unsigned char>(req.priority));
-  payload.push_back(0);
-  put_u16(payload, static_cast<std::uint16_t>(req.model.size()));
-  put_f64(payload, req.deadline_ms);
-  put_u32(payload, static_cast<std::uint32_t>(req.input.rows()));
-  put_u32(payload, static_cast<std::uint32_t>(req.input.cols()));
-  payload.insert(payload.end(), req.model.begin(), req.model.end());
-  for (std::size_t i = 0; i < req.input.size(); ++i)
-    put_f64(payload, req.input.at_flat(i));
-  encode_frame(out, FrameType::kInfer, request_id, payload.data(), payload.size());
+  unsigned char* p = begin_frame(out, FrameType::kInfer, request_id,
+                                 20 + req.model.size() + req.input.size() * 8);
+  *p++ = static_cast<unsigned char>(req.priority);
+  *p++ = 0;
+  p = store_u16(p, static_cast<std::uint16_t>(req.model.size()));
+  p = store_f64(p, req.deadline_ms);
+  p = store_u32(p, static_cast<std::uint32_t>(req.input.rows()));
+  p = store_u32(p, static_cast<std::uint32_t>(req.input.cols()));
+  p = store_bytes(p, req.model.data(), req.model.size());
+  store_matrix(p, req.input);
 }
 
 bool decode_infer(const unsigned char* payload, std::size_t len, InferRequest& out,
@@ -188,20 +209,18 @@ bool decode_infer(const unsigned char* payload, std::size_t len, InferRequest& o
 
 void encode_infer_reply(std::vector<unsigned char>& out, std::uint64_t request_id,
                         const InferReply& reply) {
-  std::vector<unsigned char> payload;
-  payload.reserve(36 + reply.logits.size() * 8);
-  put_u32(payload, static_cast<std::uint32_t>(reply.logits.rows()));
-  put_u32(payload, static_cast<std::uint32_t>(reply.logits.cols()));
-  put_f64(payload, reply.queue_ms);
-  put_f64(payload, reply.service_ms);
-  put_u32(payload, reply.shard);
-  put_u32(payload, reply.batch_requests);
-  payload.push_back(reply.deadline_missed ? 1 : 0);
-  payload.push_back(0);
-  put_u16(payload, 0);
-  for (std::size_t i = 0; i < reply.logits.size(); ++i)
-    put_f64(payload, reply.logits.at_flat(i));
-  encode_frame(out, FrameType::kInferOk, request_id, payload.data(), payload.size());
+  unsigned char* p = begin_frame(out, FrameType::kInferOk, request_id,
+                                 36 + reply.logits.size() * 8);
+  p = store_u32(p, static_cast<std::uint32_t>(reply.logits.rows()));
+  p = store_u32(p, static_cast<std::uint32_t>(reply.logits.cols()));
+  p = store_f64(p, reply.queue_ms);
+  p = store_f64(p, reply.service_ms);
+  p = store_u32(p, reply.shard);
+  p = store_u32(p, reply.batch_requests);
+  *p++ = reply.deadline_missed ? 1 : 0;
+  *p++ = 0;
+  p = store_u16(p, 0);
+  store_matrix(p, reply.logits);
 }
 
 bool decode_infer_reply(const unsigned char* payload, std::size_t len,
@@ -234,18 +253,17 @@ bool decode_infer_reply(const unsigned char* payload, std::size_t len,
 
 void encode_error(std::vector<unsigned char>& out, FrameType code,
                   std::uint64_t request_id, const WireError& err) {
-  std::vector<unsigned char> payload;
-  payload.reserve(44 + err.model.size() + err.message.size());
-  put_u64(payload, err.queue_depth);
-  put_u64(payload, err.backlog_cost);
-  put_u64(payload, err.shard);
-  put_u64(payload, err.worker);
-  put_u64(payload, err.model_version);
-  put_u16(payload, static_cast<std::uint16_t>(err.model.size()));
-  put_u16(payload, static_cast<std::uint16_t>(err.message.size()));
-  payload.insert(payload.end(), err.model.begin(), err.model.end());
-  payload.insert(payload.end(), err.message.begin(), err.message.end());
-  encode_frame(out, code, request_id, payload.data(), payload.size());
+  unsigned char* p = begin_frame(out, code, request_id,
+                                 44 + err.model.size() + err.message.size());
+  p = store_u64(p, err.queue_depth);
+  p = store_u64(p, err.backlog_cost);
+  p = store_u64(p, err.shard);
+  p = store_u64(p, err.worker);
+  p = store_u64(p, err.model_version);
+  p = store_u16(p, static_cast<std::uint16_t>(err.model.size()));
+  p = store_u16(p, static_cast<std::uint16_t>(err.message.size()));
+  p = store_bytes(p, err.model.data(), err.model.size());
+  store_bytes(p, err.message.data(), err.message.size());
 }
 
 bool decode_error(const unsigned char* payload, std::size_t len, WireError& out,

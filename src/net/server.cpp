@@ -881,7 +881,6 @@ void NetServer::drain_bus() {
     if (bus_->items.empty()) return;
     items.swap(bus_->items);
   }
-  std::vector<unsigned char> payload;
   for (CompletionBus::Item& item : items) {
     inflight_.fetch_sub(1, std::memory_order_relaxed);
     NetMetrics::get().inflight.sub(1);
@@ -897,11 +896,8 @@ void NetServer::drain_bus() {
     Conn& conn = *it->second;
     if (conn.inflight > 0) --conn.inflight;
     if (item.ok) {
-      payload.clear();
-      encode_infer_reply(payload, item.request_id, item.reply);
-      // encode_infer_reply emits a complete frame; splice it wholesale.
       if (conn.out.empty()) conn.write_since = Clock::now();
-      conn.out.insert(conn.out.end(), payload.begin(), payload.end());
+      encode_infer_reply(conn.out, item.request_id, item.reply);
       counters_->replies_sent.fetch_add(1, std::memory_order_relaxed);
       NetMetrics::get().replies.add(1);
       flush_or_arm(conn);

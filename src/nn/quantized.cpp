@@ -49,24 +49,38 @@ int choose_weight_frac_bits(double max_w, std::size_t k_dim) {
   return fb;
 }
 
+/// max |w| over `count` weights. Four running maxima break the compare
+/// chain's latency; max is order-independent, so the result is exact.
+double max_abs(const double* w, std::size_t count) {
+  double m[4] = {0.0, 0.0, 0.0, 0.0};
+  std::size_t i = 0;
+  for (; i + 4 <= count; i += 4)
+    for (std::size_t l = 0; l < 4; ++l) m[l] = std::max(m[l], std::fabs(w[i + l]));
+  for (; i < count; ++i) m[0] = std::max(m[0], std::fabs(w[i]));
+  return std::max(std::max(m[0], m[1]), std::max(m[2], m[3]));
+}
+
 QuantizedLayer quantize_linear(const Linear& lin) {
   const tensor::Matrix& w = lin.weight().value;  // in x out
   const tensor::Matrix& b = lin.bias().value;    // 1 x out
-
-  double max_w = 0.0;
-  for (std::size_t i = 0; i < w.size(); ++i)
-    max_w = std::max(max_w, std::fabs(w.at_flat(i)));
+  const double* wv = w.data().data();
 
   QuantizedLayer q;
   q.in = lin.in_features();
   q.out = lin.out_features();
-  q.w_frac_bits = choose_weight_frac_bits(max_w, q.in);
+  q.w_frac_bits = choose_weight_frac_bits(max_abs(wv, w.size()), q.in);
 
+  // One branch-free pass. choose_weight_frac_bits bounds every |w * scale|
+  // below 32767.5, so truncating v +- 0.5 toward zero is exactly
+  // round_half_away(v) (v + 0.5 > 0 truncates to its floor; v - 0.5 < 0 to
+  // its ceiling; -0.0 and +0.0 both land on 0) and always fits int32 —
+  // without a floor/ceil call or a sign branch per weight.
   const double w_scale = std::ldexp(1.0, q.w_frac_bits);
   std::vector<std::int16_t> raw(w.size());
-  for (std::size_t i = 0; i < w.size(); ++i)
-    raw[i] = fixed::saturate_i16(
-        static_cast<std::int64_t>(round_half_away(w.at_flat(i) * w_scale)));
+  for (std::size_t i = 0; i < w.size(); ++i) {
+    const double v = wv[i] * w_scale;
+    raw[i] = fixed::saturate_i16(static_cast<std::int32_t>(v + std::copysign(0.5, v)));
+  }
   q.weight = tensor::kernels::PackedBInt16::pack(raw.data(), q.in, q.out);
 
   // Bias in the accumulator domain: scale 2^(frac_bits + w_fb), added as

@@ -73,22 +73,26 @@ ModelHandle ModelRegistry::publish(std::string name, std::unique_ptr<nn::Sequent
         std::max<std::uint64_t>(1, static_cast<std::uint64_t>(census.total() / 2.0));
   }
 
-  // Pre-pack every layer's weights NOW, while this code still owns the
-  // model exclusively: workers then serve from immutable packed panels with
-  // zero packing (and zero pack-cache contention) on the request path. The
-  // weights never change after this point — published versions are frozen —
-  // so the packed form lives as long as the entry. For a swap this all
-  // happens BEFORE the registry lock: the publication below is a pointer
-  // replace, so readers never see a half-built version.
-  model->prepack();
-  // Quantize for the INT16 lane in the same pre-lock window: the quantizer
-  // walks the frozen weights, packs them into PackedBInt16 panels and
-  // borrows the activations' CPWL tables (kept alive by entry->model below).
-  // An unsupported model throws HERE — registration fails loudly; the
-  // request path never discovers a precision problem.
+  // Pack the weights the entry serves from NOW, while this code still owns
+  // the model exclusively: workers then serve from immutable packed panels
+  // with zero packing (and zero pack-cache contention) on the request path.
+  // The weights never change after this point — published versions are
+  // frozen — so the packed form lives as long as the entry. For a swap this
+  // all happens BEFORE the registry lock: the publication below is a
+  // pointer replace, so readers never see a half-built version.
+  //
+  // An INT16 entry serves only from its quantized twin: the quantizer walks
+  // the frozen weights, packs them into PackedBInt16 panels and borrows the
+  // activations' CPWL tables (kept alive by entry->model below). Its double
+  // panels are never read by ModelEntry::infer, so they are not built; a
+  // direct model->infer still packs them lazily. An unsupported model throws
+  // HERE — registration fails loudly; the request path never discovers a
+  // precision problem.
   entry->precision = options.precision;
   if (options.precision == Precision::kInt16)
     entry->quantized = std::make_shared<const nn::QuantizedModel>(*model);
+  else
+    model->prepack();
   entry->model = std::shared_ptr<const nn::Sequential>(std::move(model));
 
   std::lock_guard<std::mutex> lock(mutex_);

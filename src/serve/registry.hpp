@@ -7,12 +7,13 @@
 // fleet packs each weight matrix once, not once per pool — aliased
 // read-only by every in-flight request. Registration also PRE-PACKS every
 // layer's weights (Layer::prepack -> the PackedB caches of Linear, Conv2d
-// and the attention projections), so worker threads serve from immutable
-// packed GEMM panels with zero packing and zero pack-cache contention on
-// the request path. Workers run inference through nn::Sequential::infer(),
-// the const thread-safe forward path (with Linear+activation pairs fused
-// into packed-GEMM epilogues), so concurrent batches against the same entry
-// never race.
+// and the attention projections; for a Precision::kInt16 entry only the
+// quantized twin's PackedBInt16 panels, the ones it serves from), so worker
+// threads serve from immutable packed GEMM panels with zero packing and
+// zero pack-cache contention on the request path. Workers run inference
+// through nn::Sequential::infer(), the const thread-safe forward path (with
+// Linear+activation pairs fused into packed-GEMM epilogues), so concurrent
+// batches against the same entry never race.
 //
 // VERSIONING / HOT-SWAP. Every entry carries a version id (1 for the first
 // registration of a name, +1 per swap). swap() atomically publishes a new

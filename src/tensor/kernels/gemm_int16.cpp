@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -33,15 +34,14 @@ std::size_t round_up(std::size_t v, std::size_t to) { return (v + to - 1) / to *
 
 /// Adjacent (a[2p], a[2p+1]) as the 32-bit lane pmaddwd expects — a direct
 /// unaligned load off the row-major A (little-endian: low half = even k).
-/// Only the x86 kernels consume these two helpers, hence maybe_unused.
-[[maybe_unused]] inline std::int32_t load_pair(const std::int16_t* p) {
+inline std::int32_t load_pair(const std::int16_t* p) {
   std::int32_t v;
   std::memcpy(&v, p, sizeof(v));
   return v;
 }
 
 /// Pair (lo, hi) composed explicitly — the odd-k tail builds (a_last, 0).
-[[maybe_unused]] inline std::int32_t make_pair(std::int16_t lo, std::int16_t hi) {
+inline std::int32_t make_pair(std::int16_t lo, std::int16_t hi) {
   const std::uint32_t u =
       static_cast<std::uint16_t>(lo) |
       (static_cast<std::uint32_t>(static_cast<std::uint16_t>(hi)) << 16);
@@ -59,52 +59,53 @@ inline std::int16_t requantize_wide(std::int64_t v, int shift) {
 
 // ---------------------------------------------------------- micro-kernels
 //
-// A tile function accumulates one (<=MR x nr) micro-tile over one packed kc
+// A tile function accumulates one MR x nr micro-tile over one packed kc
 // panel into a uint32 accumulator array (row stride kMaxNr). Accumulation is
 // mod 2^32 — exactly pmaddwd + vpaddd — and mod-2^32 addition is associative
 // and commutative, so every variant (and every panel/thread split) produces
-// bit-identical accumulators. All variants compute MR rows unconditionally,
-// clamping the A row pointer to the last valid row for remainder tiles (the
-// store only writes `rows` rows), so the hot path never branches on height.
+// bit-identical accumulators. A arrives packed (pack_a_int16): per k-pair,
+// the MR rows' (a[2p], a[2p+1]) words side by side, zero-padded past the
+// last row and past an odd k, so every tile reads one pointer, never
+// branches on height and has no odd-k tail.
 
-using TileFnInt16 = void (*)(std::uint32_t* acc, const std::int16_t* a,
-                             std::size_t lda, std::size_t rows,
-                             const std::int16_t* sliver, std::size_t kcb,
+using TileFnInt16 = void (*)(std::uint32_t* acc, const std::int32_t* ap,
+                             const std::int16_t* sliver, std::size_t pairs,
                              std::size_t nr);
 
 /// Tallest micro-tile any int16 kernel uses (sizes the stack accumulator).
-constexpr std::size_t kMaxMrInt16 = 8;
+constexpr std::size_t kMaxMrInt16 = 16;
 
-/// Portable fallback. nr-generic: it must be able to consume whatever sliver
-/// width the pack was built with (16 when AVX-512BW selected the pack
-/// geometry, 8 otherwise) so the forced-portable test path can replay any
-/// packed buffer. Per pair the two products are formed in int64 (each fits
-/// int32, their sum may not) and wrapped to uint32 — the scalar spelling of
-/// one pmaddwd lane.
-void tile_int16_generic(std::uint32_t* acc, const std::int16_t* a, std::size_t lda,
-                        std::size_t rows, const std::int16_t* sliver,
-                        std::size_t kcb, std::size_t nr) {
-  const std::size_t pairs = kcb / 2;
-  const std::int16_t* arow[MR];
-  for (std::size_t r = 0; r < MR; ++r)
-    arow[r] = a + std::min(r, rows - 1) * lda;
-  const std::int16_t* bp = sliver;
-  for (std::size_t p = 0; p < pairs; ++p, bp += 2 * nr) {
-    for (std::size_t r = 0; r < MR; ++r) {
-      const std::int64_t a0 = arow[r][2 * p];
-      const std::int64_t a1 = arow[r][2 * p + 1];
-      std::uint32_t* accr = acc + r * kMaxNr;
-      for (std::size_t j = 0; j < nr; ++j) {
-        accr[j] += static_cast<std::uint32_t>(a0 * bp[2 * j] + a1 * bp[2 * j + 1]);
-      }
-    }
+/// Pack `rows` (<= mr) rows of A (row stride k) into the tile's pair-major
+/// layout: dst[p * mr + r] = pair p of row r, for p < ceil(k / 2).
+void pack_a_int16(const std::int16_t* a, std::size_t k, std::size_t rows, std::size_t mr,
+                  std::int32_t* dst) {
+  const std::size_t full = k / 2;
+  for (std::size_t p = 0; p < full; ++p, dst += mr) {
+    for (std::size_t r = 0; r < rows; ++r) dst[r] = load_pair(a + r * k + 2 * p);
+    for (std::size_t r = rows; r < mr; ++r) dst[r] = 0;
   }
-  if (kcb & 1) {
+  if (k & 1) {
+    for (std::size_t r = 0; r < rows; ++r) dst[r] = make_pair(a[r * k + k - 1], 0);
+    for (std::size_t r = rows; r < mr; ++r) dst[r] = 0;
+  }
+}
+
+/// Portable fallback, MR x nr for any nr: it must be able to consume
+/// whatever sliver width the pack was built with (16 or 8) so the tier test
+/// entry can replay any packed buffer. Per pair the two products are formed
+/// in int64 (each fits int32, their sum may not) and wrapped to uint32 — the
+/// scalar spelling of one pmaddwd lane.
+void tile_int16_generic(std::uint32_t* acc, const std::int32_t* ap, const std::int16_t* sliver,
+                        std::size_t pairs, std::size_t nr) {
+  const std::int16_t* bp = sliver;
+  for (std::size_t p = 0; p < pairs; ++p, bp += 2 * nr, ap += MR) {
     for (std::size_t r = 0; r < MR; ++r) {
-      const std::int64_t a0 = arow[r][kcb - 1];
+      const auto word = static_cast<std::uint32_t>(ap[r]);
+      const std::int64_t a0 = static_cast<std::int16_t>(word & 0xFFFF);
+      const std::int64_t a1 = static_cast<std::int16_t>(word >> 16);
       std::uint32_t* accr = acc + r * kMaxNr;
       for (std::size_t j = 0; j < nr; ++j)
-        accr[j] += static_cast<std::uint32_t>(a0 * bp[2 * j]);
+        accr[j] += static_cast<std::uint32_t>(a0 * bp[2 * j] + a1 * bp[2 * j + 1]);
     }
   }
 }
@@ -112,33 +113,21 @@ void tile_int16_generic(std::uint32_t* acc, const std::int16_t* a, std::size_t l
 #ifdef ONESA_GEMM_INT16_X86
 /// AVX2 4x8 tile: 4 ymm accumulators (8 int32 lanes each), one B vector load
 /// shared by 4 broadcast-madd-add chains — two k steps per madd.
-__attribute__((target("avx2"))) void tile_int16_avx2(
-    std::uint32_t* acc, const std::int16_t* a, std::size_t lda, std::size_t rows,
-    const std::int16_t* sliver, std::size_t kcb, std::size_t /*nr*/) {
+__attribute__((target("avx2"))) void tile_int16_avx2(std::uint32_t* acc, const std::int32_t* ap,
+                                                     const std::int16_t* sliver,
+                                                     std::size_t pairs, std::size_t /*nr*/) {
   constexpr std::size_t nr = 8;
-  const std::int16_t* a0 = a;
-  const std::int16_t* a1 = a + std::min<std::size_t>(1, rows - 1) * lda;
-  const std::int16_t* a2 = a + std::min<std::size_t>(2, rows - 1) * lda;
-  const std::int16_t* a3 = a + std::min<std::size_t>(3, rows - 1) * lda;
   __m256i c0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + 0 * kMaxNr));
   __m256i c1 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + 1 * kMaxNr));
   __m256i c2 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + 2 * kMaxNr));
   __m256i c3 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + 3 * kMaxNr));
-  const std::size_t pairs = kcb / 2;
   const std::int16_t* bp = sliver;
-  for (std::size_t p = 0; p < pairs; ++p, bp += 2 * nr) {
+  for (std::size_t p = 0; p < pairs; ++p, bp += 2 * nr, ap += 4) {
     const __m256i b = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(bp));
-    c0 = _mm256_add_epi32(c0, _mm256_madd_epi16(_mm256_set1_epi32(load_pair(a0 + 2 * p)), b));
-    c1 = _mm256_add_epi32(c1, _mm256_madd_epi16(_mm256_set1_epi32(load_pair(a1 + 2 * p)), b));
-    c2 = _mm256_add_epi32(c2, _mm256_madd_epi16(_mm256_set1_epi32(load_pair(a2 + 2 * p)), b));
-    c3 = _mm256_add_epi32(c3, _mm256_madd_epi16(_mm256_set1_epi32(load_pair(a3 + 2 * p)), b));
-  }
-  if (kcb & 1) {
-    const __m256i b = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(bp));
-    c0 = _mm256_add_epi32(c0, _mm256_madd_epi16(_mm256_set1_epi32(make_pair(a0[kcb - 1], 0)), b));
-    c1 = _mm256_add_epi32(c1, _mm256_madd_epi16(_mm256_set1_epi32(make_pair(a1[kcb - 1], 0)), b));
-    c2 = _mm256_add_epi32(c2, _mm256_madd_epi16(_mm256_set1_epi32(make_pair(a2[kcb - 1], 0)), b));
-    c3 = _mm256_add_epi32(c3, _mm256_madd_epi16(_mm256_set1_epi32(make_pair(a3[kcb - 1], 0)), b));
+    c0 = _mm256_add_epi32(c0, _mm256_madd_epi16(_mm256_set1_epi32(ap[0]), b));
+    c1 = _mm256_add_epi32(c1, _mm256_madd_epi16(_mm256_set1_epi32(ap[1]), b));
+    c2 = _mm256_add_epi32(c2, _mm256_madd_epi16(_mm256_set1_epi32(ap[2]), b));
+    c3 = _mm256_add_epi32(c3, _mm256_madd_epi16(_mm256_set1_epi32(ap[3]), b));
   }
   _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + 0 * kMaxNr), c0);
   _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + 1 * kMaxNr), c1);
@@ -146,80 +135,59 @@ __attribute__((target("avx2"))) void tile_int16_avx2(
   _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + 3 * kMaxNr), c3);
 }
 
-/// AVX-512BW 8x16 tile: 8 zmm accumulators, 32 int16 lanes (= one packed
-/// k-pair across the full sliver) per madd, so each loop body retires
-/// 8 rows x 16 cols x 2 k-steps = 256 MACs off one B vector load. avx512bw
-/// is required for _mm512_madd_epi16 — plain avx512f only covers the double
-/// kernels. 8 rows (vs the double path's broadcast-per-k-step) keeps the
-/// port-5 broadcast traffic at half the madd count, which is what pushes
-/// the measured ratio over the double kernel past 2x.
-__attribute__((target("avx512f,avx512bw"))) void tile_int16_avx512(
-    std::uint32_t* acc, const std::int16_t* a, std::size_t lda, std::size_t rows,
-    const std::int16_t* sliver, std::size_t kcb, std::size_t /*nr*/) {
-  constexpr std::size_t nr = 16;
-  constexpr std::size_t mr = 8;
-  const std::int16_t* ar[mr];
-  for (std::size_t r = 0; r < mr; ++r) ar[r] = a + std::min(r, rows - 1) * lda;
-  __m512i c0 = _mm512_loadu_si512(acc + 0 * kMaxNr);
-  __m512i c1 = _mm512_loadu_si512(acc + 1 * kMaxNr);
-  __m512i c2 = _mm512_loadu_si512(acc + 2 * kMaxNr);
-  __m512i c3 = _mm512_loadu_si512(acc + 3 * kMaxNr);
-  __m512i c4 = _mm512_loadu_si512(acc + 4 * kMaxNr);
-  __m512i c5 = _mm512_loadu_si512(acc + 5 * kMaxNr);
-  __m512i c6 = _mm512_loadu_si512(acc + 6 * kMaxNr);
-  __m512i c7 = _mm512_loadu_si512(acc + 7 * kMaxNr);
-  const std::size_t pairs = kcb / 2;
-  const std::int16_t* bp = sliver;
-  for (std::size_t p = 0; p < pairs; ++p, bp += 2 * nr) {
-    _mm_prefetch(reinterpret_cast<const char*>(bp + 8 * 2 * nr), _MM_HINT_T0);
-    const __m512i b = _mm512_loadu_si512(bp);
-    c0 = _mm512_add_epi32(c0, _mm512_madd_epi16(_mm512_set1_epi32(load_pair(ar[0] + 2 * p)), b));
-    c1 = _mm512_add_epi32(c1, _mm512_madd_epi16(_mm512_set1_epi32(load_pair(ar[1] + 2 * p)), b));
-    c2 = _mm512_add_epi32(c2, _mm512_madd_epi16(_mm512_set1_epi32(load_pair(ar[2] + 2 * p)), b));
-    c3 = _mm512_add_epi32(c3, _mm512_madd_epi16(_mm512_set1_epi32(load_pair(ar[3] + 2 * p)), b));
-    c4 = _mm512_add_epi32(c4, _mm512_madd_epi16(_mm512_set1_epi32(load_pair(ar[4] + 2 * p)), b));
-    c5 = _mm512_add_epi32(c5, _mm512_madd_epi16(_mm512_set1_epi32(load_pair(ar[5] + 2 * p)), b));
-    c6 = _mm512_add_epi32(c6, _mm512_madd_epi16(_mm512_set1_epi32(load_pair(ar[6] + 2 * p)), b));
-    c7 = _mm512_add_epi32(c7, _mm512_madd_epi16(_mm512_set1_epi32(load_pair(ar[7] + 2 * p)), b));
+/// The AVX-512 tiles' MAC step, c += pmaddwd(broadcast(pair), b): the
+/// AVX-512BW spelling is vpmaddwd + vpaddd; the VNNI spelling is one
+/// vpdpwssd with the A pair broadcast straight from memory. Both wrap mod
+/// 2^32 (vpdpwssd is the non-saturating form, and its pair sum wraps the
+/// way vpmaddwd's does at (-32768)^2 * 2), so the accumulators are
+/// bit-identical.
+struct MaddAddStep {
+  [[gnu::always_inline, gnu::target("avx512f,avx512bw")]] static inline __m512i
+  mac(__m512i c, __m512i b, const std::int32_t* pair) {
+    return _mm512_add_epi32(c, _mm512_madd_epi16(_mm512_set1_epi32(*pair), b));
   }
-  if (kcb & 1) {
-    const __m512i b = _mm512_loadu_si512(bp);
-    c0 = _mm512_add_epi32(c0, _mm512_madd_epi16(_mm512_set1_epi32(make_pair(ar[0][kcb - 1], 0)), b));
-    c1 = _mm512_add_epi32(c1, _mm512_madd_epi16(_mm512_set1_epi32(make_pair(ar[1][kcb - 1], 0)), b));
-    c2 = _mm512_add_epi32(c2, _mm512_madd_epi16(_mm512_set1_epi32(make_pair(ar[2][kcb - 1], 0)), b));
-    c3 = _mm512_add_epi32(c3, _mm512_madd_epi16(_mm512_set1_epi32(make_pair(ar[3][kcb - 1], 0)), b));
-    c4 = _mm512_add_epi32(c4, _mm512_madd_epi16(_mm512_set1_epi32(make_pair(ar[4][kcb - 1], 0)), b));
-    c5 = _mm512_add_epi32(c5, _mm512_madd_epi16(_mm512_set1_epi32(make_pair(ar[5][kcb - 1], 0)), b));
-    c6 = _mm512_add_epi32(c6, _mm512_madd_epi16(_mm512_set1_epi32(make_pair(ar[6][kcb - 1], 0)), b));
-    c7 = _mm512_add_epi32(c7, _mm512_madd_epi16(_mm512_set1_epi32(make_pair(ar[7][kcb - 1], 0)), b));
-  }
-  _mm512_storeu_si512(acc + 0 * kMaxNr, c0);
-  _mm512_storeu_si512(acc + 1 * kMaxNr, c1);
-  _mm512_storeu_si512(acc + 2 * kMaxNr, c2);
-  _mm512_storeu_si512(acc + 3 * kMaxNr, c3);
-  _mm512_storeu_si512(acc + 4 * kMaxNr, c4);
-  _mm512_storeu_si512(acc + 5 * kMaxNr, c5);
-  _mm512_storeu_si512(acc + 6 * kMaxNr, c6);
-  _mm512_storeu_si512(acc + 7 * kMaxNr, c7);
-}
-#endif  // ONESA_GEMM_INT16_X86
-
-struct Int16Kernel {
-  TileFnInt16 fn;
-  std::size_t mr;
-  std::size_t nr;
-  const char* name;
 };
 
-Int16Kernel select_int16_kernel() {
-#ifdef ONESA_GEMM_INT16_X86
-  if (__builtin_cpu_supports("avx512bw")) return {tile_int16_avx512, 8, 16, "avx512bw"};
-  if (__builtin_cpu_supports("avx2")) return {tile_int16_avx2, 4, 8, "avx2"};
-#endif
-  return {tile_int16_generic, 4, 8, "portable"};
-}
+/// vpdpwssd is written as inline asm so the shared tile template can stay
+/// compiled for avx512bw alone: enabling avx512vnni on the template would let
+/// a compiler fuse the madd instantiation's vpmaddwd + vpaddd into vpdpwssd
+/// too, which faults on AVX-512BW hosts without VNNI.
+struct DpwssdStep {
+  [[gnu::always_inline, gnu::target("avx512f")]] static inline __m512i
+  mac(__m512i c, __m512i b, const std::int32_t* pair) {
+    asm("vpdpwssd {%[a]%{1to16%}, %[b], %[c]|%[c], %[b], %[a]%{1to16%}}"
+        : [c] "+v"(c)
+        : [b] "v"(b), [a] "m"(*pair));
+    return c;
+  }
+};
 
-const Int16Kernel g_int16 = select_int16_kernel();
+/// AVX-512 MR x 16 tile over one MAC step: MR zmm accumulators, one B vector
+/// load (one packed k-pair across the full sliver) shared by MR broadcast
+/// MACs, so each loop body retires MR rows x 16 cols x 2 k-steps. MR = 16
+/// is the register ceiling: 16 accumulators + B + broadcast temporaries fit
+/// the 32 zmm registers. avx512bw is required for the word-pair MACs.
+template <class Step, std::size_t MR>
+[[gnu::target("avx512f,avx512bw")]] void tile_int16_avx512(std::uint32_t* acc,
+                                                           const std::int32_t* ap,
+                                                           const std::int16_t* sliver,
+                                                           std::size_t pairs,
+                                                           std::size_t /*nr*/) {
+  constexpr std::size_t nr = 16;
+  __m512i c[MR];
+#pragma GCC unroll 16
+  for (std::size_t r = 0; r < MR; ++r) c[r] = _mm512_loadu_si512(acc + r * kMaxNr);
+  const std::int16_t* bp = sliver;
+  for (std::size_t p = 0; p < pairs; ++p, bp += 2 * nr, ap += MR) {
+    _mm_prefetch(reinterpret_cast<const char*>(bp + 16 * 2 * nr), _MM_HINT_T0);
+    const __m512i b = _mm512_loadu_si512(bp);
+#pragma GCC unroll 16
+    for (std::size_t r = 0; r < MR; ++r) c[r] = Step::mac(c[r], b, ap + r);
+  }
+#pragma GCC unroll 16
+  for (std::size_t r = 0; r < MR; ++r) _mm512_storeu_si512(acc + r * kMaxNr, c[r]);
+}
+#endif  // ONESA_GEMM_INT16_X86
 
 // ------------------------------------------------------------- tile store
 //
@@ -227,6 +195,9 @@ const Int16Kernel g_int16 = select_int16_kernel();
 // wrapped accumulators into int32 C; epilogue mode widens to int64, adds the
 // accumulator-domain bias, requantizes (round-half-up, saturate) and applies
 // the INT16 activation in place — C never holds anything wider than int16.
+// kBiasTable's activation is deferred to the driver, which applies it over
+// whole jc-panel row segments: per-sliver calls would hand the vectorized
+// table evaluator slivers too narrow to amortize its setup.
 
 struct OutSink {
   std::int16_t* c16 = nullptr;   // epilogue mode
@@ -235,8 +206,14 @@ struct OutSink {
   const EpilogueInt16* epi = nullptr;
 };
 
-void store_tile_int16(const OutSink& sink, const std::uint32_t* acc, std::size_t row0,
-                      std::size_t rows, std::size_t col0, std::size_t width) {
+using StoreFnInt16 = void (*)(const OutSink& sink, const std::uint32_t* acc,
+                              std::size_t row0, std::size_t rows, std::size_t col0,
+                              std::size_t width);
+
+/// The scalar store — the rule every vector store must reproduce bit for bit.
+void store_tile_int16_scalar(const OutSink& sink, const std::uint32_t* acc,
+                             std::size_t row0, std::size_t rows, std::size_t col0,
+                             std::size_t width) {
   if (sink.c32 != nullptr) {
     for (std::size_t r = 0; r < rows; ++r) {
       std::int32_t* crow = sink.c32 + (row0 + r) * sink.ldc + col0;
@@ -257,62 +234,187 @@ void store_tile_int16(const OutSink& sink, const std::uint32_t* acc, std::size_t
       if (e.kind == EpilogueInt16::Kind::kBiasRelu && q < 0) q = 0;
       crow[j] = q;
     }
-    // kBiasTable's activation is deferred to the caller, which applies it
-    // over whole jc-panel row segments: per-sliver calls here would hand the
-    // vectorized table evaluator slivers too narrow to amortize its setup.
   }
 }
+
+#ifdef ONESA_GEMM_INT16_X86
+// gcc 12's avx512fintrin.h trips -Wmaybe-uninitialized on the non-masked
+// intrinsic forms (header-internal `__Y`, a known false positive — the same
+// one suppressed around gemm.cpp's store_tile_avx512_8x16); scope the
+// suppression to the store.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+/// Round-half-up shift and optional ReLU of 8 widened accumulators.
+[[gnu::always_inline, gnu::target("avx512f")]] inline __m512i requantize_x8(
+    __m512i v, __m512i round, __m128i count, bool relu) {
+  v = _mm512_sra_epi64(_mm512_add_epi64(v, round), count);
+  return relu ? _mm512_max_epi64(v, _mm512_setzero_si512()) : v;
+}
+
+/// AVX-512 store: the scalar rule in 8 int64 lanes at a time — sign-extend
+/// the accumulators and the bias, add, round-half-up arithmetic shift, ReLU
+/// as max(v, 0) (saturation is monotonic and keeps 0, so clamping before
+/// narrowing equals clamping after), then vpmovsqw narrows with signed
+/// saturation straight into C under a lane mask for partial slivers.
+[[gnu::target("avx512f")]] void store_tile_int16_avx512(
+    const OutSink& sink, const std::uint32_t* acc, std::size_t row0, std::size_t rows,
+    std::size_t col0, std::size_t width) {
+  const auto lanes16 = static_cast<__mmask16>((1u << width) - 1u);
+  if (sink.c32 != nullptr) {
+    for (std::size_t r = 0; r < rows; ++r)
+      _mm512_mask_storeu_epi32(sink.c32 + (row0 + r) * sink.ldc + col0, lanes16,
+                               _mm512_loadu_si512(acc + r * kMaxNr));
+    return;
+  }
+  const EpilogueInt16& e = *sink.epi;
+  const bool has_bias = e.kind != EpilogueInt16::Kind::kNone;
+  const bool relu = e.kind == EpilogueInt16::Kind::kBiasRelu;
+  const __m512i bias32 =
+      has_bias ? _mm512_maskz_loadu_epi32(lanes16, e.bias + col0) : _mm512_setzero_si512();
+  const __m512i bias_lo = _mm512_cvtepi32_epi64(_mm512_castsi512_si256(bias32));
+  const __m512i bias_hi = _mm512_cvtepi32_epi64(_mm512_extracti64x4_epi64(bias32, 1));
+  const __m512i round =
+      _mm512_set1_epi64(e.shift > 0 ? std::int64_t{1} << (e.shift - 1) : 0);
+  const __m128i count = _mm_cvtsi32_si128(e.shift);
+  const auto lanes_lo = static_cast<__mmask8>(lanes16 & 0xFF);
+  const auto lanes_hi = static_cast<__mmask8>(lanes16 >> 8);
+  for (std::size_t r = 0; r < rows; ++r) {
+    std::int16_t* crow = sink.c16 + (row0 + r) * sink.ldc + col0;
+    const __m512i a32 = _mm512_loadu_si512(acc + r * kMaxNr);
+    const __m512i lo = _mm512_add_epi64(_mm512_cvtepi32_epi64(_mm512_castsi512_si256(a32)), bias_lo);
+    const __m512i hi =
+        _mm512_add_epi64(_mm512_cvtepi32_epi64(_mm512_extracti64x4_epi64(a32, 1)), bias_hi);
+    _mm512_mask_cvtsepi64_storeu_epi16(crow, lanes_lo, requantize_x8(lo, round, count, relu));
+    _mm512_mask_cvtsepi64_storeu_epi16(crow + 8, lanes_hi, requantize_x8(hi, round, count, relu));
+  }
+}
+#pragma GCC diagnostic pop
+#endif  // ONESA_GEMM_INT16_X86
+
+// ------------------------------------------------------------ kernel tiers
+
+/// One micro-tile shape a kernel offers: its function and its row height.
+struct Int16Tile {
+  TileFnInt16 fn;
+  std::size_t mr;
+};
+
+/// A kernel tier: the tiles it offers, the sliver width they share and its
+/// tile store. The driver runs `tall` over full row blocks and `rest` over a
+/// remainder of at most rest.mr rows, so a short m never pays for a tall
+/// tile's idle rows.
+struct Int16Kernel {
+  Int16Tile tall;
+  Int16Tile rest;
+  std::size_t nr;
+  StoreFnInt16 store;
+  const char* name;
+};
+
+/// `tier`'s kernel, or nullopt when this CPU cannot run it.
+std::optional<Int16Kernel> int16_kernel(detail::Int16Tier tier) {
+  using detail::Int16Tier;
+  switch (tier) {
+#ifdef ONESA_GEMM_INT16_X86
+    case Int16Tier::kAvx512Vnni:
+      if (!__builtin_cpu_supports("avx512bw") || !__builtin_cpu_supports("avx512vnni")) break;
+      return Int16Kernel{{tile_int16_avx512<DpwssdStep, 16>, 16},
+                         {tile_int16_avx512<DpwssdStep, 8>, 8},
+                         16, store_tile_int16_avx512, "avx512vnni"};
+    case Int16Tier::kAvx512bw:
+      if (!__builtin_cpu_supports("avx512bw")) break;
+      return Int16Kernel{{tile_int16_avx512<MaddAddStep, 16>, 16},
+                         {tile_int16_avx512<MaddAddStep, 8>, 8},
+                         16, store_tile_int16_avx512, "avx512bw"};
+    case Int16Tier::kAvx2:
+      if (!__builtin_cpu_supports("avx2")) break;
+      return Int16Kernel{{tile_int16_avx2, 4}, {tile_int16_avx2, 4}, 8,
+                         store_tile_int16_scalar, "avx2"};
+#endif
+    case Int16Tier::kPortable:
+      return Int16Kernel{{tile_int16_generic, MR}, {tile_int16_generic, MR}, 8,
+                         store_tile_int16_scalar, "portable"};
+    default:
+      break;
+  }
+  return std::nullopt;
+}
+
+/// The fastest tier this CPU runs, picked once by CPUID.
+Int16Kernel select_int16_kernel() {
+  using detail::Int16Tier;
+  for (Int16Tier tier : {Int16Tier::kAvx512Vnni, Int16Tier::kAvx512bw, Int16Tier::kAvx2})
+    if (const auto kernel = int16_kernel(tier)) return *kernel;
+  return *int16_kernel(Int16Tier::kPortable);
+}
+
+const Int16Kernel g_int16 = select_int16_kernel();
 
 /// Pairs in a kc panel of height kcb (odd tails round up — the pack padded
 /// them with zero).
 std::size_t panel_pairs(std::size_t kcb) { return (kcb + 1) / 2; }
 
-/// The blocked loop nest: per jc panel, per MR-row block, per nr sliver,
-/// register accumulators crossing every kc panel (no int32 C scratch), one
-/// fused store. `kernel` is a parameter so the forced-portable test entry
-/// can replay any pack geometry through the scalar tile.
+/// The blocked loop nest, sliver-major: per jc panel, per nr sliver, per row
+/// block, register accumulators crossing every kc panel (no int32 C
+/// scratch), one fused store. Each B sliver is read from memory once per
+/// call and then reused by every row block out of L1/L2, while A (m x k)
+/// stays cache resident across slivers. Row blocks take the kernel's tall
+/// tile, or its short tile for a remainder that fits it.
 void blocked_int16(const std::int16_t* a, const PackedBInt16& b, const OutSink& sink,
                    std::size_t m, const Int16Kernel& kernel) {
   const std::size_t k = b.k();
   const std::size_t n = b.n();
   const std::size_t nr = b.nr();
-  const std::size_t mr = kernel.mr;
   const std::size_t kc_panels = b.kc_panels();
+  const std::size_t k_pairs = panel_pairs(k);
+  const auto tile_at = [&](std::size_t i0) -> const Int16Tile& {
+    return m - i0 <= kernel.rest.mr ? kernel.rest : kernel.tall;
+  };
+
+  // A packed once per call. Every block before the last is a full tall
+  // block, so the block starting at row i0 sits at i0 * k_pairs.
+  thread_local std::vector<std::int32_t> apack;
+  if (apack.size() < (m + kMaxMrInt16) * k_pairs) apack.resize((m + kMaxMrInt16) * k_pairs);
+  for (std::size_t i0 = 0; i0 < m; i0 += tile_at(i0).mr) {
+    const std::size_t mr = tile_at(i0).mr;
+    pack_a_int16(a + i0 * k, k, std::min(mr, m - i0), mr, apack.data() + i0 * k_pairs);
+  }
+
   alignas(64) std::uint32_t acc[kMaxMrInt16 * kMaxNr];
   for (std::size_t jc_idx = 0, jc = 0; jc < n; ++jc_idx, jc += kNC) {
     const std::size_t ncb = std::min(kNC, n - jc);
-    for (std::size_t i0 = 0; i0 < m; i0 += mr) {
-      const std::size_t rows = std::min(mr, m - i0);
-      for (std::size_t jr = 0; jr < ncb; jr += nr) {
-        const std::size_t width = std::min(nr, ncb - jr);
-        std::fill(acc, acc + mr * kMaxNr, 0u);
+    for (std::size_t jr = 0; jr < ncb; jr += nr) {
+      const std::size_t width = std::min(nr, ncb - jr);
+      const std::size_t sliver_off = (jr / nr) * 2 * nr;
+      for (std::size_t i0 = 0; i0 < m; i0 += tile_at(i0).mr) {
+        const Int16Tile& tile = tile_at(i0);
+        std::fill(acc, acc + tile.mr * kMaxNr, 0u);
         for (std::size_t kc_idx = 0, kc = 0; kc_idx < kc_panels; ++kc_idx, kc += kKC) {
-          const std::size_t kcb = std::min(kKC, k - kc);
-          const std::int16_t* sliver =
-              b.panel(jc_idx, kc_idx) + (jr / nr) * panel_pairs(kcb) * 2 * nr;
-          kernel.fn(acc, a + i0 * k + kc, k, rows, sliver, kcb, nr);
+          const std::size_t pairs = panel_pairs(std::min(kKC, k - kc));
+          tile.fn(acc, apack.data() + i0 * k_pairs + (kc / 2) * tile.mr,
+                  b.panel(jc_idx, kc_idx) + sliver_off * pairs, pairs, nr);
         }
-        store_tile_int16(sink, acc, i0, rows, jc + jr, width);
+        kernel.store(sink, acc, i0, std::min(tile.mr, m - i0), jc + jr, width);
       }
-      // Deferred kBiasTable activation, one call per (row, jc panel): the
-      // requantized row segment is complete here, and ncb-wide spans keep
-      // the table evaluator on its vector path (identical values to
-      // per-sliver application — the activation is elementwise).
-      if (sink.c16 != nullptr && sink.epi->kind == EpilogueInt16::Kind::kBiasTable) {
-        const EpilogueInt16& e = *sink.epi;
-        for (std::size_t r = 0; r < rows; ++r) {
-          std::int16_t* crow = sink.c16 + (i0 + r) * sink.ldc + jc;
-          e.table_eval(e.table, crow, crow, ncb);
-        }
+    }
+    // Deferred kBiasTable activation, one call per (row, jc panel): the
+    // requantized row segments are complete here, and ncb-wide spans keep
+    // the table evaluator on its vector path (identical values to
+    // per-sliver application — the activation is elementwise).
+    if (sink.c16 != nullptr && sink.epi->kind == EpilogueInt16::Kind::kBiasTable) {
+      const EpilogueInt16& e = *sink.epi;
+      for (std::size_t r = 0; r < m; ++r) {
+        std::int16_t* crow = sink.c16 + r * sink.ldc + jc;
+        e.table_eval(e.table, crow, crow, ncb);
       }
     }
   }
 }
 
 /// Row-sliced fan-out over the kernel ThreadPool; every worker consumes the
-/// one shared packed B. Slices are whole micro-rows; integer accumulation is
-/// exact, so slicing can never change a bit (unlike the double path this
-/// needs no numerics argument at all).
+/// one shared packed B. Slices are whole short-tile row blocks; integer
+/// accumulation is exact, so slicing can never change a bit (unlike the
+/// double path this needs no numerics argument at all).
 void blocked_int16_sliced(const std::int16_t* a, const PackedBInt16& b,
                           const OutSink& sink, std::size_t m,
                           const Int16Kernel& kernel, std::size_t threads) {
@@ -321,7 +423,7 @@ void blocked_int16_sliced(const std::int16_t* a, const PackedBInt16& b,
     return;
   }
   const std::size_t k = b.k();
-  const std::size_t per = round_up((m + threads - 1) / threads, kernel.mr);
+  const std::size_t per = round_up((m + threads - 1) / threads, kernel.rest.mr);
   ThreadPool::instance().run(threads, [&](std::size_t part) {
     const std::size_t lo = std::min(m, part * per);
     const std::size_t hi = std::min(m, lo + per);
@@ -412,8 +514,14 @@ std::size_t sliver_width_int16() { return g_int16.nr; }
 const char* int16_kernel_name() { return g_int16.name; }
 
 PackedBInt16 PackedBInt16::pack(const std::int16_t* b, std::size_t k, std::size_t n) {
+  return pack(b, k, n, g_int16.nr);
+}
+
+PackedBInt16 PackedBInt16::pack(const std::int16_t* b, std::size_t k, std::size_t n,
+                                std::size_t nr) {
+  ONESA_CHECK(nr == 8 || nr == 16, "PackedBInt16::pack: sliver width " << nr
+                                                                       << " is not 8 or 16");
   PackedBInt16 dst;
-  const std::size_t nr = g_int16.nr;
   dst.k_ = k;
   dst.n_ = n;
   dst.nr_ = nr;
@@ -530,23 +638,48 @@ std::size_t gemm_int16_threads(std::size_t m, std::size_t k, std::size_t n) {
   const std::size_t macs = m * k * n;
   std::size_t t = ThreadPool::instance().effective_threads();
   t = std::min(t, std::max<std::size_t>(1, macs / kMacsPerThreadInt16));
-  t = std::min(t, (m + g_int16.mr - 1) / g_int16.mr);
+  t = std::min(t, (m + g_int16.rest.mr - 1) / g_int16.rest.mr);
   return t;
 }
 
 namespace detail {
 
-void gemm_packed_int16_portable(const std::int16_t* a, const PackedBInt16& b,
-                                std::int16_t* c, std::size_t m,
-                                const EpilogueInt16& epi) {
-  const std::size_t n = b.n();
+bool int16_tier_supported(Int16Tier tier) { return int16_kernel(tier).has_value(); }
+
+const char* int16_tier_name(Int16Tier tier) {
+  const auto kernel = int16_kernel(tier);
+  return kernel ? kernel->name : "unsupported";
+}
+
+namespace {
+
+void run_on_tier(Int16Tier tier, const std::int16_t* a, const std::int16_t* b,
+                 const OutSink& sink, std::size_t m, std::size_t k, std::size_t n) {
+  const auto kernel = int16_kernel(tier);
+  ONESA_CHECK(kernel.has_value(),
+              "int16 tier " << static_cast<int>(tier) << " does not run on this CPU");
   if (m == 0 || n == 0) return;
+  blocked_int16(a, PackedBInt16::pack(b, k, n, kernel->nr), sink, m, *kernel);
+}
+
+}  // namespace
+
+void gemm_int16_acc_on_tier(Int16Tier tier, const std::int16_t* a, const std::int16_t* b,
+                            std::int32_t* c, std::size_t m, std::size_t k, std::size_t n) {
+  OutSink sink;
+  sink.c32 = c;
+  sink.ldc = n;
+  run_on_tier(tier, a, b, sink, m, k, n);
+}
+
+void gemm_int16_on_tier(Int16Tier tier, const std::int16_t* a, const std::int16_t* b,
+                        std::int16_t* c, std::size_t m, std::size_t k, std::size_t n,
+                        const EpilogueInt16& epi) {
   OutSink sink;
   sink.c16 = c;
   sink.ldc = n;
   sink.epi = &epi;
-  const Int16Kernel portable{tile_int16_generic, MR, b.nr(), "portable"};
-  blocked_int16(a, b, sink, m, portable);
+  run_on_tier(tier, a, b, sink, m, k, n);
 }
 
 }  // namespace detail

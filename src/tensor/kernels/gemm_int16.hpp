@@ -4,19 +4,36 @@
 // The modeled accelerator computes in Q6.9 INT16 with wide accumulators
 // (src/fixed/fixed16.hpp); this module gives the serve tier the same
 // arithmetic at SIMD speed: int16 operands, int32 accumulators, one
-// requantizing store. The micro-kernel is built around the x86 `pmaddwd`
-// family (_mm512_madd_epi16 / _mm256_madd_epi16): each instruction multiplies
-// adjacent int16 PAIRS and horizontally adds the two products into an int32
-// lane, so B is packed pair-interleaved (see PackedBInt16) and A is consumed
-// as 32-bit broadcasts of (a[i][2p], a[i][2p+1]) — one madd retires two k
-// steps across a full sliver of output columns.
+// requantizing store. The micro-kernels are built around the x86 word-pair
+// multiply-add: each step multiplies adjacent int16 PAIRS and adds the two
+// products into an int32 lane, so B is packed pair-interleaved (see
+// PackedBInt16) and A is consumed as 32-bit broadcasts of
+// (a[i][2p], a[i][2p+1]) — one step retires two k steps across a full
+// sliver of output columns.
+//
+// Kernel tiers, picked once by CPUID (int16_kernel_name() reports the name):
+//  - "avx512vnni": one vpdpwssd per step (_mm512_dpwssd_epi32 semantics),
+//    with the A pair broadcast straight from memory; 16x16 and 8x16 tiles.
+//  - "avx512bw": vpmaddwd + vpaddd per step; the same 16x16 / 8x16 tiles
+//    (one template over the step).
+//  - "avx2": vpmaddwd + vpaddd on ymm, 4x8 tile.
+//  - "portable": scalar 4x8 tile.
+// Loop order (one loop nest for every tier): A is packed once per call into
+// the tiles' pair-major row blocks; then per (jc panel, nr sliver, row
+// block), the register accumulators cross every kc panel and one fused
+// store ends the tile. Slivers are the outer loop, so each B sliver is read
+// from memory once per call and reused by every row block from L1/L2. Row
+// blocks take the tier's tall tile (16 rows on AVX-512) except a remainder
+// of at most the short tile's height (8 rows), which takes the short tile.
 //
 // Numerics contract (asserted in tests/test_kernels.cpp):
-//  - Integer addition is associative, so the portable, AVX2 and AVX-512
-//    kernels produce BIT-IDENTICAL accumulators for every input — there is
-//    no deterministic-mode divergence to manage (deterministic mode only
-//    pins the thread count to 1).
-//  - Accumulation wraps mod 2^32, exactly like vpaddd/pmaddwd. The portable
+//  - Integer addition is associative, so every tier produces BIT-IDENTICAL
+//    accumulators for every input — there is no deterministic-mode
+//    divergence to manage (deterministic mode only pins the thread count
+//    to 1).
+//  - Accumulation wraps mod 2^32, exactly like vpmaddwd + vpaddd.
+//    vpdpwssd is the non-saturating form (not vpdpwssds) and wraps the same
+//    way, including the (-32768)^2 + (-32768)^2 = 2^31 pair. The portable
 //    kernel reproduces this by accumulating in uint32 (well-defined wrap)
 //    and bit-casting back. Callers keep real workloads inside int32 range
 //    via the quantizer's headroom bound (nn/quantized.hpp); the wrap
@@ -24,7 +41,9 @@
 //  - The requantizing store matches fixed::Accumulator<FracBits>::result():
 //    round-half-up at the shift boundary, then saturate_i16. Epilogue order
 //    is bias add (accumulator domain) -> requantize -> activation, applied
-//    exactly once per element after its full k-sum.
+//    exactly once per element after its full k-sum. The AVX-512 tiers run
+//    the store in int64 vector lanes and narrow with vpmovsqw; the scalar
+//    store is the rule it reproduces bit for bit.
 #pragma once
 
 #include <cstddef>
@@ -37,11 +56,12 @@
 namespace onesa::tensor::kernels {
 
 /// B sliver width of the int16 micro-kernel selected at startup: 16 int32
-/// output lanes on AVX-512BW, 8 on AVX2/portable. Independent of the double
-/// kernel's sliver_width() — a CPU can have avx512f without avx512bw.
+/// output lanes on the AVX-512 tiers, 8 on AVX2/portable. Independent of the
+/// double kernel's sliver_width() — a CPU can have avx512f without avx512bw.
 std::size_t sliver_width_int16();
 
-/// Name of the selected int16 micro-kernel ("avx512bw", "avx2", "portable").
+/// Name of the selected int16 kernel tier ("avx512vnni", "avx512bw", "avx2",
+/// "portable").
 const char* int16_kernel_name();
 
 /// Requantize an int32 accumulator down to int16: round-half-up at the
@@ -68,6 +88,11 @@ class PackedBInt16 {
   PackedBInt16() = default;
 
   static PackedBInt16 pack(const std::int16_t* b, std::size_t k, std::size_t n);
+  /// Pack at an explicit sliver width (8 or 16) — the layout of a tier other
+  /// than the selected one. gemm_packed_int16 accepts only
+  /// sliver_width_int16().
+  static PackedBInt16 pack(const std::int16_t* b, std::size_t k, std::size_t n,
+                           std::size_t nr);
 
   std::size_t k() const { return k_; }
   std::size_t n() const { return n_; }
@@ -142,11 +167,27 @@ void gemm_packed_int16(const std::int16_t* a, const PackedBInt16& b,
 std::size_t gemm_int16_threads(std::size_t m, std::size_t k, std::size_t n);
 
 namespace detail {
-/// Force the portable micro-kernel for one call (bit-exactness tests pit
-/// this against the dispatched vector path on identical inputs).
-void gemm_packed_int16_portable(const std::int16_t* a, const PackedBInt16& b,
-                                std::int16_t* c, std::size_t m,
-                                const EpilogueInt16& epi);
+/// The int16 kernel tiers, slowest first. CPUID selects the fastest one the
+/// host runs; the entries below replay any runnable tier so bit-exactness
+/// tests can pit every tile against every other on identical inputs.
+enum class Int16Tier : std::uint8_t { kPortable, kAvx2, kAvx512bw, kAvx512Vnni };
+
+/// Whether this CPU can execute `tier` (kPortable always can).
+bool int16_tier_supported(Int16Tier tier);
+
+/// The name int16_kernel_name() reports for `tier` ("unsupported" when this
+/// CPU cannot run it).
+const char* int16_tier_name(Int16Tier tier);
+
+/// Pack B (k x n row-major) at `tier`'s sliver width and run the full loop
+/// nest with that tier's tiles and store: raw accumulators into C (int32).
+void gemm_int16_acc_on_tier(Int16Tier tier, const std::int16_t* a, const std::int16_t* b,
+                            std::int32_t* c, std::size_t m, std::size_t k, std::size_t n);
+
+/// As above, through the fused epilogue into C (int16).
+void gemm_int16_on_tier(Int16Tier tier, const std::int16_t* a, const std::int16_t* b,
+                        std::int16_t* c, std::size_t m, std::size_t k, std::size_t n,
+                        const EpilogueInt16& epi);
 }  // namespace detail
 
 }  // namespace onesa::tensor::kernels

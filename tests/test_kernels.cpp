@@ -534,11 +534,38 @@ TEST(CpwlBatch, ActivationTableModeMatchesScalarTableEval) {
 
 // ------------------------------------------------------------- int16 GEMM
 //
-// The INT16 lane's contract (tensor/kernels/gemm_int16.hpp): every kernel —
-// portable, AVX2, AVX-512BW — produces BIT-IDENTICAL wrap-mod-2^32
-// accumulators; the requantizing epilogue matches the unfused
-// bias -> Accumulator::result()-style shift -> activation composition
-// exactly; saturation behaves like fixed::saturate_i16 at both rails.
+// The INT16 lane's contract (tensor/kernels/gemm_int16.hpp): every kernel
+// tier — portable, AVX2, AVX-512BW, AVX-512 VNNI — produces BIT-IDENTICAL
+// wrap-mod-2^32 accumulators; the requantizing epilogue (scalar or vector
+// store) matches the unfused bias -> Accumulator::result()-style shift ->
+// activation composition exactly; saturation behaves like
+// fixed::saturate_i16 at both rails.
+
+using tensor::kernels::EpilogueInt16;
+using tensor::kernels::detail::Int16Tier;
+
+/// The tiers this host can run, slowest first; portable is always there.
+std::vector<Int16Tier> runnable_int16_tiers() {
+  std::vector<Int16Tier> tiers;
+  for (Int16Tier t : {Int16Tier::kPortable, Int16Tier::kAvx2, Int16Tier::kAvx512bw,
+                      Int16Tier::kAvx512Vnni})
+    if (tensor::kernels::detail::int16_tier_supported(t)) tiers.push_back(t);
+  return tiers;
+}
+
+/// The epilogue's scalar rule on one accumulator: bias add at int64 width,
+/// round-half-up shift, saturate, then the activation.
+std::int16_t epilogue_rule(std::int32_t acc, std::size_t col, const EpilogueInt16& e,
+                           const cpwl::SegmentTable& table) {
+  std::int64_t v = acc;
+  if (e.kind != EpilogueInt16::Kind::kNone) v += e.bias[col];
+  if (e.shift > 0) v = (v + (std::int64_t{1} << (e.shift - 1))) >> e.shift;
+  std::int16_t q = fixed::saturate_i16(v);
+  if (e.kind == EpilogueInt16::Kind::kBiasRelu && q < 0) q = 0;
+  if (e.kind == EpilogueInt16::Kind::kBiasTable)
+    q = table.eval_fixed(fixed::Fix16::from_raw(q)).raw();
+  return q;
+}
 
 std::vector<std::int16_t> random_i16(std::size_t count, Rng& rng, int lo = -2048,
                                      int hi = 2048) {
@@ -548,9 +575,15 @@ std::vector<std::int16_t> random_i16(std::size_t count, Rng& rng, int lo = -2048
   return v;
 }
 
+// Every row count around the 8- and 16-row tiles (a remainder of at most 8
+// rows takes the short tile, anything taller the tall tile), most with odd k
+// so the last panel ends in a zero-padded pair and n off the 16-column
+// sliver grid, and k / n crossing the kc / jc panel edges.
 const std::vector<std::tuple<std::size_t, std::size_t, std::size_t>> kInt16Shapes = {
-    {1, 1, 1},   {1, 5, 3},     {3, 257, 5},    {4, 64, 16},
-    {7, 513, 300}, {8, 768, 96}, {13, 2, 130},  {32, 300, 521},
+    {1, 1, 1},     {1, 5, 3},     {3, 257, 5},   {4, 64, 16},    {7, 513, 300},
+    {8, 768, 96},  {9, 37, 45},   {13, 2, 130},  {15, 129, 70},  {16, 255, 100},
+    {17, 513, 87}, {24, 31, 530}, {31, 257, 47}, {32, 300, 521}, {33, 99, 150},
+    {48, 65, 200}, {64, 301, 38},
 };
 
 TEST(PackedBInt16, RoundTripsEveryElementAcrossShapes) {
@@ -580,34 +613,44 @@ TEST(GemmInt16, PackedAccumulatorsMatchReferenceAcrossShapes) {
   }
 }
 
-TEST(GemmInt16, PortableMatchesDispatchedKernelRawForRaw) {
-  // The bit-exactness half of the contract: the scalar portable micro-kernel
-  // replayed over the SAME packed buffer must reproduce the dispatched
-  // vector path (pmaddwd pair products + vpaddd wrap) raw for raw, epilogue
-  // included. Full-range operands so wrap actually occurs on the big shapes.
+TEST(GemmInt16, EveryTierMatchesTheReferenceRawForRaw) {
+  // The bit-exactness half of the contract: each tile this host can run —
+  // not only the one CPUID selected — must reproduce the reference's wrapped
+  // accumulators raw for raw. Full-range operands so wrap actually occurs
+  // on the big shapes.
   Rng rng(79);
+  const auto tiers = runnable_int16_tiers();
   for (const auto& [m, k, n] : kInt16Shapes) {
     const auto a = random_i16(m * k, rng, -32768, 32767);
     const auto b = random_i16(k * n, rng, -32768, 32767);
-    const auto packed = tensor::kernels::PackedBInt16::pack(b.data(), k, n);
-    tensor::kernels::EpilogueInt16 epi;
-    epi.kind = tensor::kernels::EpilogueInt16::Kind::kNone;
-    epi.shift = 9;
-    std::vector<std::int16_t> dispatched(m * n), portable(m * n);
-    tensor::kernels::gemm_packed_int16(a.data(), packed, dispatched.data(), m, epi);
-    tensor::kernels::detail::gemm_packed_int16_portable(a.data(), packed,
-                                                        portable.data(), m, epi);
-    ASSERT_EQ(portable, dispatched)
-        << "kernel=" << tensor::kernels::int16_kernel_name() << " m=" << m
-        << " k=" << k << " n=" << n;
+    std::vector<std::int32_t> ref(m * n);
+    tensor::kernels::gemm_int16_reference(a.data(), b.data(), ref.data(), m, k, n);
+    for (Int16Tier tier : tiers) {
+      std::vector<std::int32_t> acc(m * n, -1);
+      tensor::kernels::detail::gemm_int16_acc_on_tier(tier, a.data(), b.data(), acc.data(),
+                                                      m, k, n);
+      ASSERT_EQ(acc, ref) << "tier=" << tensor::kernels::detail::int16_tier_name(tier)
+                          << " m=" << m << " k=" << k << " n=" << n;
+    }
   }
+}
+
+TEST(GemmInt16, SelectedTierIsTheFastestRunnable) {
+  // CPUID picks the fastest runnable tier; its name is what
+  // int16_kernel_name() reports and what the bench artifacts record.
+  const auto tiers = runnable_int16_tiers();
+  EXPECT_STREQ(tensor::kernels::int16_kernel_name(),
+               tensor::kernels::detail::int16_tier_name(tiers.back()));
+  EXPECT_EQ(tensor::kernels::sliver_width_int16(),
+            tiers.back() >= Int16Tier::kAvx512bw ? 16u : 8u);
 }
 
 TEST(GemmInt16, AccumulatorWrapsMod32AtTheBoundary) {
   // Worst-case pair product: (-32768)*(-32768) + (-32768)*(-32768) = 2^31,
-  // which wraps to INT32_MIN in one pmaddwd — the documented (and tested)
-  // wrap-not-saturate behaviour of the accumulation domain. Both the
-  // reference and the packed path must agree on the wrapped bits.
+  // which wraps to INT32_MIN in one pmaddwd, and in one vpdpwssd (the
+  // non-saturating VNNI form) — the documented wrap-not-saturate behaviour
+  // of the accumulation domain. The reference and every tier must agree on
+  // the wrapped bits.
   const std::size_t k = 2, n = 1;
   const std::int16_t lowest = std::numeric_limits<std::int16_t>::lowest();
   const std::vector<std::int16_t> a = {lowest, lowest};
@@ -618,6 +661,94 @@ TEST(GemmInt16, AccumulatorWrapsMod32AtTheBoundary) {
   const auto packed = tensor::kernels::PackedBInt16::pack(b.data(), k, n);
   tensor::kernels::gemm_packed_int16_acc(a.data(), packed, acc.data(), 1);
   EXPECT_EQ(acc[0], ref[0]);
+  for (Int16Tier tier : runnable_int16_tiers()) {
+    acc[0] = 0;
+    tensor::kernels::detail::gemm_int16_acc_on_tier(tier, a.data(), b.data(), acc.data(), 1,
+                                                    k, n);
+    EXPECT_EQ(acc[0], ref[0]) << tensor::kernels::detail::int16_tier_name(tier);
+  }
+}
+
+TEST(GemmInt16, StoreMatchesTheScalarRuleAtTheEdges) {
+  // Drive the tile store with accumulators placed at the int32 rails and at
+  // the rounding / saturation boundaries, against biases at the int32
+  // rails, for every epilogue kind and shifts 0, 9 and 14, on every tier
+  // (the AVX-512 tiers run the int64-lane vector store, the others the
+  // scalar one). With A rows +-[32767, 32767, 32767, 1], column j's
+  // accumulator is +-(32767 * (b0 + b1 + b2) + b3): any int32 value on the
+  // even rows, its wrapped negation on the odd ones.
+  constexpr std::int32_t kMax = std::numeric_limits<std::int32_t>::max();
+  constexpr std::int32_t kMin = std::numeric_limits<std::int32_t>::min();
+  const std::vector<std::int32_t> targets = {
+      kMax,        kMax - 1,   kMin,     kMin + 1,   0,          1,
+      -1,          255,        256,      257,        -256,       -257,
+      8191,        8192,       -8192,    -8193,      16383,      16384,
+      -16385,      32767 << 9, (32767 << 9) + 256,   -(32768 << 9),
+      -(32768 << 9) - 257,     1 << 30,  -(1 << 30), (32767 << 14) + 8191,
+      -(32767 << 14) - 8193,   1 << 28,  123456789,  -987654321};
+  const std::size_t k = 4;
+  const std::size_t n = targets.size();
+  std::vector<std::int16_t> b(k * n);
+  for (std::size_t j = 0; j < n; ++j) {
+    // target = 32767 * q + r with |r| <= 16383; q is split over b0..b2.
+    const std::int64_t t = targets[j];
+    std::int64_t q = (t + (t >= 0 ? 16383 : -16383)) / 32767;
+    const std::int64_t r = t - 32767 * q;
+    ASSERT_LE(std::abs(r), 32767);
+    for (std::size_t kk = 0; kk < 3; ++kk) {
+      const std::int64_t part = std::clamp<std::int64_t>(q, -32768, 32767);
+      b[kk * n + j] = static_cast<std::int16_t>(part);
+      q -= part;
+    }
+    ASSERT_EQ(q, 0);
+    b[3 * n + j] = static_cast<std::int16_t>(r);
+  }
+  const std::size_t m = 18;  // a 16-row tile plus a 2-row remainder
+  std::vector<std::int16_t> a(m * k);
+  for (std::size_t i = 0; i < m; ++i) {
+    const int sign = i % 2 == 0 ? 1 : -1;
+    a[i * k + 0] = a[i * k + 1] = a[i * k + 2] = static_cast<std::int16_t>(32767 * sign);
+    a[i * k + 3] = static_cast<std::int16_t>(sign);
+  }
+  std::vector<std::int32_t> acc(m * n);
+  tensor::kernels::gemm_int16_reference(a.data(), b.data(), acc.data(), m, k, n);
+  for (std::size_t j = 0; j < n; ++j) ASSERT_EQ(acc[j], targets[j]) << "column " << j;
+
+  const auto table = cpwl::SegmentTable::build(cpwl::FunctionKind::kGelu);
+  const std::vector<std::int32_t> bias_cycle = {0, kMax, kMin, -1, 1, 1 << 29, -(1 << 29)};
+  const auto packed = tensor::kernels::PackedBInt16::pack(b.data(), k, n);
+  const auto tiers = runnable_int16_tiers();
+  for (std::size_t rot = 0; rot < bias_cycle.size(); ++rot) {
+    std::vector<std::int32_t> bias(n);
+    for (std::size_t j = 0; j < n; ++j) bias[j] = bias_cycle[(j + rot) % bias_cycle.size()];
+    for (const int shift : {0, 9, 14}) {
+      for (const auto kind : {EpilogueInt16::Kind::kNone, EpilogueInt16::Kind::kBias,
+                              EpilogueInt16::Kind::kBiasRelu,
+                              EpilogueInt16::Kind::kBiasTable}) {
+        EpilogueInt16 epi;
+        epi.kind = kind;
+        epi.bias = bias.data();
+        epi.shift = shift;
+        epi.table_eval = &nn::segment_table_batch_eval;
+        epi.table = &table;
+        std::vector<std::int16_t> expect(m * n);
+        for (std::size_t i = 0; i < m * n; ++i)
+          expect[i] = epilogue_rule(acc[i], i % n, epi, table);
+        std::vector<std::int16_t> got(m * n);
+        tensor::kernels::gemm_packed_int16(a.data(), packed, got.data(), m, epi);
+        ASSERT_EQ(got, expect) << "dispatched kind=" << static_cast<int>(kind)
+                               << " shift=" << shift << " rot=" << rot;
+        for (Int16Tier tier : tiers) {
+          std::fill(got.begin(), got.end(), std::int16_t{-7});
+          tensor::kernels::detail::gemm_int16_on_tier(tier, a.data(), b.data(), got.data(), m,
+                                                      k, n, epi);
+          ASSERT_EQ(got, expect) << tensor::kernels::detail::int16_tier_name(tier)
+                                 << " kind=" << static_cast<int>(kind) << " shift=" << shift
+                                 << " rot=" << rot;
+        }
+      }
+    }
+  }
 }
 
 TEST(GemmInt16, RequantizeSaturatesLikeSaturateI16) {
@@ -661,9 +792,11 @@ TEST(GemmInt16, RequantizeSaturatesLikeSaturateI16) {
 TEST(GemmInt16, FusedEpilogueMatchesUnfusedComposition) {
   // bias -> requantize -> activation fused in the micro-tile store must equal
   // the same steps applied to the raw accumulators afterwards — including
-  // the CPWL table evaluated through its INT16 path.
+  // the CPWL table evaluated through its INT16 path — on the dispatched
+  // path and on every tier this host can run.
   Rng rng(81);
   const auto table = cpwl::SegmentTable::build(cpwl::FunctionKind::kGelu);
+  const auto tiers = runnable_int16_tiers();
   for (const auto& [m, k, n] : kInt16Shapes) {
     const auto a = random_i16(m * k, rng, -512, 512);
     const auto b = random_i16(k * n, rng, -512, 512);
@@ -671,40 +804,60 @@ TEST(GemmInt16, FusedEpilogueMatchesUnfusedComposition) {
     std::vector<std::int32_t> bias(n);
     for (auto& e : bias) e = static_cast<std::int32_t>(std::lround(rng.uniform(-5e4, 5e4)));
     std::vector<std::int32_t> acc(m * n);
-    tensor::kernels::gemm_packed_int16_acc(a.data(), packed, acc.data(), m);
+    tensor::kernels::gemm_int16_reference(a.data(), b.data(), acc.data(), m, k, n);
 
-    const int shift = 9;
-    const auto unfused = [&](tensor::kernels::EpilogueInt16::Kind kind,
-                             std::size_t i) {
-      // The fused path adds the bias at int64 width BEFORE requantizing.
-      std::int64_t v = std::int64_t{acc[i]} + bias[i % n];
-      if (shift > 0) v = (v + (std::int64_t{1} << (shift - 1))) >> shift;
-      std::int16_t q = fixed::saturate_i16(v);
-      if (kind == tensor::kernels::EpilogueInt16::Kind::kBiasRelu && q < 0) q = 0;
-      if (kind == tensor::kernels::EpilogueInt16::Kind::kBiasTable)
-        q = table.eval_fixed(fixed::Fix16::from_raw(q)).raw();
-      return q;
-    };
-
-    for (const auto kind : {tensor::kernels::EpilogueInt16::Kind::kBias,
-                            tensor::kernels::EpilogueInt16::Kind::kBiasRelu,
-                            tensor::kernels::EpilogueInt16::Kind::kBiasTable}) {
-      tensor::kernels::EpilogueInt16 epi;
+    for (const auto kind : {EpilogueInt16::Kind::kBias, EpilogueInt16::Kind::kBiasRelu,
+                            EpilogueInt16::Kind::kBiasTable}) {
+      EpilogueInt16 epi;
       epi.kind = kind;
       epi.bias = bias.data();
-      epi.shift = shift;
-      if (kind == tensor::kernels::EpilogueInt16::Kind::kBiasTable) {
+      epi.shift = 9;
+      if (kind == EpilogueInt16::Kind::kBiasTable) {
         epi.table_eval = &nn::segment_table_batch_eval;
         epi.table = &table;
       }
+      std::vector<std::int16_t> unfused(m * n);
+      for (std::size_t i = 0; i < unfused.size(); ++i)
+        unfused[i] = epilogue_rule(acc[i], i % n, epi, table);
       std::vector<std::int16_t> fused(m * n);
       tensor::kernels::gemm_packed_int16(a.data(), packed, fused.data(), m, epi);
-      for (std::size_t i = 0; i < fused.size(); ++i)
-        ASSERT_EQ(fused[i], unfused(kind, i))
-            << "kind=" << static_cast<int>(kind) << " i=" << i << " m=" << m
-            << " k=" << k << " n=" << n;
+      ASSERT_EQ(fused, unfused) << "kind=" << static_cast<int>(kind) << " m=" << m
+                                << " k=" << k << " n=" << n;
+      for (Int16Tier tier : tiers) {
+        tensor::kernels::detail::gemm_int16_on_tier(tier, a.data(), b.data(), fused.data(), m,
+                                                    k, n, epi);
+        ASSERT_EQ(fused, unfused) << tensor::kernels::detail::int16_tier_name(tier)
+                                  << " kind=" << static_cast<int>(kind) << " m=" << m
+                                  << " k=" << k << " n=" << n;
+      }
     }
   }
+}
+
+TEST(GemmInt16, RowSlicedAcrossThreadsMatchesTheReference) {
+  // Large enough to fan out over the kernel pool on a multi-core host: the
+  // row slices (whole 8-row blocks, each running its own tall/short tile
+  // split) must reproduce the single reference bit for bit.
+  Rng rng(83);
+  const std::size_t m = 45, k = 517, n = 1100;
+  const auto a = random_i16(m * k, rng);
+  const auto b = random_i16(k * n, rng);
+  std::vector<std::int32_t> acc(m * n);
+  tensor::kernels::gemm_int16_reference(a.data(), b.data(), acc.data(), m, k, n);
+  std::vector<std::int32_t> bias(n);
+  for (auto& e : bias) e = static_cast<std::int32_t>(std::lround(rng.uniform(-5e5, 5e5)));
+  EpilogueInt16 epi;
+  epi.kind = EpilogueInt16::Kind::kBiasRelu;
+  epi.bias = bias.data();
+  epi.shift = 11;
+  const auto table = cpwl::SegmentTable::build(cpwl::FunctionKind::kGelu);
+  std::vector<std::int16_t> expect(m * n);
+  for (std::size_t i = 0; i < expect.size(); ++i)
+    expect[i] = epilogue_rule(acc[i], i % n, epi, table);
+  const auto packed = tensor::kernels::PackedBInt16::pack(b.data(), k, n);
+  std::vector<std::int16_t> got(m * n);
+  tensor::kernels::gemm_packed_int16(a.data(), packed, got.data(), m, epi);
+  EXPECT_EQ(got, expect) << "threads=" << tensor::kernels::gemm_int16_threads(m, k, n);
 }
 
 TEST(GemmInt16, ResultsAreRowStableUnderStacking) {

@@ -279,6 +279,85 @@ TEST(Protocol, ErrorPayloadRoundTripsContext) {
   EXPECT_EQ(got.message, "shed by admission control");
 }
 
+TEST(Protocol, EncodersEmitTheGoldenWireBytes) {
+  // The wire format byte for byte, field by field (all integers and doubles
+  // little-endian). Each encoder appends to whatever `out` already holds.
+  using Bytes = std::vector<unsigned char>;
+  const auto cat = [](std::initializer_list<Bytes> parts) {
+    Bytes all;
+    for (const Bytes& p : parts) all.insert(all.end(), p.begin(), p.end());
+    return all;
+  };
+
+  InferRequest req;
+  req.model = "ffn";
+  req.priority = serve::Priority::kBulk;
+  req.deadline_ms = 2.5;
+  req.input = tensor::Matrix(2, 2);
+  req.input.at_flat(0) = 1.0;
+  req.input.at_flat(1) = -0.5;
+  req.input.at_flat(2) = 3.0e-300;
+  req.input.at_flat(3) = -0.0;
+  Bytes out = {0xAA};
+  encode_infer(out, 0x0102030405060708ull, req);
+  EXPECT_EQ(out, cat({{0xAA},                                            // already there
+                      {'O', 'S', 'A', '1', 0x02, 0x00, 0x00, 0x00},     // magic, kInfer
+                      {0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01},  // request id
+                      {0x37, 0x00, 0x00, 0x00},                          // payload: 55 B
+                      {0x02, 0x00, 0x03, 0x00},                  // kBulk, pad, name len 3
+                      {0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x40},  // deadline 2.5
+                      {0x02, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00},  // 2 x 2
+                      {'f', 'f', 'n'},
+                      {0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xF0, 0x3F},  // 1.0
+                      {0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xE0, 0xBF},  // -0.5
+                      {0x83, 0xB6, 0x3A, 0xD2, 0x97, 0x12, 0xC0, 0x01},  // 3e-300
+                      {0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80}}));  // -0.0
+
+  InferReply reply;
+  reply.logits = tensor::Matrix(1, 3);
+  reply.logits.at_flat(0) = 0.25;
+  reply.logits.at_flat(1) = -1e10;
+  reply.logits.at_flat(2) = 7.0;
+  reply.queue_ms = 1.5;
+  reply.service_ms = 0.125;
+  reply.shard = 3;
+  reply.batch_requests = 258;
+  reply.deadline_missed = true;
+  out = {0xBB};
+  encode_infer_reply(out, 42, reply);
+  EXPECT_EQ(out, cat({{0xBB},
+                      {'O', 'S', 'A', '1', 0x82, 0x00, 0x00, 0x00},     // magic, kInferOk
+                      {0x2A, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00},  // request id 42
+                      {0x3C, 0x00, 0x00, 0x00},                          // payload: 60 B
+                      {0x01, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00},  // 1 x 3
+                      {0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xF8, 0x3F},  // queue 1.5
+                      {0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xC0, 0x3F},  // service 0.125
+                      {0x03, 0x00, 0x00, 0x00, 0x02, 0x01, 0x00, 0x00},  // shard 3, batch 258
+                      {0x01, 0x00, 0x00, 0x00},                          // missed, pad
+                      {0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xD0, 0x3F},  // 0.25
+                      {0x00, 0x00, 0x00, 0x20, 0x5F, 0xA0, 0x02, 0xC2},  // -1e10
+                      {0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x1C, 0x40}}));  // 7.0
+
+  WireError err;
+  err.queue_depth = 7;
+  err.backlog_cost = std::uint64_t{1} << 40;
+  err.shard = 1;
+  err.model_version = 9;
+  err.model = "m";
+  err.message = "no";
+  out.clear();
+  encode_error(out, FrameType::kErrOverload, 5, err);
+  EXPECT_EQ(out, cat({{'O', 'S', 'A', '1', 0xE1, 0x00, 0x00, 0x00},     // magic, kErrOverload
+                      {0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00},  // request id 5
+                      {0x2F, 0x00, 0x00, 0x00},                          // payload: 47 B
+                      {0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00},  // queue depth
+                      {0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00},  // backlog 2^40
+                      {0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00},  // shard 1
+                      {0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF},  // worker: none
+                      {0x09, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00},  // version 9
+                      {0x01, 0x00, 0x02, 0x00, 'm', 'n', 'o'}}));  // name/message lens, bytes
+}
+
 // ------------------------------------------------------------------ poller
 
 TEST(Poller, PollFallbackReportsReadinessLikeEpoll) {

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -18,6 +19,7 @@
 #include "nn/quantized.hpp"
 #include "nn/sequential.hpp"
 #include "serve/registry.hpp"
+#include "tensor/kernels/pack.hpp"
 #include "tensor/matrix.hpp"
 
 namespace onesa {
@@ -142,6 +144,26 @@ TEST(QuantizedModel, RejectsUnsupportedLayersAtBuildTime) {
   }
 }
 
+TEST(QuantizedModel, WeightsRoundHalfAwayFromZero) {
+  // Ties, signed zeros and the int16 rail, at the scale the quantizer picks
+  // for max |w| just under 2 (14 fractional bits): raw = round-half-away(w
+  // * 2^14), the rounding Fix16::from_double uses.
+  Rng rng(28);
+  auto model = std::make_unique<nn::Sequential>();
+  model->add(std::make_unique<nn::Linear>(2, 6, rng));
+  auto& lin = static_cast<nn::Linear&>(model->at(0));
+  const double ulp = 1.0 / 16384.0;
+  const std::vector<double> w = {3.5 * ulp,  -3.5 * ulp, 0.5 * ulp, -0.5 * ulp,
+                                 0.0,        -0.0,       1.5,       -32767 * ulp,
+                                 32766.5 * ulp, 0.49 * ulp, -2.5 * ulp, 1.25 * ulp};
+  const std::vector<std::int16_t> raw = {4, -4, 1, -1, 0, 0, 24576, -32767, 32767, 0, -3, 1};
+  for (std::size_t i = 0; i < w.size(); ++i) lin.weight().value.at_flat(i) = w[i];
+  const nn::QuantizedModel q(*model);
+  ASSERT_EQ(q.layer(0).w_frac_bits, 14);
+  for (std::size_t i = 0; i < w.size(); ++i)
+    EXPECT_EQ(q.layer(0).weight.at(i / 6, i % 6), raw[i]) << "w = " << w[i];
+}
+
 // ---------------------------------------------------------- registry layer
 
 TEST(RegistryPrecision, QuantizesAtPublicationAndRoutesInfer) {
@@ -165,6 +187,31 @@ TEST(RegistryPrecision, QuantizesAtPublicationAndRoutesInfer) {
   EXPECT_EQ(dbl->quantized, nullptr);
   EXPECT_EQ(dbl->options().precision, serve::Precision::kDouble);
   EXPECT_EQ(dbl->infer(x), dbl->model->infer(x));
+}
+
+TEST(RegistryPrecision, Int16EntryPacksOnlyItsInt16Panels) {
+  // An INT16 entry serves from its PackedBInt16 panels alone, so
+  // registration builds those and not the double PackedB panels; a direct
+  // model->infer still works, packing the double panels lazily.
+  Rng rng(29);
+  serve::ModelRegistry registry;
+  serve::ModelOptions options;
+  options.precision = serve::Precision::kInt16;
+  tensor::kernels::reset_pack_panel_count();
+  const auto handle = registry.add("q", make_gelu_mlp(12, 600, 4, rng), options);
+  std::uint64_t int16_panels = 0;
+  for (std::size_t l = 0; l < handle->quantized->layer_count(); ++l) {
+    const auto& w = handle->quantized->layer(l).weight;
+    int16_panels += w.nc_panels() * w.kc_panels();
+  }
+  if (tensor::kernels::pack_counter_enabled()) {
+    EXPECT_EQ(tensor::kernels::pack_panel_count(), int16_panels);
+  }
+
+  Rng twin_rng(29);
+  const auto twin = make_gelu_mlp(12, 600, 4, twin_rng);
+  const Matrix x = tensor::random_uniform(3, 12, rng, -1.0, 1.0);
+  EXPECT_EQ(handle->model->infer(x), twin->infer(x));
 }
 
 TEST(RegistryPrecision, OptionPreservingSwapKeepsTheInt16Lane) {
