@@ -90,13 +90,12 @@ void pack_a_int16(const std::int16_t* a, std::size_t k, std::size_t rows, std::s
   }
 }
 
-/// Portable fallback, MR x nr for any nr: it must be able to consume
-/// whatever sliver width the pack was built with (16 or 8) so the tier test
-/// entry can replay any packed buffer. Per pair the two products are formed
-/// in int64 (each fits int32, their sum may not) and wrapped to uint32 — the
-/// scalar spelling of one pmaddwd lane.
+/// Portable fallback, MR x 8 (the portable tier packs 8-wide slivers). Per
+/// pair the two products are formed in int64 (each fits int32, their sum
+/// may not) and wrapped to uint32 — the scalar spelling of one pmaddwd lane.
 void tile_int16_generic(std::uint32_t* acc, const std::int32_t* ap, const std::int16_t* sliver,
-                        std::size_t pairs, std::size_t nr) {
+                        std::size_t pairs, std::size_t /*nr*/) {
+  constexpr std::size_t nr = 8;
   const std::int16_t* bp = sliver;
   for (std::size_t p = 0; p < pairs; ++p, bp += 2 * nr, ap += MR) {
     for (std::size_t r = 0; r < MR; ++r) {
@@ -651,25 +650,24 @@ const char* int16_tier_name(Int16Tier tier) {
   return kernel ? kernel->name : "unsupported";
 }
 
-namespace {
-
-void run_on_tier(Int16Tier tier, const std::int16_t* a, const std::int16_t* b,
-                 const OutSink& sink, std::size_t m, std::size_t k, std::size_t n) {
-  const auto kernel = int16_kernel(tier);
-  ONESA_CHECK(kernel.has_value(),
-              "int16 tier " << static_cast<int>(tier) << " does not run on this CPU");
-  if (m == 0 || n == 0) return;
-  blocked_int16(a, PackedBInt16::pack(b, k, n, kernel->nr), sink, m, *kernel);
-}
-
-}  // namespace
+/// Packs B at `tier`'s sliver width and runs that tier's loop nest.
+struct Int16TierRunner {
+  static void run(Int16Tier tier, const std::int16_t* a, const std::int16_t* b,
+                  const OutSink& sink, std::size_t m, std::size_t k, std::size_t n) {
+    const auto kernel = int16_kernel(tier);
+    ONESA_CHECK(kernel.has_value(),
+                "int16 tier " << static_cast<int>(tier) << " does not run on this CPU");
+    if (m == 0 || n == 0) return;
+    blocked_int16(a, PackedBInt16::pack(b, k, n, kernel->nr), sink, m, *kernel);
+  }
+};
 
 void gemm_int16_acc_on_tier(Int16Tier tier, const std::int16_t* a, const std::int16_t* b,
                             std::int32_t* c, std::size_t m, std::size_t k, std::size_t n) {
   OutSink sink;
   sink.c32 = c;
   sink.ldc = n;
-  run_on_tier(tier, a, b, sink, m, k, n);
+  Int16TierRunner::run(tier, a, b, sink, m, k, n);
 }
 
 void gemm_int16_on_tier(Int16Tier tier, const std::int16_t* a, const std::int16_t* b,
@@ -679,7 +677,7 @@ void gemm_int16_on_tier(Int16Tier tier, const std::int16_t* a, const std::int16_
   sink.c16 = c;
   sink.ldc = n;
   sink.epi = &epi;
-  run_on_tier(tier, a, b, sink, m, k, n);
+  Int16TierRunner::run(tier, a, b, sink, m, k, n);
 }
 
 }  // namespace detail

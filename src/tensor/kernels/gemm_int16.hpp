@@ -74,6 +74,10 @@ inline std::int16_t requantize_i32(std::int32_t acc, int shift) {
   return fixed::saturate_i16(v);
 }
 
+namespace detail {
+struct Int16TierRunner;  // packs and runs a chosen tier (gemm_int16.cpp)
+}  // namespace detail
+
 /// B (k x n row-major int16) packed once into the int16 kernel's
 /// pair-interleaved sliver layout: per (jc, kc) cache panel (same kKC/kNC
 /// blocking as PackedB), nr-wide column slivers where each k-PAIR stores
@@ -88,11 +92,6 @@ class PackedBInt16 {
   PackedBInt16() = default;
 
   static PackedBInt16 pack(const std::int16_t* b, std::size_t k, std::size_t n);
-  /// Pack at an explicit sliver width (8 or 16) — the layout of a tier other
-  /// than the selected one. gemm_packed_int16 accepts only
-  /// sliver_width_int16().
-  static PackedBInt16 pack(const std::int16_t* b, std::size_t k, std::size_t n,
-                           std::size_t nr);
 
   std::size_t k() const { return k_; }
   std::size_t n() const { return n_; }
@@ -114,6 +113,13 @@ class PackedBInt16 {
   std::size_t packed_bytes() const { return data_.size() * sizeof(std::int16_t); }
 
  private:
+  friend struct detail::Int16TierRunner;
+
+  /// Pack at an explicit sliver width (8 or 16): the layout of a tier other
+  /// than the selected one, for the detail:: tier entries only.
+  static PackedBInt16 pack(const std::int16_t* b, std::size_t k, std::size_t n,
+                           std::size_t nr);
+
   std::size_t k_ = 0;
   std::size_t n_ = 0;
   std::size_t nr_ = 0;

@@ -819,11 +819,13 @@ TEST(GemmInt16, FusedEpilogueMatchesUnfusedComposition) {
       std::vector<std::int16_t> unfused(m * n);
       for (std::size_t i = 0; i < unfused.size(); ++i)
         unfused[i] = epilogue_rule(acc[i], i % n, epi, table);
-      std::vector<std::int16_t> fused(m * n);
+      // Poisoned before every run so a store that skips an element shows.
+      std::vector<std::int16_t> fused(m * n, std::int16_t{-7});
       tensor::kernels::gemm_packed_int16(a.data(), packed, fused.data(), m, epi);
       ASSERT_EQ(fused, unfused) << "kind=" << static_cast<int>(kind) << " m=" << m
                                 << " k=" << k << " n=" << n;
       for (Int16Tier tier : tiers) {
+        std::fill(fused.begin(), fused.end(), std::int16_t{-7});
         tensor::kernels::detail::gemm_int16_on_tier(tier, a.data(), b.data(), fused.data(), m,
                                                     k, n, epi);
         ASSERT_EQ(fused, unfused) << tensor::kernels::detail::int16_tier_name(tier)
