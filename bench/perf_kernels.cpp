@@ -138,7 +138,7 @@ PackedResult run_packed_case(const GemmCase& c, int reps, Rng& rng) {
   r.shape = c;
   kernels::PackedB packed;
   r.pack_ms = time_best_ms(reps, [&] {
-    kernels::PackedB::pack_into(packed, b.data().data(), c.k, c.n);
+    packed = kernels::PackedB::pack(b.data().data(), c.k, c.n);
   });
   r.blocked_ms = time_best_ms(reps, [&] {
     kernels::gemm_blocked(a.data().data(), b.data().data(), blocked.data().data(), c.m,
@@ -308,6 +308,7 @@ void write_json(const std::string& path, const std::vector<GemmResult>& gemms,
   out << "  \"threads\": " << kernels::ThreadPool::instance().threads() << ",\n";
   out << "  \"hardware_threads\": " << std::thread::hardware_concurrency() << ",\n";
   out << "  \"deterministic\": " << (kernels::deterministic() ? "true" : "false") << ",\n";
+  out << "  \"gemm_kernel\": \"" << kernels::gemm_kernel_name() << "\",\n";
   out << "  \"int16_kernel\": \"" << kernels::int16_kernel_name() << "\",\n";
   out << "  \"gemm\": [\n";
   for (std::size_t i = 0; i < gemms.size(); ++i) {

@@ -15,6 +15,7 @@
 
 #include "common/error.hpp"
 #include "common/logging.hpp"
+#include "common/thread.hpp"
 #include "obs/metrics.hpp"
 #include "serve/errors.hpp"
 
@@ -312,7 +313,7 @@ void NetServer::start() {
 
   started_ = true;
   running_.store(true, std::memory_order_release);
-  loop_thread_ = std::thread([this] { loop(); });
+  loop_thread_ = spawn_thread([this] { loop(); });
   ONESA_LOG_INFO << "net: front door listening on " << config_.host << ":" << port_
                  << " (" << (poller_->using_epoll() ? "epoll" : "poll")
                  << ", max " << config_.max_connections << " connections, "
@@ -320,20 +321,14 @@ void NetServer::start() {
 }
 
 void NetServer::block_drain_signals() {
-  sigset_t set;
-  sigemptyset(&set);
-  sigaddset(&set, SIGTERM);
-  sigaddset(&set, SIGINT);
+  const sigset_t set = drain_signals();
   pthread_sigmask(SIG_BLOCK, &set, nullptr);
 }
 
 void NetServer::install_signal_drain() {
   ONESA_CHECK(!signal_thread_.joinable(), "install_signal_drain() called twice");
-  signal_thread_ = std::thread([this] {
-    sigset_t set;
-    sigemptyset(&set);
-    sigaddset(&set, SIGTERM);
-    sigaddset(&set, SIGINT);
+  signal_thread_ = spawn_thread([this] {
+    const sigset_t set = drain_signals();
     while (!signal_stop_.load(std::memory_order_acquire)) {
       timespec ts{};
       ts.tv_nsec = 100 * 1000 * 1000;  // poll the stop flag at 10 Hz

@@ -132,9 +132,9 @@ class NetServer {
   bool running() const { return running_.load(std::memory_order_acquire); }
 
   /// Block SIGTERM/SIGINT in the calling thread (and every thread it spawns
-  /// afterwards). Call FIRST THING in main, before the fleet exists, so no
-  /// worker thread can receive the process-directed signal with the default
-  /// (terminating) disposition.
+  /// afterwards). Library threads block both signals on their own whenever
+  /// they start (common/thread.hpp), so this only has to cover the calling
+  /// thread; call it in main before install_signal_drain().
   static void block_drain_signals();
 
   /// Spawn the watcher thread that turns SIGTERM/SIGINT into

@@ -8,6 +8,7 @@
 
 #include "common/error.hpp"
 #include "common/logging.hpp"
+#include "common/thread.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -308,7 +309,7 @@ class FleetSupervisor {
 
   FleetSupervisor(Fleet& fleet, bool ticking, double tick_ms)
       : fleet_(fleet), ticking_(ticking), tick_ms_(tick_ms) {
-    thread_ = std::thread([this] { loop(); });
+    thread_ = spawn_thread([this] { loop(); });
   }
 
   ~FleetSupervisor() { stop(); }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <iterator>
 #include <string>
+#include <thread>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -130,7 +131,27 @@ void RequestQueue::shed_incoming(ServeRequest req, std::string_view reason) {
                          std::move(ctx))));
 }
 
+bool RequestQueue::no_pushers() const {
+  for (const auto& shard : inbox_)
+    if (shard.pushers.load(std::memory_order_seq_cst) != 0) return false;
+  return true;
+}
+
 bool RequestQueue::push(ServeRequest req) {
+  // Counted in flight on this thread's stripe for the whole push: close()
+  // waits until no push is in flight before it lets the workers exit, so a
+  // push that reads closed_ == false always lands where a worker still looks.
+  // The decrement is the push's last touch of the queue.
+  struct InFlight {
+    std::atomic<std::size_t>& pushers;
+    explicit InFlight(std::atomic<std::size_t>& count) : pushers(count) {
+      pushers.fetch_add(1, std::memory_order_seq_cst);
+    }
+    InFlight(const InFlight&) = delete;
+    InFlight& operator=(const InFlight&) = delete;
+    ~InFlight() { pushers.fetch_sub(1, std::memory_order_seq_cst); }
+  } in_flight(inbox_[submit_stripe_token() % kSubmitShards].pushers);
+
   if (closed_.load(std::memory_order_seq_cst)) {
     // A submit racing shutdown settles its future with a typed OverloadError
     // instead of throwing into the submitter: the caller (fleet front door,
@@ -368,8 +389,8 @@ void RequestQueue::pop_batch(std::size_t worker, std::vector<ServeRequest>& out)
     sleepers_.fetch_add(1, std::memory_order_seq_cst);
     cv_.wait(lock, [&] {
       if (inbox_count_.load(std::memory_order_seq_cst) > 0) drain_inbox_locked();
-      if (closed_.load(std::memory_order_seq_cst) && pending_.empty() &&
-          inbox_count_.load(std::memory_order_seq_cst) == 0)
+      // drained_: every push that saw the queue open is already in an inbox.
+      if (drained_ && pending_.empty() && inbox_count_.load(std::memory_order_seq_cst) == 0)
         return true;  // drained — exit
       return !pending_.empty() && is_turn(worker);
     });
@@ -487,8 +508,13 @@ void RequestQueue::pop_batch(std::size_t worker, std::vector<ServeRequest>& out)
 
 void RequestQueue::close() {
   closed_.store(true, std::memory_order_seq_cst);
+  // A push that read the queue open was counted before the store above, so
+  // once every stripe reads zero its request is in an inbox (pushes are
+  // short: this waits microseconds). Only then may workers exit.
+  while (!no_pushers()) std::this_thread::yield();
   {
     std::lock_guard<std::mutex> lock(mutex_);
+    drained_ = true;
     ++sched_epoch_;
   }
   cv_.notify_all();

@@ -82,7 +82,10 @@
 //
 // close() stops new submissions; workers keep draining until the queue is
 // empty and then observe the closed state, so every accepted request is
-// served before shutdown completes.
+// served before shutdown completes. A push that read the queue open may
+// still be on its way into an inbox when close() lands, so each stripe also
+// counts its pushes in flight, and close() waits for every stripe's count
+// to reach zero before it lets the workers exit.
 #pragma once
 
 #include <array>
@@ -214,7 +217,11 @@ class RequestQueue {
   struct alignas(64) SubmitShard {
     std::mutex m;
     std::vector<ServeRequest> items;  // capacity survives drains
+    std::atomic<std::size_t> pushers{0};  // push() calls in flight here
   };
+
+  /// No push is in flight on any stripe (seq_cst; see close()).
+  bool no_pushers() const;
 
   /// True when `worker` is the one that should take the next batch.
   /// Caller holds mutex_.
@@ -280,6 +287,7 @@ class RequestQueue {
   std::vector<ServeRequest> pending_;
   std::uint64_t window_expiries_ = 0;         // batching-window counter
   std::uint64_t sched_epoch_ = 0;             // bumped on pop/requeue/close
+  bool drained_ = false;  // close() saw no push in flight; workers may exit
   std::size_t turn_ = 0;                      // kRotation state
   std::vector<std::uint64_t> assigned_cost_;  // kLeastLoaded state
   std::vector<char> parked_scratch_;          // pop-time park flags, reused

@@ -6,6 +6,7 @@
 #include "common/alloc_count.hpp"
 #include "common/error.hpp"
 #include "common/logging.hpp"
+#include "common/thread.hpp"
 #include "obs/trace.hpp"
 #include "tensor/kernels/thread_pool.hpp"
 
@@ -87,10 +88,10 @@ ServerPool::ServerPool(ServerPoolConfig config, std::shared_ptr<ModelRegistry> r
       // Threads capture the Core by shared_ptr: a forcibly detached zombie
       // keeps the queue/batcher/worker state alive until it exits.
       core.workers[i]->thread =
-          std::thread([c = core_, i] { c->worker_loop(i); });
+          spawn_thread([c = core_, i] { c->worker_loop(i); });
     }
     if (core.config.watchdog.enabled) {
-      watchdog_ = std::thread([c = core_] { c->watchdog_loop(); });
+      watchdog_ = spawn_thread([c = core_] { c->watchdog_loop(); });
     }
   } catch (...) {
     // A thread failed to spawn: release the ones already running before the
@@ -204,7 +205,7 @@ std::vector<ServeRequest> ServerPool::Core::recover_dead_workers(
       w.exit_reason.store(Worker::Exit::kRunning, std::memory_order_relaxed);
       w.heartbeat_us.store(now_us(), std::memory_order_relaxed);
       w.alive.store(true, std::memory_order_release);
-      w.thread = std::thread([c = self, i] { c->worker_loop(i); });
+      w.thread = spawn_thread([c = self, i] { c->worker_loop(i); });
       restarts.fetch_add(1, std::memory_order_relaxed);
       pool_metrics().restarts.add(1);
       any_alive = true;

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdlib>
-#include <string>
-#include <vector>
+#include <optional>
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #include <immintrin.h>
@@ -13,25 +11,13 @@
 #endif
 
 #include "common/error.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
-#include "tensor/arena.hpp"
-#include "tensor/kernels/pack.hpp"
-#include "tensor/kernels/thread_pool.hpp"
+#include "tensor/kernels/lane.hpp"
 
 namespace onesa::tensor::kernels {
 
 namespace {
 
-// Blocking parameters live in pack.hpp (kMR / kMC / kKC / kNC): the packer
-// and this loop nest must agree on the panel geometry. The micro-tile is
-// kMR x nr register accumulators (nr is per-ISA, below); the packed A block
-// (kMC x kKC) targets L2, the packed B sliver (kKC x nr) streams from L1
-// while a whole B panel (kKC x kNC) sits behind it.
-constexpr std::size_t MR = kMR;
-constexpr std::size_t MC = kMC;
-constexpr std::size_t KC = kKC;
-constexpr std::size_t NC = kNC;
+using detail::round_up;
 
 /// Problems whose PER-ROW work (k * n MACs) is below this take the
 /// reference-order loop (row-sliced over the pool when m alone makes the
@@ -49,40 +35,32 @@ constexpr std::size_t NC = kNC;
 /// row-stable by the same argument.
 constexpr std::size_t kTinyRowMacs = 8 * 8;
 
-/// Minimum MACs per thread before the multi-thread path switches on.
+/// Minimum double MACs per lane before a GEMM fans out (gemm_threads).
 constexpr std::size_t kMacsPerThread = 1u << 20;
 
-/// Largest pack scratch a thread keeps alive between calls. Reuse matters
-/// on the serving hot path (small per-request A packs, zero allocations),
-/// but a one-off huge training GEMM must not pin tens of MB per thread for
-/// the rest of its life — anything above this is freed after the call (the
-/// old per-panel scratch was bounded at ~1 MB, one KC x NC panel).
-constexpr std::size_t kScratchRetainBytes = 4u << 20;
-
-/// Row-block height of the pack-once path. With B already packed there is
-/// no pack-as-you-go locality to protect, so a taller block (A block
-/// 128 x KC = 256 KB, still L2-resident) halves how often each packed B
-/// panel must be re-streamed from L3 for short serving batches. Pure
-/// traversal parameter — bits are unaffected.
+/// Row-block heights: the pack-as-you-go path keeps its A block (64 x kKC,
+/// 128 KB) next to the B panel it is packing; with B already packed there is
+/// no such locality to protect, so a taller block (128 x kKC = 256 KB,
+/// still L2-resident) halves how often each packed B panel is re-streamed
+/// from L3 for short serving batches. Pure traversal parameters — bits are
+/// unaffected.
+constexpr std::size_t kMC = 64;
 constexpr std::size_t kMCPacked = 128;
-
-std::size_t round_up(std::size_t v, std::size_t to) { return (v + to - 1) / to * to; }
 
 // ---------------------------------------------------------- micro-kernels
 //
-// A micro-kernel computes acc[MR x nr] = sum_p ap[p][:] (outer) bp[p][:]
-// over MR-tall A slivers and nr-wide B slivers, accumulators held in
+// A micro-kernel computes acc[mr x nr] = sum_p ap[p][:] (outer) bp[p][:]
+// over mr-tall A slivers and nr-wide B slivers, accumulators held in
 // registers across the whole k-panel — this is where the speedup over the
 // reference loop comes from (the reference re-reads and re-writes the C row
-// every k step). Several ISA variants exist; which one runs is picked once
-// at startup from CPUID, the same runtime-dispatch scheme BLAS libraries
-// use, so no special build flags are needed and the baseline C++ kernel
-// remains the portable fallback.
+// every k step). Which tile runs is picked once at startup from CPUID, the
+// same runtime-dispatch scheme BLAS libraries use, so no special build flags
+// are needed and the portable tile remains the fallback.
 //
-// Numerics: every variant accumulates each output element in the same
+// Numerics: every tile accumulates each output element in the same
 // ascending-k order as the reference, so for finite inputs the only
 // divergence is rounding — k-panel partial sums are added back
-// panel-by-panel (reassociation) and the x86 kernels fuse the multiply+add
+// panel-by-panel (reassociation) and the x86 tiles fuse the multiply+add
 // (FMA). Both effects stay inside the documented 1e-12 relative envelope.
 // (Non-finite operands are outside the contract: the reference's aik==0
 // skip can hide 0*Inf/NaN products the blocked kernels would surface.)
@@ -90,7 +68,7 @@ std::size_t round_up(std::size_t v, std::size_t to) { return (v + to - 1) / to *
 
 using MicroKernelFn = void (*)(const double*, const double*, std::size_t, double*);
 
-/// Full-tile store hook of a micro-kernel (nullptr = scalar store loops).
+/// Full-tile store hook of a tile set (nullptr = scalar store loops).
 /// The enumerator values are load-bearing: implementations decode
 /// accumulate with `mode & 1` and the epilogue tiers with ordered
 /// comparisons, so keep the copy/accum pairs adjacent and in this order.
@@ -105,11 +83,12 @@ enum StoreMode : int {
 using StoreTileFn = void (*)(double* c, std::size_t ldc, const double* acc, int mode,
                              const double* bias);
 
-/// Portable fallback, 4x8. The accumulator tile is a local array (not the
+/// Portable 4x8 tile. The accumulator tile is a local array (not the
 /// caller's buffer): the compiler then knows it cannot alias the packed
 /// inputs and keeps the accumulators in vector registers.
 void micro_kernel_generic(const double* __restrict ap, const double* __restrict bp,
                           std::size_t kc, double* __restrict acc_out) {
+  constexpr std::size_t MR = 4;
   constexpr std::size_t nr = 8;
   double acc[MR * nr];
   for (std::size_t i = 0; i < MR * nr; ++i) acc[i] = 0.0;
@@ -141,16 +120,16 @@ __attribute__((target("avx2,fma"))) void micro_kernel_avx2(const double* __restr
   for (std::size_t p = 0; p < kc; ++p) {
     const __m256d b0 = _mm256_loadu_pd(bp + p * nr);
     const __m256d b1 = _mm256_loadu_pd(bp + p * nr + 4);
-    __m256d a = _mm256_broadcast_sd(ap + p * MR + 0);
+    __m256d a = _mm256_broadcast_sd(ap + p * 4 + 0);
     c00 = _mm256_fmadd_pd(a, b0, c00);
     c01 = _mm256_fmadd_pd(a, b1, c01);
-    a = _mm256_broadcast_sd(ap + p * MR + 1);
+    a = _mm256_broadcast_sd(ap + p * 4 + 1);
     c10 = _mm256_fmadd_pd(a, b0, c10);
     c11 = _mm256_fmadd_pd(a, b1, c11);
-    a = _mm256_broadcast_sd(ap + p * MR + 2);
+    a = _mm256_broadcast_sd(ap + p * 4 + 2);
     c20 = _mm256_fmadd_pd(a, b0, c20);
     c21 = _mm256_fmadd_pd(a, b1, c21);
-    a = _mm256_broadcast_sd(ap + p * MR + 3);
+    a = _mm256_broadcast_sd(ap + p * 4 + 3);
     c30 = _mm256_fmadd_pd(a, b0, c30);
     c31 = _mm256_fmadd_pd(a, b1, c31);
   }
@@ -164,50 +143,11 @@ __attribute__((target("avx2,fma"))) void micro_kernel_avx2(const double* __restr
   _mm256_storeu_pd(acc_out + 28, c31);
 }
 
-/// 4x16 AVX-512 tile: 8 zmm accumulators (4 rows x 2 8-double vectors),
-/// twice the flops of the AVX2 tile per k step at the same instruction
-/// count. 11 live zmm registers out of 32.
-__attribute__((target("avx512f"))) void micro_kernel_avx512(const double* __restrict ap,
-                                                            const double* __restrict bp,
-                                                            std::size_t kc,
-                                                            double* __restrict acc_out) {
-  constexpr std::size_t nr = 16;
-  __m512d c00 = _mm512_setzero_pd(), c01 = _mm512_setzero_pd();
-  __m512d c10 = _mm512_setzero_pd(), c11 = _mm512_setzero_pd();
-  __m512d c20 = _mm512_setzero_pd(), c21 = _mm512_setzero_pd();
-  __m512d c30 = _mm512_setzero_pd(), c31 = _mm512_setzero_pd();
-  for (std::size_t p = 0; p < kc; ++p) {
-    const __m512d b0 = _mm512_loadu_pd(bp + p * nr);
-    const __m512d b1 = _mm512_loadu_pd(bp + p * nr + 8);
-    __m512d a = _mm512_set1_pd(ap[p * MR + 0]);
-    c00 = _mm512_fmadd_pd(a, b0, c00);
-    c01 = _mm512_fmadd_pd(a, b1, c01);
-    a = _mm512_set1_pd(ap[p * MR + 1]);
-    c10 = _mm512_fmadd_pd(a, b0, c10);
-    c11 = _mm512_fmadd_pd(a, b1, c11);
-    a = _mm512_set1_pd(ap[p * MR + 2]);
-    c20 = _mm512_fmadd_pd(a, b0, c20);
-    c21 = _mm512_fmadd_pd(a, b1, c21);
-    a = _mm512_set1_pd(ap[p * MR + 3]);
-    c30 = _mm512_fmadd_pd(a, b0, c30);
-    c31 = _mm512_fmadd_pd(a, b1, c31);
-  }
-  _mm512_storeu_pd(acc_out + 0, c00);
-  _mm512_storeu_pd(acc_out + 8, c01);
-  _mm512_storeu_pd(acc_out + 16, c10);
-  _mm512_storeu_pd(acc_out + 24, c11);
-  _mm512_storeu_pd(acc_out + 32, c20);
-  _mm512_storeu_pd(acc_out + 40, c21);
-  _mm512_storeu_pd(acc_out + 48, c30);
-  _mm512_storeu_pd(acc_out + 56, c31);
-}
-/// 8x16 AVX-512 tile for the pack-once path: 16 zmm accumulators (8 rows x
-/// 2 8-double vectors), 19 live zmm registers out of 32. Twice the rows of
-/// the 4x16 tile means twice the accumulators in flight (fully hiding FMA
-/// latency, where 8 accumulators sit right at the latency-throughput
-/// product) and half the B sliver loads per MAC. Per output element the
-/// k-loop order is unchanged, so results are bit-identical to the 4-row
-/// tiles — the micro-tile height only groups rows.
+/// 8x16 AVX-512 tile: 16 zmm accumulators (8 rows x 2 8-double vectors),
+/// 19 live zmm registers out of 32 — enough accumulators in flight to hide
+/// the FMA latency fully, and one B sliver load per 8 rows. Per output
+/// element the k-loop order is the AVX2 tile's, so the two agree bit for
+/// bit; the tile height only groups rows.
 __attribute__((target("avx512f"))) void micro_kernel_avx512_8x16(
     const double* __restrict ap, const double* __restrict bp, std::size_t kc,
     double* __restrict acc_out) {
@@ -270,7 +210,7 @@ __attribute__((target("avx512f"))) void micro_kernel_avx512_8x16(
   _mm512_storeu_pd(acc_out + 112, c70);
   _mm512_storeu_pd(acc_out + 120, c71);
 }
-/// Vectorized full-tile store for the 8x16 pack-once pipeline: moves the
+/// Vectorized full-tile store of the 8x16 tile: moves the
 /// accumulator tile into C (copy or accumulate) with the bias / bias+ReLU
 /// epilogue folded in, 16 zmm stores instead of 128 scalar ones. Element
 /// op order matches the scalar store loops exactly (v = [c +] acc, then
@@ -319,45 +259,48 @@ __attribute__((target("avx512f"))) void store_tile_avx512_8x16(double* c, std::s
 #pragma GCC diagnostic pop
 #endif  // ONESA_GEMM_X86_KERNELS
 
-/// Widest micro-row height any kernel uses (sizes the stack accumulator).
+/// Widest micro-row height any tile uses (sizes the stack accumulator).
 constexpr std::size_t kMaxMr = 8;
 
-/// A selected micro-kernel: function, tile height, B sliver width, and an
-/// optional vectorized full-tile store (nullptr = scalar store loops).
+/// A tile set: tile function, tile height, B sliver width, an optional
+/// vectorized full-tile store (nullptr = scalar store loops) and its name.
 struct MicroKernel {
   MicroKernelFn fn;
   std::size_t mr;
   std::size_t nr;
-  StoreTileFn store = nullptr;
+  StoreTileFn store;
+  const char* name;
 };
 
-MicroKernel select_micro_kernel() {
+/// `tier`'s tile set, or nullopt when this CPU cannot run it.
+std::optional<MicroKernel> gemm_tiles(detail::GemmTier tier) {
+  using detail::GemmTier;
+  switch (tier) {
 #ifdef ONESA_GEMM_X86_KERNELS
-  if (__builtin_cpu_supports("avx512f")) return {micro_kernel_avx512, MR, 16, nullptr};
-  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
-    return {micro_kernel_avx2, MR, 8, nullptr};
-  }
+    case GemmTier::kAvx512:
+      if (!__builtin_cpu_supports("avx512f")) break;
+      return MicroKernel{micro_kernel_avx512_8x16, 8, 16, store_tile_avx512_8x16, "avx512f"};
+    case GemmTier::kAvx2:
+      if (!__builtin_cpu_supports("avx2") || !__builtin_cpu_supports("fma")) break;
+      return MicroKernel{micro_kernel_avx2, 4, 8, nullptr, "avx2"};
 #endif
-  return {micro_kernel_generic, MR, 8, nullptr};
+    case GemmTier::kPortable:
+      return MicroKernel{micro_kernel_generic, 4, 8, nullptr, "portable"};
+    default:
+      break;
+  }
+  return std::nullopt;
 }
 
-/// Micro-kernel of the pack-once path. On AVX-512 the 8x16 tile wins (see
-/// micro_kernel_avx512_8x16); AVX2 lacks the registers for 8 rows (8x8
-/// would need 16 accumulator ymm of the 16 total), so other ISAs keep the
-/// 4-row tile. Same bits either way — only the traversal grouping differs.
-MicroKernel select_packed_micro_kernel() {
-#ifdef ONESA_GEMM_X86_KERNELS
-  if (__builtin_cpu_supports("avx512f")) {
-    return {micro_kernel_avx512_8x16, 8, 16, store_tile_avx512_8x16};
-  }
-#endif
-  return select_micro_kernel();
-}
+/// The fastest tile set this CPU runs, picked once by CPUID.
+const MicroKernel g_micro = [] {
+  using detail::GemmTier;
+  for (GemmTier tier : {GemmTier::kAvx512, GemmTier::kAvx2})
+    if (const auto tiles = gemm_tiles(tier)) return *tiles;
+  return *gemm_tiles(GemmTier::kPortable);
+}();
 
-const MicroKernel g_micro = select_micro_kernel();
-const MicroKernel g_packed_micro = select_packed_micro_kernel();
-
-static_assert(NC % kMaxNr == 0, "B panel width must hold whole slivers");
+static_assert(kNC % kMaxNr == 0, "B panel width must hold whole slivers");
 
 std::atomic<int> g_deterministic_override{-1};  // -1 = follow the environment
 
@@ -378,20 +321,20 @@ void apply_epilogue_block(double* c, std::size_t m, std::size_t n, const Epilogu
   }
 }
 
-/// Reference-order GEMM reading B back out of the packed layout: identical
-/// loop nest, identical doubles (packing is loss-free), so the result is
-/// bit-identical to gemm_reference on the original B. Powers deterministic
-/// mode and the tiny-row dispatch of gemm_packed.
-void gemm_reference_packed(const double* a, const PackedB& b, double* c, std::size_t m) {
-  const std::size_t k = b.k();
-  const std::size_t n = b.n();
+/// The seed tensor::matmul loop nest (i-k-j, C zero-filled, ascending k)
+/// over B element b_at(kk, j). gemm_reference reads B itself; gemm_packed's
+/// fallbacks read it back out of the packed layout — the same doubles
+/// (packing is loss-free), so the result is bit-identical either way.
+template <typename BAt>
+void reference_loop(const double* a, BAt&& b_at, double* c, std::size_t m, std::size_t k,
+                    std::size_t n) {
   std::fill(c, c + m * n, 0.0);
   for (std::size_t i = 0; i < m; ++i) {
     for (std::size_t kk = 0; kk < k; ++kk) {
       const double aik = a[i * k + kk];
       if (aik == 0.0) continue;
       double* crow = c + i * n;
-      for (std::size_t j = 0; j < n; ++j) crow[j] += aik * b.at(kk, j);
+      for (std::size_t j = 0; j < n; ++j) crow[j] += aik * b_at(kk, j);
     }
   }
 }
@@ -413,12 +356,12 @@ void pack_a_block(const double* a, std::size_t k, std::size_t ic, std::size_t kc
 /// The blocked loop nest, parameterized over where packed operands come
 /// from:
 ///   b_panel_of(jc, kc, kcb, ncb) — base of that B panel's slivers (packed
-///       inline for the one-shot path, or a PackedB panel for the pack-once
-///       path; both produce the identical layout, so results are
-///       bit-identical between the two);
+///       as it goes by gemm_blocked, or a PackedB panel for the pack-once
+///       path; both are the pack.hpp layout, so results are bit-identical
+///       between the two);
 ///   a_block_of(ic, kc, mcb, kcb) — base of the packed A block (packed per
-///       visit for the one-shot path, or once per call for the pack-once
-///       path — same layout, same bits, the traversal factor is the only
+///       visit by gemm_blocked, or once per call for the pack-once path —
+///       same layout, same bits, the traversal factor is the only
 ///       difference).
 /// The epilogue, if any, is fused into the store of the LAST k-panel: each
 /// output element receives bias+activation exactly once, after its full
@@ -432,12 +375,12 @@ void blocked_compute(double* c, std::size_t m, std::size_t k, std::size_t n,
   const std::size_t mr = mk.mr;
   const std::size_t nr = mk.nr;
 
-  for (std::size_t jc = 0; jc < n; jc += NC) {
-    const std::size_t ncb = std::min(NC, n - jc);
-    for (std::size_t kc = 0; kc < k; kc += KC) {
-      const std::size_t kcb = std::min(KC, k - kc);
+  for (std::size_t jc = 0; jc < n; jc += kNC) {
+    const std::size_t ncb = std::min(kNC, n - jc);
+    for (std::size_t kc = 0; kc < k; kc += kKC) {
+      const std::size_t kcb = std::min(kKC, k - kc);
       const bool first_panel = kc == 0;
-      const bool last_panel = kc + KC >= k;
+      const bool last_panel = kc + kKC >= k;
       const double* bpack = b_panel_of(jc, kc, kcb, ncb);
 
       for (std::size_t ic = 0; ic < m; ic += mc) {
@@ -525,142 +468,55 @@ void blocked_compute(double* c, std::size_t m, std::size_t k, std::size_t n,
 }
 
 /// Blocked compute against a pre-packed B: no B packing at all, and A is
-/// packed exactly ONCE per call (the one-shot path re-packs each A block
-/// once per B column panel instead — with B pre-packed the whole A fits the
-/// same L2 budget the per-panel scheme targeted, and the repeated-B hot
-/// path drops n/NC - 1 redundant A sweeps). Same block layout, same bits.
+/// packed exactly ONCE per call into the pack scratch (the pack-as-you-go
+/// path re-packs each A block once per B column panel instead — with B
+/// pre-packed the whole A fits the same L2 budget, and the repeated-B hot
+/// path drops n/kNC - 1 redundant A sweeps). Same block layout, same bits.
 void blocked_over_packed(const double* a, const PackedB& b, double* c, std::size_t m,
-                         const Epilogue& epi) {
+                         const Epilogue& epi, const MicroKernel& mk) {
   const std::size_t k = b.k();
-  // Per-thread pack scratch now lives in ONE bump arena (tensor/arena.hpp)
-  // instead of two ad-hoc vectors: same steady-state reuse, plus debug
-  // boundary guards around the A pack and the offset table — reset() at the
-  // next call verifies the guards, so an out-of-bounds pack write fails
-  // loudly in Debug/sanitizer builds. shrink_to keeps the old retention cap.
-  thread_local MemoryStack pack_arena;
-  pack_arena.reset();
-  pack_arena.shrink_to(kScratchRetainBytes);
-
-  const std::size_t mr = g_packed_micro.mr;
-  const std::size_t mcp = kMCPacked;
-  const std::size_t kc_panels = b.kc_panels();
-  const std::size_t ic_blocks = (m + mcp - 1) / mcp;
-  std::size_t* a_offsets = pack_arena.allocate_span<std::size_t>(ic_blocks * kc_panels);
-  std::size_t offsets = 0;
-  std::size_t total = 0;
-  for (std::size_t ic = 0; ic < m; ic += mcp) {
-    const std::size_t mcb_pad = round_up(std::min(mcp, m - ic), mr);
-    for (std::size_t kc = 0; kc < k; kc += KC) {
-      a_offsets[offsets++] = total;
-      total += mcb_pad * std::min(KC, k - kc);
+  // Row block ic, k panel kc: every earlier row block is full and every
+  // earlier panel of this block is kKC deep, so the offset is closed-form.
+  detail::PackScratch scratch;
+  double* apack = scratch.take<double>(round_up(m, mk.mr) * k);
+  const auto a_block = [&](std::size_t ic, std::size_t kc) {
+    return apack + ic * k + round_up(std::min(kMCPacked, m - ic), mk.mr) * kc;
+  };
+  for (std::size_t ic = 0; ic < m; ic += kMCPacked) {
+    for (std::size_t kc = 0; kc < k; kc += kKC) {
+      pack_a_block(a, k, ic, kc, std::min(kMCPacked, m - ic), std::min(kKC, k - kc), mk.mr,
+                   a_block(ic, kc));
     }
   }
-  double* apack_full = pack_arena.allocate_span<double>(total);
-  std::size_t block = 0;
-  for (std::size_t ic = 0; ic < m; ic += mcp) {
-    const std::size_t mcb = std::min(mcp, m - ic);
-    for (std::size_t kc = 0; kc < k; kc += KC) {
-      pack_a_block(a, k, ic, kc, mcb, std::min(KC, k - kc), mr,
-                   apack_full + a_offsets[block++]);
-    }
-  }
-
   blocked_compute(
-      c, m, k, b.n(), epi, g_packed_micro, mcp,
+      c, m, k, b.n(), epi, mk, kMCPacked,
       [&b](std::size_t jc, std::size_t kc, std::size_t, std::size_t) {
-        return b.panel(jc / NC, kc / KC);
+        return b.panel(jc / kNC, kc / kKC);
       },
-      [&](std::size_t ic, std::size_t kc, std::size_t, std::size_t) {
-        return apack_full + a_offsets[(ic / mcp) * kc_panels + kc / KC];
-      });
+      [&](std::size_t ic, std::size_t kc, std::size_t, std::size_t) { return a_block(ic, kc); });
 }
 
-/// Row-sliced fan-out of blocked_over_packed: every worker consumes the ONE
-/// shared packed B (read-only) — this is what replaced the old
-/// pack-B-per-thread scheme. Slices are whole micro-rows, so per-row bits
-/// match the single-thread result exactly.
-void blocked_over_packed_sliced(const double* a, const PackedB& b, double* c,
-                                std::size_t m, const Epilogue& epi,
-                                std::size_t threads) {
-  if (threads <= 1) {
-    blocked_over_packed(a, b, c, m, epi);
-    return;
-  }
-  const std::size_t k = b.k();
-  const std::size_t n = b.n();
-  const std::size_t per = round_up((m + threads - 1) / threads, g_packed_micro.mr);
-  ThreadPool::instance().run(threads, [&](std::size_t part) {
-    const std::size_t lo = std::min(m, part * per);
-    const std::size_t hi = std::min(m, lo + per);
-    if (lo < hi) blocked_over_packed(a + lo * k, b, c + lo * n, hi - lo, epi);
+/// The tiles over `threads` row slices of one shared packed B.
+void tile_slices(const double* a, const PackedB& b, double* c, std::size_t m,
+                 const Epilogue& epi, std::size_t threads) {
+  detail::slice_rows(m, threads, g_micro.mr, [&](std::size_t lo, std::size_t hi) {
+    blocked_over_packed(a + lo * b.k(), b, c + lo * b.n(), hi - lo, epi, g_micro);
   });
 }
 
-// ------------------------------------------------------- profiling hooks
-//
-// The public gemm()/gemm_packed() entry points wrap their dispatch in a
-// per-call profile: FLOPs (2*m*k*n), bytes touched once (A+B+C), wall time
-// and the derived GFLOP/s, recorded into registry counters/histograms, plus
-// a "kernel"-category trace span when tracing runs. The hook measures the
-// whole call on the calling thread (inner row-slice workers are part of the
-// call), and costs two steady_clock reads per call — skipped entirely when
-// both metrics and tracing are off.
-
-/// Registry handles for one kernel entry point, resolved once.
-struct KernelMetrics {
-  obs::Counter& calls;
-  obs::Counter& flops;
-  obs::Counter& bytes;
-  obs::Histogram& gflops;
-  obs::Histogram& wall_ms;
-
-  explicit KernelMetrics(const std::string& base)
-      : calls(obs::MetricsRegistry::global().counter(base + "_calls_total")),
-        flops(obs::MetricsRegistry::global().counter(base + "_flops_total")),
-        bytes(obs::MetricsRegistry::global().counter(base + "_bytes_total")),
-        gflops(obs::MetricsRegistry::global().histogram(base + "_gflops")),
-        wall_ms(obs::MetricsRegistry::global().histogram(base + "_ms")) {}
-};
-
-KernelMetrics& gemm_metrics() {
-  static KernelMetrics metrics("kernel_gemm");
-  return metrics;
+/// Deterministic mode and skinny rows take the reference loop order.
+bool reference_order(std::size_t k, std::size_t n) {
+  return deterministic() || k * n <= kTinyRowMacs;
 }
 
-KernelMetrics& gemm_packed_metrics() {
-  static KernelMetrics metrics("kernel_gemm_packed");
-  return metrics;
-}
-
-bool profiling_active() { return obs::metrics_enabled() || obs::tracing_enabled(); }
-
-void record_kernel_profile(KernelMetrics& metrics, const char* name, std::size_t m,
-                           std::size_t k, std::size_t n,
-                           std::chrono::steady_clock::time_point t0) {
-  const auto t1 = std::chrono::steady_clock::now();
-  const double ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-  const std::uint64_t flops = 2ull * m * k * n;
-  const std::uint64_t bytes = 8ull * (m * k + k * n + m * n);
-  metrics.calls.add(1);
-  metrics.flops.add(flops);
-  metrics.bytes.add(bytes);
-  metrics.wall_ms.record(ms);
-  if (ms > 0.0) metrics.gflops.record(static_cast<double>(flops) / (ms * 1e6));
-  if (obs::tracing_enabled()) {
-    const auto ts = std::chrono::duration_cast<std::chrono::microseconds>(
-                        t0.time_since_epoch())
-                        .count();
-    const auto dur = std::chrono::duration_cast<std::chrono::microseconds>(t1 - t0).count();
-    obs::trace_complete(name, "kernel", ts, dur,
-                        "\"m\":" + std::to_string(m) + ",\"k\":" + std::to_string(k) +
-                            ",\"n\":" + std::to_string(n) +
-                            ",\"flops\":" + std::to_string(flops));
-  }
-}
+constexpr char kGemmSpan[] = "gemm";
+constexpr char kGemmPackedSpan[] = "gemm_packed";
 
 }  // namespace
 
 std::size_t sliver_width() { return g_micro.nr; }
+
+const char* gemm_kernel_name() { return g_micro.name; }
 
 bool deterministic() {
   const int forced = g_deterministic_override.load(std::memory_order_relaxed);
@@ -673,18 +529,21 @@ void set_deterministic(bool on) {
   g_deterministic_override.store(on ? 1 : 0, std::memory_order_relaxed);
 }
 
+std::size_t gemm_threads(std::size_t m, std::size_t k, std::size_t n,
+                         std::size_t elem_bytes) {
+  if (deterministic()) return 1;
+  const std::size_t macs_per_lane = kMacsPerThread * sizeof(double) / elem_bytes;
+  std::size_t t = ThreadPool::instance().effective_threads();
+  t = std::min(t, std::max<std::size_t>(1, m * k * n / macs_per_lane));
+  const std::size_t step =
+      elem_bytes == sizeof(double) ? g_micro.mr : detail::int16_slice_rows();
+  return std::min(t, (m + step - 1) / step);  // at least one tile height each
+}
+
 void gemm_reference(const double* a, const double* b, double* c, std::size_t m,
                     std::size_t k, std::size_t n) {
-  std::fill(c, c + m * n, 0.0);
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t kk = 0; kk < k; ++kk) {
-      const double aik = a[i * k + kk];
-      if (aik == 0.0) continue;
-      const double* brow = b + kk * n;
-      double* crow = c + i * n;
-      for (std::size_t j = 0; j < n; ++j) crow[j] += aik * brow[j];
-    }
-  }
+  reference_loop(a, [b, n](std::size_t kk, std::size_t j) { return b[kk * n + j]; }, c, m, k,
+                 n);
 }
 
 void gemm_blocked(const double* a, const double* b, double* c, std::size_t m,
@@ -694,161 +553,69 @@ void gemm_blocked(const double* a, const double* b, double* c, std::size_t m,
     std::fill(c, c + m * n, 0.0);
     return;
   }
+  // Pack-as-you-go: each B panel right before its compute (best locality
+  // when B is used once), each A block per visit, both into the pack
+  // scratch. The same panel layout as PackedB, so blocked results match the
+  // pack-once path bit for bit.
   const std::size_t nr = g_micro.nr;
-  thread_local std::vector<double> bpack;
-  thread_local std::vector<double> apack;
-  // One-shot path: pack each B panel inline, right before its compute (best
-  // cache locality when B is used once), and each A block per visit.
-  // Identical sliver layouts to the pack-once path, so blocked results
-  // match it bit for bit.
+  detail::PackScratch scratch;
+  double* bpack = scratch.take<double>(round_up(std::min(kNC, n), nr) * std::min(kKC, k));
+  double* apack = scratch.take<double>(round_up(std::min(kMC, m), g_micro.mr) * std::min(kKC, k));
   blocked_compute(
-      c, m, k, n, Epilogue{}, g_micro, MC,
+      c, m, k, n, Epilogue{}, g_micro, kMC,
       [&](std::size_t jc, std::size_t kc, std::size_t kcb, std::size_t ncb) {
-        const std::size_t ncb_pad = round_up(ncb, nr);
-        bpack.resize(kcb * ncb_pad);
-        for (std::size_t jr = 0; jr < ncb; jr += nr) {
-          double* dst = bpack.data() + jr * kcb;
-          const std::size_t w = std::min(nr, ncb - jr);
-          for (std::size_t p = 0; p < kcb; ++p) {
-            const double* src = b + (kc + p) * n + jc + jr;
-            for (std::size_t cc = 0; cc < w; ++cc) dst[p * nr + cc] = src[cc];
-            for (std::size_t cc = w; cc < nr; ++cc) dst[p * nr + cc] = 0.0;
-          }
-        }
-        detail::note_pack_panel();
-        return bpack.data();
+        detail::pack_panel(b + kc * n + jc, n, kcb, ncb, nr, bpack);
+        return bpack;
       },
       [&](std::size_t ic, std::size_t kc, std::size_t mcb, std::size_t kcb) {
-        apack.resize(round_up(mcb, MR) * kcb);
-        pack_a_block(a, k, ic, kc, mcb, kcb, MR, apack.data());
-        return apack.data();
+        pack_a_block(a, k, ic, kc, mcb, kcb, g_micro.mr, apack);
+        return apack;
       });
 }
 
-std::size_t gemm_threads(std::size_t m, std::size_t k, std::size_t n) {
-  if (deterministic()) return 1;
-  const std::size_t macs = m * k * n;
-  std::size_t t = ThreadPool::instance().effective_threads();
-  t = std::min(t, std::max<std::size_t>(1, macs / kMacsPerThread));
-  t = std::min(t, (m + MR - 1) / MR);  // at least one micro-row block each
-  return t;
-}
-
-namespace {
-
-/// The dispatch body of gemm() (the public entry wraps it in the profiling
-/// hook).
-void gemm_dispatch(const double* a, const double* b, double* c, std::size_t m,
-                   std::size_t k, std::size_t n) {
-  if (m == 0 || n == 0) return;
-  if (k == 0) {
-    std::fill(c, c + m * n, 0.0);
-    return;
-  }
-  if (deterministic()) {
-    gemm_reference(a, b, c, m, k, n);
-    return;
-  }
-  if (k * n <= kTinyRowMacs) {
-    // Skinny rows: reference order, but still row-sliced over the pool when
-    // a tall m makes the total work worth threading (slicing never changes
-    // a row's bits).
-    const std::size_t threads = gemm_threads(m, k, n);
-    if (threads <= 1) {
-      gemm_reference(a, b, c, m, k, n);
-      return;
-    }
-    const std::size_t per = (m + threads - 1) / threads;
-    ThreadPool::instance().run(threads, [&](std::size_t part) {
-      const std::size_t lo = std::min(m, part * per);
-      const std::size_t hi = std::min(m, lo + per);
-      if (lo < hi) gemm_reference(a + lo * k, b, c + lo * n, hi - lo, k, n);
-    });
-    return;
-  }
-  const std::size_t threads = gemm_threads(m, k, n);
-  if (threads <= 1) {
-    gemm_blocked(a, b, c, m, k, n);
-    return;
-  }
-  // Multi-thread: pack B ONCE into a per-call scratch (buffer reused across
-  // calls on this thread), then fan row slices out over the pool against
-  // the one shared packed copy. This replaced the old per-thread re-pack —
-  // every (kc, jc) panel is now packed exactly once per gemm, not once per
-  // thread (asserted by the pack counter in tests). Safe to reuse the
-  // thread_local here: the slice workers never re-enter gemm(), so the
-  // scratch cannot be aliased recursively.
-  thread_local PackedB shared;
-  PackedB::pack_into(shared, b, k, n);
-  blocked_over_packed_sliced(a, shared, c, m, Epilogue{}, threads);
-  if (shared.packed_bytes() > kScratchRetainBytes) shared = PackedB();
-}
-
-/// The dispatch body of gemm_packed() (public entry wraps it likewise).
-void gemm_packed_dispatch(const double* a, const PackedB& b, double* c, std::size_t m,
-                          const Epilogue& epi) {
-  const std::size_t k = b.k();
-  const std::size_t n = b.n();
-  if (m == 0 || n == 0) return;
-  ONESA_CHECK(b.nr() == g_micro.nr || b.empty(),
-              "gemm_packed: PackedB sliver width " << b.nr()
-                                                   << " does not match the selected "
-                                                      "micro-kernel ("
-                                                   << g_micro.nr << ")");
-  if (k == 0) {
-    std::fill(c, c + m * n, 0.0);
-    apply_epilogue_block(c, m, n, epi);
-    return;
-  }
-  if (deterministic()) {
-    gemm_reference_packed(a, b, c, m);
-    apply_epilogue_block(c, m, n, epi);
-    return;
-  }
-  if (k * n <= kTinyRowMacs) {
-    // Same tiny-row dispatch (and therefore row-stability) as gemm().
-    const std::size_t threads = gemm_threads(m, k, n);
-    if (threads <= 1) {
-      gemm_reference_packed(a, b, c, m);
-      apply_epilogue_block(c, m, n, epi);
-      return;
-    }
-    const std::size_t per = (m + threads - 1) / threads;
-    ThreadPool::instance().run(threads, [&](std::size_t part) {
-      const std::size_t lo = std::min(m, part * per);
-      const std::size_t hi = std::min(m, lo + per);
-      if (lo < hi) {
-        gemm_reference_packed(a + lo * k, b, c + lo * n, hi - lo);
-        apply_epilogue_block(c + lo * n, hi - lo, n, epi);
-      }
-    });
-    return;
-  }
-  blocked_over_packed_sliced(a, b, c, m, epi, gemm_threads(m, k, n));
-}
-
-}  // namespace
-
 void gemm(const double* a, const double* b, double* c, std::size_t m, std::size_t k,
           std::size_t n) {
-  if (!profiling_active()) {
-    gemm_dispatch(a, b, c, m, k, n);
-    return;
-  }
-  const auto t0 = std::chrono::steady_clock::now();
-  gemm_dispatch(a, b, c, m, k, n);
-  record_kernel_profile(gemm_metrics(), "gemm", m, k, n, t0);
+  if (m == 0 || n == 0) return;
+  detail::profiled<kGemmSpan>(sizeof(double), m, k, n, [&] {
+    const std::size_t threads = gemm_threads(m, k, n);
+    if (reference_order(k, n)) {
+      detail::slice_rows(m, threads, g_micro.mr, [&](std::size_t lo, std::size_t hi) {
+        gemm_reference(a + lo * k, b, c + lo * n, hi - lo, k, n);
+      });
+    } else if (threads <= 1) {
+      gemm_blocked(a, b, c, m, k, n);
+    } else {
+      // B packed ONCE into this thread's pack scratch, shared read-only by
+      // every row slice: each (kc, jc) panel is packed once per call, never
+      // once per thread (asserted by the pack counter in tests).
+      detail::PackScratch scratch;
+      tile_slices(a, detail::PanelPacker::scratch(b, k, n, g_micro.nr, scratch), c, m, {},
+                  threads);
+    }
+  });
 }
 
 void gemm_packed(const double* a, const PackedB& b, double* c, std::size_t m,
                  const Epilogue& epi) {
-  if (!profiling_active()) {
-    gemm_packed_dispatch(a, b, c, m, epi);
-    return;
-  }
-  const auto t0 = std::chrono::steady_clock::now();
-  gemm_packed_dispatch(a, b, c, m, epi);
-  record_kernel_profile(gemm_packed_metrics(), "gemm_packed", m, b.k(), b.n(), t0);
+  const std::size_t k = b.k();
+  const std::size_t n = b.n();
+  if (m == 0 || n == 0) return;
+  ONESA_CHECK(b.nr() == g_micro.nr, "gemm_packed: PackedB sliver width "
+                                        << b.nr() << " does not match the selected tiles ("
+                                        << g_micro.nr << ")");
+  detail::profiled<kGemmPackedSpan>(sizeof(double), m, k, n, [&] {
+    const std::size_t threads = gemm_threads(m, k, n);
+    if (reference_order(k, n)) {
+      detail::slice_rows(m, threads, g_micro.mr, [&](std::size_t lo, std::size_t hi) {
+        reference_loop(
+            a + lo * k, [&b](std::size_t kk, std::size_t j) { return b.at(kk, j); },
+            c + lo * n, hi - lo, k, n);
+        apply_epilogue_block(c + lo * n, hi - lo, n, epi);
+      });
+    } else {
+      tile_slices(a, b, c, m, epi, threads);
+    }
+  });
 }
 
 void gemm_packed(ConstMatrixView a, const PackedB& b, MatrixView c, const Epilogue& epi) {
@@ -864,5 +631,24 @@ void gemm_packed(ConstMatrixView a, const PackedB& b, MatrixView c, const Epilog
                                          << a.rows() << "x" << b.n());
   gemm_packed(a.data(), b, c.data(), a.rows(), epi);
 }
+
+namespace detail {
+
+bool gemm_tier_supported(GemmTier tier) { return gemm_tiles(tier).has_value(); }
+
+void gemm_on_tier(GemmTier tier, const double* a, const double* b, double* c, std::size_t m,
+                  std::size_t k, std::size_t n) {
+  const auto tiles = gemm_tiles(tier);
+  ONESA_CHECK(tiles.has_value(),
+              "double tier " << static_cast<int>(tier) << " does not run on this CPU");
+  if (m == 0 || n == 0) return;
+  if (k == 0) {
+    std::fill(c, c + m * n, 0.0);
+    return;
+  }
+  blocked_over_packed(a, PanelPacker::owned(b, k, n, tiles->nr), c, m, Epilogue{}, *tiles);
+}
+
+}  // namespace detail
 
 }  // namespace onesa::tensor::kernels

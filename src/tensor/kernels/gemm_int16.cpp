@@ -1,10 +1,8 @@
 #include "tensor/kernels/gemm_int16.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstring>
 #include <optional>
-#include <string>
 #include <vector>
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
@@ -13,24 +11,12 @@
 #endif
 
 #include "common/error.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "tensor/kernels/gemm.hpp"
-#include "tensor/kernels/thread_pool.hpp"
+#include "tensor/kernels/lane.hpp"
 
 namespace onesa::tensor::kernels {
 
 namespace {
-
-constexpr std::size_t MR = kMR;
-
-/// Minimum int16 MACs per thread before row-slicing switches on. Int16 MACs
-/// retire ~4x faster than double FLOPs (32 lanes/vector, 2 k-steps/madd), so
-/// the break-even problem is proportionally larger than the double kernel's
-/// 1<<20.
-constexpr std::size_t kMacsPerThreadInt16 = 4u << 20;
-
-std::size_t round_up(std::size_t v, std::size_t to) { return (v + to - 1) / to * to; }
 
 /// Adjacent (a[2p], a[2p+1]) as the 32-bit lane pmaddwd expects — a direct
 /// unaligned load off the row-major A (little-endian: low half = even k).
@@ -90,11 +76,12 @@ void pack_a_int16(const std::int16_t* a, std::size_t k, std::size_t rows, std::s
   }
 }
 
-/// Portable fallback, MR x 8 (the portable tier packs 8-wide slivers). Per
+/// Portable fallback, 4 x 8 (the portable tier packs 8-wide slivers). Per
 /// pair the two products are formed in int64 (each fits int32, their sum
 /// may not) and wrapped to uint32 — the scalar spelling of one pmaddwd lane.
 void tile_int16_generic(std::uint32_t* acc, const std::int32_t* ap, const std::int16_t* sliver,
                         std::size_t pairs, std::size_t /*nr*/) {
+  constexpr std::size_t MR = 4;
   constexpr std::size_t nr = 8;
   const std::int16_t* bp = sliver;
   for (std::size_t p = 0; p < pairs; ++p, bp += 2 * nr, ap += MR) {
@@ -331,7 +318,7 @@ std::optional<Int16Kernel> int16_kernel(detail::Int16Tier tier) {
                          store_tile_int16_scalar, "avx2"};
 #endif
     case Int16Tier::kPortable:
-      return Int16Kernel{{tile_int16_generic, MR}, {tile_int16_generic, MR}, 8,
+      return Int16Kernel{{tile_int16_generic, 4}, {tile_int16_generic, 4}, 8,
                          store_tile_int16_scalar, "portable"};
     default:
       break;
@@ -370,13 +357,14 @@ void blocked_int16(const std::int16_t* a, const PackedBInt16& b, const OutSink& 
     return m - i0 <= kernel.rest.mr ? kernel.rest : kernel.tall;
   };
 
-  // A packed once per call. Every block before the last is a full tall
-  // block, so the block starting at row i0 sits at i0 * k_pairs.
-  thread_local std::vector<std::int32_t> apack;
-  if (apack.size() < (m + kMaxMrInt16) * k_pairs) apack.resize((m + kMaxMrInt16) * k_pairs);
+  // A packed once per call into the pack scratch. Every block before the
+  // last is a full tall block, so the block starting at row i0 sits at
+  // i0 * k_pairs.
+  detail::PackScratch scratch;
+  std::int32_t* apack = scratch.take<std::int32_t>((m + kMaxMrInt16) * k_pairs);
   for (std::size_t i0 = 0; i0 < m; i0 += tile_at(i0).mr) {
     const std::size_t mr = tile_at(i0).mr;
-    pack_a_int16(a + i0 * k, k, std::min(mr, m - i0), mr, apack.data() + i0 * k_pairs);
+    pack_a_int16(a + i0 * k, k, std::min(mr, m - i0), mr, apack + i0 * k_pairs);
   }
 
   alignas(64) std::uint32_t acc[kMaxMrInt16 * kMaxNr];
@@ -390,7 +378,7 @@ void blocked_int16(const std::int16_t* a, const PackedBInt16& b, const OutSink& 
         std::fill(acc, acc + tile.mr * kMaxNr, 0u);
         for (std::size_t kc_idx = 0, kc = 0; kc_idx < kc_panels; ++kc_idx, kc += kKC) {
           const std::size_t pairs = panel_pairs(std::min(kKC, k - kc));
-          tile.fn(acc, apack.data() + i0 * k_pairs + (kc / 2) * tile.mr,
+          tile.fn(acc, apack + i0 * k_pairs + (kc / 2) * tile.mr,
                   b.panel(jc_idx, kc_idx) + sliver_off * pairs, pairs, nr);
         }
         kernel.store(sink, acc, i0, std::min(tile.mr, m - i0), jc + jr, width);
@@ -410,184 +398,20 @@ void blocked_int16(const std::int16_t* a, const PackedBInt16& b, const OutSink& 
   }
 }
 
-/// Row-sliced fan-out over the kernel ThreadPool; every worker consumes the
-/// one shared packed B. Slices are whole short-tile row blocks; integer
-/// accumulation is exact, so slicing can never change a bit (unlike the
-/// double path this needs no numerics argument at all).
-void blocked_int16_sliced(const std::int16_t* a, const PackedBInt16& b,
-                          const OutSink& sink, std::size_t m,
-                          const Int16Kernel& kernel, std::size_t threads) {
-  if (threads <= 1) {
-    blocked_int16(a, b, sink, m, kernel);
-    return;
-  }
-  const std::size_t k = b.k();
-  const std::size_t per = round_up((m + threads - 1) / threads, kernel.rest.mr);
-  ThreadPool::instance().run(threads, [&](std::size_t part) {
-    const std::size_t lo = std::min(m, part * per);
-    const std::size_t hi = std::min(m, lo + per);
-    if (lo < hi) {
-      OutSink slice = sink;
-      if (slice.c16 != nullptr) slice.c16 += lo * slice.ldc;
-      if (slice.c32 != nullptr) slice.c32 += lo * slice.ldc;
-      blocked_int16(a + lo * k, b, slice, hi - lo, kernel);
-    }
-  });
+/// `b`'s sliver width must be the selected tier's.
+void check_width(const PackedBInt16& b, const char* entry) {
+  ONESA_CHECK(b.nr() == g_int16.nr, entry << ": PackedBInt16 sliver width " << b.nr()
+                                          << " does not match the selected micro-kernel ("
+                                          << g_int16.nr << ")");
 }
 
-// ------------------------------------------------------- profiling hooks
-//
-// Same shape as gemm.cpp's KernelMetrics (that one lives in its anonymous
-// namespace): counters + histograms resolved once, recorded per public call
-// when metrics or tracing are live. "flops" counts MACs*2 like the double
-// kernels so the GFLOP/s histograms are directly comparable; bytes reflect
-// the int16/int32 element sizes.
-
-struct KernelMetrics {
-  obs::Counter& calls;
-  obs::Counter& flops;
-  obs::Counter& bytes;
-  obs::Histogram& gflops;
-  obs::Histogram& wall_ms;
-
-  explicit KernelMetrics(const std::string& base)
-      : calls(obs::MetricsRegistry::global().counter(base + "_calls_total")),
-        flops(obs::MetricsRegistry::global().counter(base + "_flops_total")),
-        bytes(obs::MetricsRegistry::global().counter(base + "_bytes_total")),
-        gflops(obs::MetricsRegistry::global().histogram(base + "_gflops")),
-        wall_ms(obs::MetricsRegistry::global().histogram(base + "_ms")) {}
-};
-
-KernelMetrics& gemm_int16_metrics() {
-  static KernelMetrics metrics("kernel_gemm_int16");
-  return metrics;
-}
-
-bool profiling_active() { return obs::metrics_enabled() || obs::tracing_enabled(); }
-
-void record_kernel_profile(KernelMetrics& metrics, const char* name, std::size_t m,
-                           std::size_t k, std::size_t n,
-                           std::chrono::steady_clock::time_point t0) {
-  const auto t1 = std::chrono::steady_clock::now();
-  const double ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-  const std::uint64_t flops = 2ull * m * k * n;
-  const std::uint64_t bytes = 2ull * (m * k + k * n + m * n);
-  metrics.calls.add(1);
-  metrics.flops.add(flops);
-  metrics.bytes.add(bytes);
-  metrics.wall_ms.record(ms);
-  if (ms > 0.0) metrics.gflops.record(static_cast<double>(flops) / (ms * 1e6));
-  if (obs::tracing_enabled()) {
-    const auto ts =
-        std::chrono::duration_cast<std::chrono::microseconds>(t0.time_since_epoch())
-            .count();
-    const auto dur = std::chrono::duration_cast<std::chrono::microseconds>(t1 - t0).count();
-    obs::trace_complete(name, "kernel", ts, dur,
-                        "\"m\":" + std::to_string(m) + ",\"k\":" + std::to_string(k) +
-                            ",\"n\":" + std::to_string(n) +
-                            ",\"flops\":" + std::to_string(flops));
-  }
-}
-
-void gemm_packed_int16_dispatch(const std::int16_t* a, const PackedBInt16& b,
-                                std::int16_t* c, std::size_t m,
-                                const EpilogueInt16& epi) {
-  const std::size_t n = b.n();
-  if (m == 0 || n == 0) return;
-  ONESA_CHECK(b.nr() == g_int16.nr,
-              "gemm_packed_int16: PackedBInt16 sliver width "
-                  << b.nr() << " does not match the selected micro-kernel ("
-                  << g_int16.nr << ")");
-  OutSink sink;
-  sink.c16 = c;
-  sink.ldc = n;
-  sink.epi = &epi;
-  blocked_int16_sliced(a, b, sink, m, g_int16,
-                       gemm_int16_threads(m, b.k(), n));
-}
+constexpr char kGemmInt16Span[] = "gemm_int16";
 
 }  // namespace
 
 std::size_t sliver_width_int16() { return g_int16.nr; }
 
 const char* int16_kernel_name() { return g_int16.name; }
-
-PackedBInt16 PackedBInt16::pack(const std::int16_t* b, std::size_t k, std::size_t n) {
-  return pack(b, k, n, g_int16.nr);
-}
-
-PackedBInt16 PackedBInt16::pack(const std::int16_t* b, std::size_t k, std::size_t n,
-                                std::size_t nr) {
-  ONESA_CHECK(nr == 8 || nr == 16, "PackedBInt16::pack: sliver width " << nr
-                                                                       << " is not 8 or 16");
-  PackedBInt16 dst;
-  dst.k_ = k;
-  dst.n_ = n;
-  dst.nr_ = nr;
-  if (k == 0 || n == 0) return dst;
-
-  // First pass: panel offsets (jc-major, kc inner), each panel rounded up to
-  // a whole cache line of int16 so every panel starts 64-byte aligned.
-  constexpr std::size_t kPanelAlignInt16 = 32;
-  std::size_t total = 0;
-  dst.offsets_.reserve(dst.nc_panels() * dst.kc_panels());
-  for (std::size_t jc = 0; jc < n; jc += kNC) {
-    const std::size_t slivers = (std::min(kNC, n - jc) + nr - 1) / nr;
-    for (std::size_t kc = 0; kc < k; kc += kKC) {
-      const std::size_t kcb = std::min(kKC, k - kc);
-      dst.offsets_.push_back(total);
-      total += round_up(slivers * panel_pairs(kcb) * 2 * nr, kPanelAlignInt16);
-    }
-  }
-  dst.data_.resize(total);
-
-  // Second pass: pair-interleaved slivers — per k-pair p, the lane pair
-  // (b[2p][j], b[2p+1][j]) for each column j of the sliver, so one vector
-  // register holds exactly what one pmaddwd consumes. Odd k tails and
-  // missing columns read as zero.
-  std::size_t panel_idx = 0;
-  for (std::size_t jc = 0; jc < n; jc += kNC) {
-    const std::size_t ncb = std::min(kNC, n - jc);
-    for (std::size_t kc = 0; kc < k; kc += kKC) {
-      const std::size_t kcb = std::min(kKC, k - kc);
-      const std::size_t pairs = panel_pairs(kcb);
-      std::int16_t* base = dst.data_.data() + dst.offsets_[panel_idx++];
-      for (std::size_t jr = 0; jr < ncb; jr += nr) {
-        std::int16_t* sliver = base + (jr / nr) * pairs * 2 * nr;
-        const std::size_t w = std::min(nr, ncb - jr);
-        for (std::size_t p = 0; p < pairs; ++p) {
-          std::int16_t* dstp = sliver + p * 2 * nr;
-          const std::size_t k0 = kc + 2 * p;
-          for (std::size_t cc = 0; cc < nr; ++cc) {
-            const std::size_t j = jc + jr + cc;
-            const bool valid = cc < w;
-            dstp[2 * cc] = valid ? b[k0 * n + j] : std::int16_t{0};
-            dstp[2 * cc + 1] =
-                (valid && k0 + 1 < kc + kcb) ? b[(k0 + 1) * n + j] : std::int16_t{0};
-          }
-        }
-      }
-      detail::note_pack_panel();
-    }
-  }
-  return dst;
-}
-
-std::int16_t PackedBInt16::at(std::size_t kk, std::size_t j) const {
-  ONESA_DCHECK(kk < k_ && j < n_, "PackedBInt16::at(" << kk << "," << j << ") out of "
-                                                      << k_ << "x" << n_);
-  const std::size_t jc_idx = j / kNC;
-  const std::size_t kc_idx = kk / kKC;
-  const std::size_t jloc = j - jc_idx * kNC;
-  const std::size_t p_in_panel = kk - kc_idx * kKC;
-  const std::size_t kcb = std::min(kKC, k_ - kc_idx * kKC);
-  const std::size_t pair = p_in_panel / 2;
-  const std::size_t lane = p_in_panel % 2;
-  const std::size_t sliver_idx = jloc / nr_;
-  const std::size_t cc = jloc - sliver_idx * nr_;
-  return panel(jc_idx, kc_idx)[sliver_idx * panel_pairs(kcb) * 2 * nr_ +
-                               pair * 2 * nr_ + 2 * cc + lane];
-}
 
 void gemm_int16_reference(const std::int16_t* a, const std::int16_t* b,
                           std::int32_t* c, std::size_t m, std::size_t k,
@@ -609,39 +433,29 @@ void gemm_int16_reference(const std::int16_t* a, const std::int16_t* b,
 
 void gemm_packed_int16_acc(const std::int16_t* a, const PackedBInt16& b,
                            std::int32_t* c, std::size_t m) {
-  const std::size_t n = b.n();
-  if (m == 0 || n == 0) return;
-  ONESA_CHECK(b.nr() == g_int16.nr,
-              "gemm_packed_int16_acc: PackedBInt16 sliver width "
-                  << b.nr() << " does not match the selected micro-kernel ("
-                  << g_int16.nr << ")");
-  OutSink sink;
-  sink.c32 = c;
-  sink.ldc = n;
-  blocked_int16(a, b, sink, m, g_int16);
+  if (m == 0 || b.n() == 0) return;
+  check_width(b, "gemm_packed_int16_acc");
+  blocked_int16(a, b, OutSink{nullptr, c, b.n(), nullptr}, m, g_int16);
 }
 
 void gemm_packed_int16(const std::int16_t* a, const PackedBInt16& b, std::int16_t* c,
                        std::size_t m, const EpilogueInt16& epi) {
-  if (!profiling_active()) {
-    gemm_packed_int16_dispatch(a, b, c, m, epi);
-    return;
-  }
-  const auto t0 = std::chrono::steady_clock::now();
-  gemm_packed_int16_dispatch(a, b, c, m, epi);
-  record_kernel_profile(gemm_int16_metrics(), "gemm_int16", m, b.k(), b.n(), t0);
-}
-
-std::size_t gemm_int16_threads(std::size_t m, std::size_t k, std::size_t n) {
-  if (deterministic()) return 1;
-  const std::size_t macs = m * k * n;
-  std::size_t t = ThreadPool::instance().effective_threads();
-  t = std::min(t, std::max<std::size_t>(1, macs / kMacsPerThreadInt16));
-  t = std::min(t, (m + g_int16.rest.mr - 1) / g_int16.rest.mr);
-  return t;
+  const std::size_t k = b.k();
+  const std::size_t n = b.n();
+  if (m == 0 || n == 0) return;
+  check_width(b, "gemm_packed_int16");
+  detail::profiled<kGemmInt16Span>(sizeof(std::int16_t), m, k, n, [&] {
+    detail::slice_rows(m, gemm_threads(m, k, n, sizeof(std::int16_t)), g_int16.rest.mr,
+                       [&](std::size_t lo, std::size_t hi) {
+                         blocked_int16(a + lo * k, b, OutSink{c + lo * n, nullptr, n, &epi},
+                                       hi - lo, g_int16);
+                       });
+  });
 }
 
 namespace detail {
+
+std::size_t int16_slice_rows() { return g_int16.rest.mr; }
 
 bool int16_tier_supported(Int16Tier tier) { return int16_kernel(tier).has_value(); }
 
@@ -651,33 +465,24 @@ const char* int16_tier_name(Int16Tier tier) {
 }
 
 /// Packs B at `tier`'s sliver width and runs that tier's loop nest.
-struct Int16TierRunner {
-  static void run(Int16Tier tier, const std::int16_t* a, const std::int16_t* b,
-                  const OutSink& sink, std::size_t m, std::size_t k, std::size_t n) {
-    const auto kernel = int16_kernel(tier);
-    ONESA_CHECK(kernel.has_value(),
-                "int16 tier " << static_cast<int>(tier) << " does not run on this CPU");
-    if (m == 0 || n == 0) return;
-    blocked_int16(a, PackedBInt16::pack(b, k, n, kernel->nr), sink, m, *kernel);
-  }
-};
+void run_on_tier(Int16Tier tier, const std::int16_t* a, const std::int16_t* b,
+                 const OutSink& sink, std::size_t m, std::size_t k, std::size_t n) {
+  const auto kernel = int16_kernel(tier);
+  ONESA_CHECK(kernel.has_value(),
+              "int16 tier " << static_cast<int>(tier) << " does not run on this CPU");
+  if (m == 0 || n == 0) return;
+  blocked_int16(a, PanelPacker::owned(b, k, n, kernel->nr), sink, m, *kernel);
+}
 
 void gemm_int16_acc_on_tier(Int16Tier tier, const std::int16_t* a, const std::int16_t* b,
                             std::int32_t* c, std::size_t m, std::size_t k, std::size_t n) {
-  OutSink sink;
-  sink.c32 = c;
-  sink.ldc = n;
-  Int16TierRunner::run(tier, a, b, sink, m, k, n);
+  run_on_tier(tier, a, b, OutSink{nullptr, c, n, nullptr}, m, k, n);
 }
 
 void gemm_int16_on_tier(Int16Tier tier, const std::int16_t* a, const std::int16_t* b,
                         std::int16_t* c, std::size_t m, std::size_t k, std::size_t n,
                         const EpilogueInt16& epi) {
-  OutSink sink;
-  sink.c16 = c;
-  sink.ldc = n;
-  sink.epi = &epi;
-  Int16TierRunner::run(tier, a, b, sink, m, k, n);
+  run_on_tier(tier, a, b, OutSink{c, nullptr, n, &epi}, m, k, n);
 }
 
 }  // namespace detail

@@ -6,10 +6,10 @@
 // arithmetic at SIMD speed: int16 operands, int32 accumulators, one
 // requantizing store. The micro-kernels are built around the x86 word-pair
 // multiply-add: each step multiplies adjacent int16 PAIRS and adds the two
-// products into an int32 lane, so B is packed pair-interleaved (see
-// PackedBInt16) and A is consumed as 32-bit broadcasts of
-// (a[i][2p], a[i][2p+1]) — one step retires two k steps across a full
-// sliver of output columns.
+// products into an int32 lane, so B is PackedBInt16 — the one panel format
+// of pack.hpp with k-group 2 (pair-interleaved slivers) — and A is consumed
+// as 32-bit broadcasts of (a[i][2p], a[i][2p+1]): one step retires two k
+// steps across a full sliver of output columns.
 //
 // Kernel tiers, picked once by CPUID (int16_kernel_name() reports the name):
 //  - "avx512vnni": one vpdpwssd per step (_mm512_dpwssd_epi32 semantics),
@@ -25,6 +25,12 @@
 // from memory once per call and reused by every row block from L1/L2. Row
 // blocks take the tier's tall tile (16 rows on AVX-512) except a remainder
 // of at most the short tile's height (8 rows), which takes the short tile.
+// The tiles, the vector store and this loop nest are all the INT16 lane
+// keeps for itself; panels, pack scratch, row slicing, the lane-count rule
+// and profiling are shared with the double lane (lane.hpp). The loop orders
+// stay apart because each is measurably faster on its own lane: the double
+// lane's order cost this lane 0.94-0.97x at m = 16-64 and 0.89x at m = 128
+// (this lane's order cost the double lane 0.96-0.97x).
 //
 // Numerics contract (asserted in tests/test_kernels.cpp):
 //  - Integer addition is associative, so every tier produces BIT-IDENTICAL
@@ -48,17 +54,11 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "fixed/fixed16.hpp"
 #include "tensor/kernels/pack.hpp"
 
 namespace onesa::tensor::kernels {
-
-/// B sliver width of the int16 micro-kernel selected at startup: 16 int32
-/// output lanes on the AVX-512 tiers, 8 on AVX2/portable. Independent of the
-/// double kernel's sliver_width() — a CPU can have avx512f without avx512bw.
-std::size_t sliver_width_int16();
 
 /// Name of the selected int16 kernel tier ("avx512vnni", "avx512bw", "avx2",
 /// "portable").
@@ -74,59 +74,6 @@ inline std::int16_t requantize_i32(std::int32_t acc, int shift) {
   return fixed::saturate_i16(v);
 }
 
-namespace detail {
-struct Int16TierRunner;  // packs and runs a chosen tier (gemm_int16.cpp)
-}  // namespace detail
-
-/// B (k x n row-major int16) packed once into the int16 kernel's
-/// pair-interleaved sliver layout: per (jc, kc) cache panel (same kKC/kNC
-/// blocking as PackedB), nr-wide column slivers where each k-PAIR stores
-/// [b[2p][j0], b[2p+1][j0], b[2p][j1], b[2p+1][j1], ...] — 2*nr int16 per
-/// pair, exactly one vector register, laid out so pmaddwd against a
-/// broadcast A pair yields the sliver's int32 partial sums directly. Odd k
-/// tails and partial slivers are zero-padded (a zero b contributes nothing
-/// regardless of the adjacent a lane). Immutable after packing; share
-/// freely across threads.
-class PackedBInt16 {
- public:
-  PackedBInt16() = default;
-
-  static PackedBInt16 pack(const std::int16_t* b, std::size_t k, std::size_t n);
-
-  std::size_t k() const { return k_; }
-  std::size_t n() const { return n_; }
-  std::size_t nr() const { return nr_; }
-  bool empty() const { return k_ == 0 || n_ == 0; }
-
-  std::size_t kc_panels() const { return k_ == 0 ? 0 : (k_ + kKC - 1) / kKC; }
-  std::size_t nc_panels() const { return n_ == 0 ? 0 : (n_ + kNC - 1) / kNC; }
-
-  /// Base of the packed slivers of panel (jc_idx, kc_idx). Sliver `jr`
-  /// (jr a multiple of nr) starts at base + (jr/nr) * pairs(kcb) * 2 * nr.
-  const std::int16_t* panel(std::size_t jc_idx, std::size_t kc_idx) const {
-    return data_.data() + offsets_[jc_idx * kc_panels() + kc_idx];
-  }
-
-  /// Element B[kk][j] read back out of the packed layout (loss-free).
-  std::int16_t at(std::size_t kk, std::size_t j) const;
-
-  std::size_t packed_bytes() const { return data_.size() * sizeof(std::int16_t); }
-
- private:
-  friend struct detail::Int16TierRunner;
-
-  /// Pack at an explicit sliver width (8 or 16): the layout of a tier other
-  /// than the selected one, for the detail:: tier entries only.
-  static PackedBInt16 pack(const std::int16_t* b, std::size_t k, std::size_t n,
-                           std::size_t nr);
-
-  std::size_t k_ = 0;
-  std::size_t n_ = 0;
-  std::size_t nr_ = 0;
-  std::vector<std::int16_t, PackAllocator<std::int16_t>> data_;
-  std::vector<std::size_t> offsets_;  // per (jc, kc), jc-major
-};
-
 /// Fused store of the int16 GEMM: bias add in the ACCUMULATOR domain
 /// (int32, pre-shifted by the quantizer), requantize by `shift`, then an
 /// optional activation evaluated entirely in INT16 — ReLU as max(0, x), or
@@ -135,7 +82,7 @@ class PackedBInt16 {
 /// SegmentTable::eval_fixed_batch). Applied exactly once per element after
 /// its complete k-sum, mirroring the double Epilogue's ordering contract.
 struct EpilogueInt16 {
-  enum class Kind : std::uint8_t { kNone, kBias, kBiasRelu, kBiasTable };
+  using Kind = Epilogue::Kind;
   /// y[i] = table(x[i]) on raw Q-format int16 bits, any length.
   using TableBatchFn = void (*)(const void* table, const std::int16_t* x,
                                 std::int16_t* y, std::size_t len);
@@ -162,15 +109,12 @@ void gemm_packed_int16_acc(const std::int16_t* a, const PackedBInt16& b,
 
 /// The serving entry point: int16 in, int16 out, epilogue fused into the
 /// micro-tile store so activations never leave the INT16 domain. Row-sliced
-/// over the kernel ThreadPool when the problem is big enough (integer math
-/// is associative, so threading never changes a bit). Profiled as
+/// over the kernel ThreadPool when gemm_threads(m, k, n, 2) says so (integer
+/// math is associative, so threading never changes a bit). Profiled as
 /// kernel_gemm_int16_* counters + _gflops/_ms histograms when obs is live.
 void gemm_packed_int16(const std::int16_t* a, const PackedBInt16& b,
                        std::int16_t* c, std::size_t m,
                        const EpilogueInt16& epi = {});
-
-/// Threads gemm_packed_int16 would fan out to (1 = serial).
-std::size_t gemm_int16_threads(std::size_t m, std::size_t k, std::size_t n);
 
 namespace detail {
 /// The int16 kernel tiers, slowest first. CPUID selects the fastest one the

@@ -1,124 +1,118 @@
-// Persistent packed-weight storage for the blocked GEMM (pack-once reuse).
+// Packed B panels: the one weight format both GEMM lanes (double and INT16)
+// consume, plus the double lane's fused epilogue.
 //
-// The blocked kernel in gemm.cpp consumes B as NR-wide column slivers packed
-// per (KC x NC) cache panel. For a single matmul that packing is done inline
-// (interleaved with compute, per panel); but on the serving hot path the
-// same B — a model weight — is multiplied thousands of times, and re-packing
-// it per call (worse, per *thread* in the old multi-thread path) is pure
-// waste. PackedB captures the packed form once, cache-line aligned, so
-// gemm_packed() can run any number of GEMMs — across any number of threads
-// sharing the ONE packed copy — with zero packing on the request path. This
-// is the BLIS-style "pack once, amortize forever" contract scaled to this
-// library.
+// Both lanes read B as nr-wide column slivers cut from (kKC x kNC) cache
+// panels, so the B values one micro-tile step needs sit in one vector. On
+// the serving hot path the same B — a model weight — is multiplied
+// thousands of times, so PackedPanels captures the packed form once,
+// cache-line aligned, and gemm_packed() / gemm_packed_int16() run any number
+// of GEMMs on it, from any number of threads sharing the one copy, with zero
+// packing per request (BLIS's pack-once contract; Van Zee & van de Geijn,
+// TOMS 2015).
 //
-// The Epilogue type rides along because the same hot path ends every Linear
+// One panel format for both lanes; the only per-type difference is the
+// k-group G, the number of consecutive k steps stored side by side per
+// column so that one vector load feeds one multiply step:
+//  - double, G = 1: k-step-major slivers (one FMA row of nr columns);
+//  - int16, G = 2: pair-interleaved slivers, (b[2q][j], b[2q+1][j]) per
+//    column j — exactly what one vpmaddwd / vpdpwssd consumes.
+// Element (p, j) of a sliver sits at (p / G) * G * nr + j * G + p % G. A
+// panel's k extent is rounded up to whole groups and its width to whole
+// slivers, zero-padded (a zero b adds nothing to any accumulator). Panels
+// are stored jc-major, kc inner, each starting on a 64-byte boundary.
+//
+// The Epilogue rides along because the same hot path ends every Linear
 // layer with a bias broadcast and (usually) an activation: fusing both into
 // the micro-tile store removes two full read-modify-write passes over the
-// output. The fused arithmetic is ordered exactly like the unfused
-// matmul + add_row_broadcast + activation sequence, so results stay
-// bit-identical to the composed ops (see gemm.hpp for the full contract).
+// output, ordered exactly like the unfused matmul + add_row_broadcast +
+// activation sequence so results stay bit-identical (see gemm.hpp).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <new>
-#include <vector>
+#include <memory>
+#include <type_traits>
+
+namespace onesa::tensor {
+class MemoryStack;
+}  // namespace onesa::tensor
 
 namespace onesa::tensor::kernels {
 
-// Blocking parameters shared by the packer and the blocked kernel (the
-// micro-tile is kMR x nr register accumulators; nr is per-ISA, see
-// sliver_width()). One source of truth: gemm.cpp's loop nest and
-// PackedB::pack must agree on the panel geometry or the kernel would read
-// garbage slivers.
-inline constexpr std::size_t kMR = 4;
-inline constexpr std::size_t kMaxNr = 16;
-inline constexpr std::size_t kMC = 64;
+// Cache blocking shared by the packer and both lanes' loop nests: a packed
+// B panel is at most kKC k steps by kNC columns.
 inline constexpr std::size_t kKC = 256;
-inline constexpr std::size_t kNC = 512;  // multiple of every kernel's nr
+inline constexpr std::size_t kNC = 512;     // a multiple of every sliver width
+inline constexpr std::size_t kMaxNr = 16;   // widest sliver of any tile set
 
-/// B sliver width of the micro-kernel selected at startup (16 on AVX-512,
-/// 8 on AVX2/portable). Defined in gemm.cpp next to the kernel selector.
-std::size_t sliver_width();
+/// B sliver width of each lane's tile set, picked once by CPUID: 16 on the
+/// AVX-512 tiers, 8 on AVX2/portable. The lanes are independent — a CPU can
+/// have avx512f (double) without avx512bw (int16).
+std::size_t sliver_width();        // double lane, defined in gemm.cpp
+std::size_t sliver_width_int16();  // INT16 lane, defined in gemm_int16.cpp
 
-/// Allocator for the packed buffers: cache-line (64 B) aligned and
-/// default-initializing, so a resize never zero-fills storage the packer is
-/// about to overwrite anyway.
+namespace detail {
+struct PanelPacker;  // packs at an explicit width or into pack scratch (lane.hpp)
+}  // namespace detail
+
+/// B (k x n, row-major) packed into the panel format above. Immutable once
+/// packed: copies share the one buffer, and every accessor is const, so a
+/// packed weight can serve any number of threads.
 template <typename T>
-class PackAllocator {
+class PackedPanels {
  public:
-  using value_type = T;
-  static constexpr std::size_t kAlign = 64;
+  /// k steps stored side by side per column (see the header comment).
+  static constexpr std::size_t kGroup = std::is_same_v<T, std::int16_t> ? 2 : 1;
 
-  PackAllocator() = default;
-  template <typename U>
-  PackAllocator(const PackAllocator<U>&) {}
+  PackedPanels() = default;
 
-  T* allocate(std::size_t n) {
-    return static_cast<T*>(::operator new(n * sizeof(T), std::align_val_t{kAlign}));
-  }
-  void deallocate(T* p, std::size_t) noexcept {
-    ::operator delete(p, std::align_val_t{kAlign});
-  }
-  template <typename U>
-  void construct(U* ptr) noexcept(std::is_nothrow_default_constructible_v<U>) {
-    ::new (static_cast<void*>(ptr)) U;
-  }
-
-  template <typename U>
-  bool operator==(const PackAllocator<U>&) const {
-    return true;
-  }
-};
-
-/// B (k x n, row-major) packed once into the blocked kernel's sliver layout:
-/// per (jc, kc) cache panel, nr-wide column slivers with the k step
-/// innermost, zero-padded to full sliver width. Immutable in practice —
-/// build with pack()/pack_into(), then share freely across threads (all
-/// accessors are const and the buffer is never mutated after packing).
-class PackedB {
- public:
-  PackedB() = default;
-
-  /// Pack `b` (k x n row-major). The sliver width is frozen at the current
-  /// micro-kernel's nr.
-  static PackedB pack(const double* b, std::size_t k, std::size_t n);
-
-  /// Re-pack into an existing instance, reusing its buffer capacity (the
-  /// dispatcher's per-call scratch path).
-  static void pack_into(PackedB& dst, const double* b, std::size_t k, std::size_t n);
+  /// Pack `b` (k x n, row-major) at the sliver width of this lane's
+  /// selected tile set.
+  static PackedPanels pack(const T* b, std::size_t k, std::size_t n);
 
   std::size_t k() const { return k_; }
   std::size_t n() const { return n_; }
   std::size_t nr() const { return nr_; }
   bool empty() const { return k_ == 0 || n_ == 0; }
+  std::size_t kc_panels() const { return (k_ + kKC - 1) / kKC; }
+  std::size_t nc_panels() const { return (n_ + kNC - 1) / kNC; }
 
-  /// Number of panels along each blocked dimension (ceil-div by kKC / kNC).
-  std::size_t kc_panels() const { return k_ == 0 ? 0 : (k_ + kKC - 1) / kKC; }
-  std::size_t nc_panels() const { return n_ == 0 ? 0 : (n_ + kNC - 1) / kNC; }
-
-  /// Base of the packed slivers of panel (jc_idx, kc_idx); sliver `jr`
-  /// (jr a multiple of nr) starts at base + jr * kcb, exactly the layout the
-  /// inline packer in gemm.cpp produces.
-  const double* panel(std::size_t jc_idx, std::size_t kc_idx) const {
-    return data_.data() + offsets_[jc_idx * kc_panels() + kc_idx];
+  /// Base of panel (jc_idx, kc_idx). In a panel of kcb k steps, sliver jr
+  /// (a multiple of nr) starts at base + jr * round_up(kcb, kGroup).
+  const T* panel(std::size_t jc_idx, std::size_t kc_idx) const {
+    return data_ + jc_idx * column_ +
+           kc_idx * (jc_idx + 1 < nc_panels() ? panel_ : last_panel_);
   }
 
   /// Element B[kk][j] read back out of the packed layout (loss-free: packing
   /// only copies). Powers the reference-order fallbacks, which must consume
-  /// the exact same doubles the original B held.
-  double at(std::size_t kk, std::size_t j) const;
+  /// the exact values the original B held.
+  T at(std::size_t kk, std::size_t j) const;
 
-  /// Bytes held by the packed buffer (capacity-independent logical size).
-  std::size_t packed_bytes() const { return data_.size() * sizeof(double); }
+  /// Bytes of the packed buffer, padding included.
+  std::size_t packed_bytes() const { return bytes_; }
 
  private:
+  friend struct detail::PanelPacker;
+
+  /// Pack at sliver width `nr`, into `scratch` when given (the panels then
+  /// live until the scratch is rewound) or into a buffer of its own.
+  PackedPanels(const T* b, std::size_t k, std::size_t n, std::size_t nr,
+               MemoryStack* scratch);
+
   std::size_t k_ = 0;
   std::size_t n_ = 0;
   std::size_t nr_ = 0;
-  std::vector<double, PackAllocator<double>> data_;
-  std::vector<std::size_t> offsets_;  // per (jc, kc), jc-major
+  std::size_t panel_ = 0;       // elements per kKC-tall panel, full-width column
+  std::size_t last_panel_ = 0;  // the same in the last (narrower) column
+  std::size_t column_ = 0;      // elements per full-width column of panels
+  std::size_t bytes_ = 0;
+  std::shared_ptr<const T> owner_;  // null when the panels live in scratch
+  const T* data_ = nullptr;
 };
+
+using PackedB = PackedPanels<double>;
+using PackedBInt16 = PackedPanels<std::int16_t>;
 
 /// Post-GEMM epilogue fused into the micro-tile store (and into the final
 /// output pass of the reference-order fallbacks): bias broadcast plus an
@@ -159,7 +153,7 @@ inline double epilogue_apply(const Epilogue& e, std::size_t j, double v) {
 // ------------------------------------------------------------ pack counter
 //
 // Debug-only instrumentation: every B panel packed anywhere in the kernel
-// layer (PackedB::pack AND the inline per-call packer in gemm.cpp) bumps a
+// layer (PackedPanels and the pack-as-you-go gemm_blocked) bumps a
 // process-wide counter, letting tests assert the pack-once contract — e.g.
 // that a threaded gemm() packs each (kc, jc) panel exactly once instead of
 // once per thread, and that gemm_packed() packs nothing at all. Compiled

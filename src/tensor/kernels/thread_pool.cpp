@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdlib>
 
+#include "common/thread.hpp"
+
 namespace onesa::tensor::kernels {
 
 namespace {
@@ -27,7 +29,7 @@ ThreadPool::ThreadPool(std::size_t threads) {
   workers_.reserve(threads - 1);
   try {
     for (std::size_t i = 0; i + 1 < threads; ++i) {
-      workers_.emplace_back([this] { worker_loop(); });
+      workers_.push_back(spawn_thread([this] { worker_loop(); }));
     }
   } catch (...) {
     // A thread failed to spawn: stop the ones already running before the

@@ -11,6 +11,7 @@
 #include <mutex>
 #include <set>
 #include <span>
+#include <string>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -24,6 +25,7 @@
 #include "tensor/kernels/elementwise.hpp"
 #include "tensor/kernels/gemm.hpp"
 #include "tensor/kernels/gemm_int16.hpp"
+#include "tensor/kernels/lane.hpp"
 #include "tensor/kernels/thread_pool.hpp"
 #include "tensor/kernels/transpose.hpp"
 #include "tensor/matrix.hpp"
@@ -125,6 +127,90 @@ TEST(GemmKernel, MultiThreadMatchesSingleThreadBitExactly) {
                                     mt.data().data() + lo * n, hi - lo, k, n);
   });
   EXPECT_EQ(mt, st);
+}
+
+TEST(GemmKernel, EveryTierMatchesTheDispatchedTiles) {
+  // The avx2 and avx512f tiles both fuse multiply+add in the same
+  // per-element k order, so wherever both run they agree bit for bit: each
+  // FMA tier this host can run must reproduce the dispatched tiles
+  // (gemm_blocked) exactly — the AVX2 tile included on AVX-512 hosts. The
+  // portable tile rounds each product separately and stays inside the
+  // 1e-12 envelope around the reference.
+  using tensor::kernels::detail::GemmTier;
+  const bool fma_dispatched = std::string(tensor::kernels::gemm_kernel_name()) != "portable";
+  Rng rng(31);
+  for (const Shape& s : kGemmShapes) {
+    const Matrix a = random_matrix(s.m, s.k, rng);
+    const Matrix b = random_matrix(s.k, s.n, rng);
+    Matrix ref(s.m, s.n), blocked(s.m, s.n);
+    tensor::kernels::gemm_reference(a.data().data(), b.data().data(), ref.data().data(),
+                                    s.m, s.k, s.n);
+    tensor::kernels::gemm_blocked(a.data().data(), b.data().data(), blocked.data().data(),
+                                  s.m, s.k, s.n);
+    for (GemmTier tier : {GemmTier::kPortable, GemmTier::kAvx2, GemmTier::kAvx512}) {
+      if (!tensor::kernels::detail::gemm_tier_supported(tier)) continue;
+      Matrix got(s.m, s.n);
+      std::fill(got.data().begin(), got.data().end(), -7.0);  // a skipped store shows
+      tensor::kernels::detail::gemm_on_tier(tier, a.data().data(), b.data().data(),
+                                            got.data().data(), s.m, s.k, s.n);
+      if (tier == GemmTier::kPortable) {
+        EXPECT_LE(relative_max_error(got, ref), 1e-12)
+            << "portable " << s.m << "x" << s.k << "x" << s.n;
+      } else if (fma_dispatched) {
+        EXPECT_EQ(got, blocked) << "tier " << static_cast<int>(tier) << " " << s.m << "x"
+                                << s.k << "x" << s.n;
+      }
+    }
+  }
+}
+
+TEST(GemmKernel, SelectedTierIsTheFastestRunnable) {
+  using tensor::kernels::detail::GemmTier;
+  using tensor::kernels::detail::gemm_tier_supported;
+  const char* want = gemm_tier_supported(GemmTier::kAvx512) ? "avx512f"
+                     : gemm_tier_supported(GemmTier::kAvx2) ? "avx2"
+                                                            : "portable";
+  EXPECT_STREQ(tensor::kernels::gemm_kernel_name(), want);
+  EXPECT_EQ(tensor::kernels::sliver_width(),
+            gemm_tier_supported(GemmTier::kAvx512) ? 16u : 8u);
+}
+
+TEST(GemmKernel, LaneCountAllowsOneLanePerShortTileHeight) {
+  // Row slices are whole short tiles (8 rows on the AVX-512 tile sets, 4 on
+  // the AVX2 and portable ones), so m = 16 may fan out to 16 / height lanes.
+  namespace kernels = tensor::kernels;
+  const std::size_t lanes = kernels::ThreadPool::instance().effective_threads();
+  const auto expect = [&](std::size_t height) {
+    return kernels::deterministic() ? std::size_t{1} : std::min(lanes, 16 / height);
+  };
+  const std::string int16 = kernels::int16_kernel_name();
+  EXPECT_EQ(kernels::gemm_threads(16, 4096, 4096),
+            expect(kernels::sliver_width() == 16 ? 8 : 4));
+  EXPECT_EQ(kernels::gemm_threads(16, 4096, 4096, sizeof(std::int16_t)),
+            expect(int16 == "avx512vnni" || int16 == "avx512bw" ? 8 : 4));
+}
+
+TEST(GemmKernel, PackScratchTrimsToTheRetentionCapWhenTheOutermostScopeCloses) {
+  using tensor::kernels::detail::PackScratch;
+  constexpr std::size_t kCap = PackScratch::kScratchRetainBytes;
+  const tensor::MemoryStack& arena = PackScratch::arena();
+  {
+    PackScratch outer;
+    outer.take<double>(2 * kCap / sizeof(double));
+    { PackScratch inner; }  // a nested scope never frees live panels
+    EXPECT_GT(arena.capacity(), kCap);
+  }
+  // A pack that outgrew the cap is gone as soon as the call returns...
+  EXPECT_LE(arena.capacity(), kCap);
+  EXPECT_EQ(arena.bytes_used(), 0u);
+  // ...while an arena within the cap keeps its one slab for the next call.
+  double* first = nullptr;
+  {
+    PackScratch s;
+    first = s.take<double>(1024);
+  }
+  PackScratch s;
+  EXPECT_EQ(s.take<double>(1024), first);
 }
 
 // ------------------------------------------------------------ packed GEMM
@@ -859,7 +945,7 @@ TEST(GemmInt16, RowSlicedAcrossThreadsMatchesTheReference) {
   const auto packed = tensor::kernels::PackedBInt16::pack(b.data(), k, n);
   std::vector<std::int16_t> got(m * n);
   tensor::kernels::gemm_packed_int16(a.data(), packed, got.data(), m, epi);
-  EXPECT_EQ(got, expect) << "threads=" << tensor::kernels::gemm_int16_threads(m, k, n);
+  EXPECT_EQ(got, expect) << "threads=" << tensor::kernels::gemm_threads(m, k, n, sizeof(std::int16_t));
 }
 
 TEST(GemmInt16, ResultsAreRowStableUnderStacking) {

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/thread.hpp"
 #include "net/client.hpp"
 #include "net/poller.hpp"
 #include "net/protocol.hpp"
@@ -30,6 +31,7 @@
 #include "nn/linear.hpp"
 #include "nn/models.hpp"
 #include "serve/fleet.hpp"
+#include "tensor/kernels/thread_pool.hpp"
 #include "tensor/ops.hpp"
 
 namespace onesa::net {
@@ -691,6 +693,32 @@ TEST(NetServer, GracefulDrainFinishesInFlightAndRejectsNew) {
   EXPECT_EQ(counters.draining_rejects, 1u);
   EXPECT_EQ(counters.orphaned_replies, 0u);
   EXPECT_EQ(counters.double_settles, 0u);
+  stack.server.stop();
+}
+
+TEST(NetServer, SigtermDrainsWithKernelPoolStartedBeforeTheMask) {
+  // Kernel pool workers started while the caller still takes SIGTERM must
+  // not take the process-directed signal either: library threads block the
+  // drain signals from birth. Four lanes (three live workers) on any core
+  // count, and the caller's mask is opened first so test order cannot hide
+  // a worker that inherited it.
+  const sigset_t drain = drain_signals();
+  ASSERT_EQ(pthread_sigmask(SIG_UNBLOCK, &drain, nullptr), 0);
+  tensor::kernels::ThreadPool pool(4);
+  std::atomic<int> parts{0};
+  pool.run(4, [&](std::size_t) { parts.fetch_add(1); });
+  ASSERT_EQ(parts.load(), 4);
+
+  NetServer::block_drain_signals();
+  TestStack stack({}, tiny_fleet());
+  stack.server.install_signal_drain();
+  BlockingClient client;
+  client.connect("127.0.0.1", stack.server.port());
+  ASSERT_TRUE(client.ping(710).has_value());
+
+  ASSERT_EQ(kill(getpid(), SIGTERM), 0);
+  ASSERT_TRUE(stack.server.wait_drained(10000.0));
+  EXPECT_FALSE(stack.server.running());
   stack.server.stop();
 }
 
