@@ -849,7 +849,6 @@ int main(int argc, char** argv) {
     cfg.accelerator.mode = g_mode;
     cfg.batcher.max_batch_requests = 1;
     cfg.admission.max_pending_requests = 4;
-    cfg.admission.policy = serve::OverloadPolicy::kReject;
     serve::ServerPool pool(cfg);
 
     Rng rng(9);

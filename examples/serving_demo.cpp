@@ -146,8 +146,7 @@ int main(int argc, char** argv) {
             << " workers, " << cfg.accelerator.array.rows << "x"
             << cfg.accelerator.array.cols << " array x "
             << cfg.accelerator.array.macs_per_pe << " MACs each, "
-            << serve::router_policy_name(cfg.router)
-            << " routing, shared CPWL tables + model registry\n\n";
+            << "least-outstanding-cost routing, shared CPWL tables + model registry\n\n";
 
   // --- model-trace traffic: three network families, several requests each.
   struct ModelJob {

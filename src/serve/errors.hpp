@@ -8,10 +8,11 @@
 // context — while resilience layers and operators branch on the type and
 // read the fields instead of parsing strings.
 //
-//   OverloadError   — admission control (queue, fleet, or brownout) refused
-//                     or evicted the request. Never retried by the fleet's
-//                     retry layer: retrying shed load amplifies the overload
-//                     that caused the shed.
+//   OverloadError   — admission control (queue, fleet, or brownout) or a
+//                     shutdown shed the request (serve::shed_request builds
+//                     every one). Never retried by the fleet's retry layer:
+//                     retrying shed load amplifies the overload that caused
+//                     the shed.
 //   ModelError      — a worker-side model execution failed (shape mismatch,
 //                     layer without an infer path, ...). Deterministic, so
 //                     not retryable; carries the underlying cause's message.

@@ -16,17 +16,6 @@ namespace onesa::serve {
 
 namespace {
 
-/// FNV-1a over the model name: stable within and across runs (unlike
-/// std::hash), so model-affinity placement is reproducible.
-std::uint64_t affinity_hash(std::string_view name) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const char c : name) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 /// Resilience counters, resolved once (obs/metrics.hpp static-local idiom).
 struct FleetMetrics {
   obs::Counter& retries =
@@ -54,15 +43,6 @@ std::string_view breaker_state_name(ShardHealth::Breaker state) {
 }
 
 }  // namespace
-
-std::string_view router_policy_name(RouterPolicy policy) {
-  switch (policy) {
-    case RouterPolicy::kLeastOutstandingCost: return "least-outstanding-cost";
-    case RouterPolicy::kRoundRobin: return "round-robin";
-    case RouterPolicy::kModelAffinity: return "model-affinity";
-  }
-  return "?";
-}
 
 // ---------------------------------------------------------------------------
 // ShardHealth
@@ -431,7 +411,6 @@ Fleet::Fleet(FleetConfig config)
     pool.workers = config_.workers_per_shard;
     pool.accelerator = config_.accelerator;
     pool.batcher = config_.batcher;
-    pool.dispatch = config_.dispatch;
     // Admission lives at the fleet: shards stay unlimited so a shedding
     // decision always sees the fleet-wide backlog, never one shard's slice.
     pool.admission = {};
@@ -450,9 +429,9 @@ Fleet::Fleet(FleetConfig config)
         /*tick_ms=*/1.0);
   }
   ONESA_LOG_DEBUG << "serve: fleet up with " << shards_.size() << " shards x "
-                  << config_.workers_per_shard << " workers ("
-                  << router_policy_name(config_.router) << " routing, admission "
-                  << (config_.admission.unlimited() ? "unlimited" : "fleet-wide")
+                  << config_.workers_per_shard << " workers (admission cap "
+                  << config_.admission.max_pending_requests << " requests / "
+                  << config_.admission.max_backlog_cost << " MACs, 0 = none"
                   << (wrap_ops_ ? ", resilience on" : "") << ")";
 }
 
@@ -472,141 +451,81 @@ ModelHandle Fleet::swap_model(const std::string& name,
   return registry_->swap(name, std::move(model));
 }
 
-std::size_t Fleet::route(const ServeRequest& req, std::size_t exclude) {
+std::size_t Fleet::route(std::size_t exclude) {
   const std::size_t n = shards_.size();
-  // Breaker-admissible candidates first; when every shard refuses (all
-  // breakers open), fall back to all of them — refusing 100% of traffic
-  // would turn degradation into an outage, and open shards still complete
-  // work, just slower or with errors the retry layer absorbs.
-  std::vector<std::size_t> candidates;
-  candidates.reserve(n);
-  for (std::size_t s = 0; s < n; ++s) {
-    if (s != exclude && health_[s]->admissible()) candidates.push_back(s);
-  }
-  if (candidates.empty()) {
-    for (std::size_t s = 0; s < n; ++s) {
-      if (s != exclude) candidates.push_back(s);
-    }
-  }
-  if (candidates.empty()) candidates.push_back(exclude);  // 1-shard fleet
-
-  switch (config_.router) {
-    case RouterPolicy::kRoundRobin:
-      return candidates[static_cast<std::size_t>(
-          rr_turn_.fetch_add(1, std::memory_order_relaxed) % candidates.size())];
-    case RouterPolicy::kModelAffinity:
-      if (req.kind == RequestKind::kModel && req.model != nullptr) {
-        // Hash the NAME, not the handle: affinity survives hot-swaps, so a
-        // model's traffic keeps batching on its shard across version flips.
-        const auto s = static_cast<std::size_t>(affinity_hash(req.model->name) % n);
-        if (std::find(candidates.begin(), candidates.end(), s) != candidates.end())
-          return s;
-      }
-      [[fallthrough]];  // non-model / non-admissible: level by outstanding cost
-    case RouterPolicy::kLeastOutstandingCost:
-      break;
-  }
   // Rotate the scan start so cost ties break round-robin instead of always
   // landing on the lowest-numbered shard — an idle fleet (every outstanding
   // cost zero) would otherwise serialize a whole burst onto shard 0 whenever
   // workers drain faster than the client submits.
   const std::size_t start = static_cast<std::size_t>(
-      rr_turn_.fetch_add(1, std::memory_order_relaxed) % candidates.size());
-  std::size_t best = candidates[start];
-  std::uint64_t best_cost = shards_[best]->outstanding_cost();
-  for (std::size_t i = 1; i < candidates.size(); ++i) {
-    const std::size_t c = candidates[(start + i) % candidates.size()];
-    const std::uint64_t cost = shards_[c]->outstanding_cost();
-    if (cost < best_cost) {
-      best = c;
+      route_turn_.fetch_add(1, std::memory_order_relaxed) % n);
+  // Track the cheapest breaker-admissible shard and the cheapest shard of
+  // any state in one pass. When every breaker is open, route to the latter:
+  // refusing 100% of traffic would turn degradation into an outage, and
+  // open shards still complete work, just slower or with errors the retry
+  // layer absorbs.
+  std::size_t best = ErrorContext::kNone;
+  std::size_t any = ErrorContext::kNone;
+  std::uint64_t best_cost = 0;
+  std::uint64_t any_cost = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t s = (start + i) % n;
+    if (s == exclude && n > 1) continue;  // a 1-shard fleet cannot hedge away
+    const std::uint64_t cost = shards_[s]->outstanding_cost();
+    if (any == ErrorContext::kNone || cost < any_cost) {
+      any = s;
+      any_cost = cost;
+    }
+    if (health_[s]->admissible() && (best == ErrorContext::kNone || cost < best_cost)) {
+      best = s;
       best_cost = cost;
     }
   }
-  return best;
+  return best != ErrorContext::kNone ? best : any;
 }
 
 std::future<ServeResult> Fleet::submit(TaggedRequest req) {
+  ServeRequest& r = req.request;
   if (!accepting_.load(std::memory_order_acquire)) {
     // Shutdown has begun (or finished): shed instead of racing the closing
     // queues. The future settles with a typed error, never a throw — the
     // contract the network front door's drain path depends on.
-    ErrorContext ctx;
-    ctx.request_id = req.request.id;
-    if (req.request.kind == RequestKind::kModel && req.request.model != nullptr) {
-      ctx.model = req.request.model->name;
-      ctx.model_version = req.request.model->version;
-    }
-    deliver_error(req.request,
-                  std::make_exception_ptr(OverloadError(
-                      "fleet is shut down: request not accepted", ctx)));
+    shed_request(r, "fleet is shut down: request not accepted", 0, 0);
     return std::move(req.result);
   }
 
-  if (brownout_.load(std::memory_order_relaxed) &&
-      req.request.priority == Priority::kBulk) {
+  if (brownout_.load(std::memory_order_relaxed) && r.priority == Priority::kBulk) {
     // Graceful degradation sheds the bulk class first: interactive and
     // normal traffic keep flowing while the fleet digs out.
     brownout_sheds_.fetch_add(1, std::memory_order_relaxed);
     FleetMetrics::get().brownout_sheds.add(1);
-    if (req.request.traced && obs::tracing_enabled()) {
-      obs::trace_async_end("request", "request", req.request.id, obs::trace_now_us(),
-                           "\"outcome\":\"shed\"");
-    }
-    ErrorContext ctx;
-    ctx.request_id = req.request.id;
-    ctx.queue_depth = pending();
-    ctx.backlog_cost = backlog_cost();
-    if (req.request.kind == RequestKind::kModel && req.request.model != nullptr) {
-      ctx.model = req.request.model->name;
-      ctx.model_version = req.request.model->version;
-    }
-    deliver_error(req.request,
-                  std::make_exception_ptr(OverloadError(
-                      "shed by fleet brownout: bulk traffic deferred while the "
-                      "fleet digs out of overload",
-                      ctx)));
+    shed_request(r,
+                 "shed by fleet brownout: bulk traffic deferred while the fleet "
+                 "digs out of overload",
+                 pending(), backlog_cost());
     return std::move(req.result);
   }
 
-  if (!config_.admission.unlimited()) {
-    // Fleet-wide admission: the shedding decision sees the summed backlog of
-    // every shard (approximate across concurrent submitters — see header).
-    std::size_t backlog_requests = 0;
-    std::uint64_t backlog_macs = 0;
-    for (const auto& shard : shards_) {
-      backlog_requests += shard->pending();
-      backlog_macs += shard->backlog_cost();
-    }
-    if (config_.admission.over(backlog_requests, 1, backlog_macs, req.request.cost)) {
-      fleet_sheds_.fetch_add(1, std::memory_order_relaxed);
-      static obs::Counter& fleet_sheds_metric =
-          obs::MetricsRegistry::global().counter("serve_fleet_sheds_total");
-      fleet_sheds_metric.add(1);
-      if (req.request.traced && obs::tracing_enabled()) {
-        obs::trace_async_end("request", "request", req.request.id, obs::trace_now_us(),
-                             "\"outcome\":\"shed\"");
-      }
-      ErrorContext ctx;
-      ctx.request_id = req.request.id;
-      ctx.queue_depth = backlog_requests;
-      ctx.backlog_cost = backlog_macs;
-      if (req.request.kind == RequestKind::kModel && req.request.model != nullptr) {
-        ctx.model = req.request.model->name;
-        ctx.model_version = req.request.model->version;
-      }
-      deliver_error(req.request,
-                    std::make_exception_ptr(OverloadError(
-                        "shed by fleet admission control across " +
-                            std::to_string(shards_.size()) + " shards",
-                        ctx)));
-      return std::move(req.result);
-    }
+  // Fleet-wide admission: the shedding decision sees the summed backlog of
+  // every shard (approximate across concurrent submitters — see header).
+  const std::size_t backlog_requests = pending();
+  const std::uint64_t backlog_macs = backlog_cost();
+  if (config_.admission.over(backlog_requests, 1, backlog_macs, r.cost)) {
+    fleet_sheds_.fetch_add(1, std::memory_order_relaxed);
+    static obs::Counter& fleet_sheds_metric =
+        obs::MetricsRegistry::global().counter("serve_fleet_sheds_total");
+    fleet_sheds_metric.add(1);
+    shed_request(r,
+                 "shed by fleet admission control across " +
+                     std::to_string(shards_.size()) + " shards",
+                 backlog_requests, backlog_macs);
+    return std::move(req.result);
   }
 
   if (wrap_ops_) return submit_resilient(std::move(req));
 
-  const std::size_t s = route(req.request);
-  req.request.routed_shard = s;
+  const std::size_t s = route();
+  r.routed_shard = s;
   return shards_[s]->submit(std::move(req));
 }
 
@@ -638,7 +557,7 @@ std::future<ServeResult> Fleet::submit_resilient(TaggedRequest req) {
   std::future<ServeResult> result = std::move(req.result);
   const auto submitted = ServeClock::now();
 
-  const std::size_t s = route(r);
+  const std::size_t s = route();
   r.routed_shard = s;
   health_[s]->note_routed();
   op->last_shard = s;
@@ -717,12 +636,10 @@ void Fleet::handle_event(int kind_raw, const std::shared_ptr<ResilientOp>& op) {
       if (op->settled.load(std::memory_order_acquire)) return;
       timeouts_.fetch_add(1, std::memory_order_relaxed);
       FleetMetrics::get().timeouts.add(1);
-      ErrorContext ctx;
-      ctx.request_id = op->client_id;
       op->settle_error(std::make_exception_ptr(TimeoutError(
           "request timed out after " +
               std::to_string(config_.resilience.request_timeout_ms) + " ms",
-          ctx)));
+          request_context(op->client_id, op->model))));
       return;
     }
   }
@@ -736,7 +653,7 @@ void Fleet::submit_attempt(const std::shared_ptr<ResilientOp>& op, const char* s
     // client's SLO, it just spends what is left of it.
     attempt.request.deadline = op->deadline;
     attempt.request.hook = op;
-    const std::size_t s = route(attempt.request, exclude);
+    const std::size_t s = route(exclude);
     attempt.request.routed_shard = s;
     health_[s]->note_routed();
     {

@@ -3,7 +3,7 @@
 // The pool is no longer the top of the serving stack — a Fleet owns S
 // shards (each a full ServerPool: its own request queue, batcher, and W
 // worker threads with one simulated accelerator each) and routes every
-// request to a shard through a pluggable RouterPolicy:
+// request to a shard:
 //
 //   submit_*() ──> router ──> shard 0: RequestQueue ──> W workers
 //                        ──> shard 1: RequestQueue ──> W workers
@@ -11,13 +11,10 @@
 //   shared by all shards,
 //   version-aware)
 //
-//   kLeastOutstandingCost (default) — the shard with the smallest
-//       outstanding estimated cost (queued backlog + batches currently
-//       executing, MAC units) takes the request; ties to the lowest index.
-//   kRoundRobin — strict shard rotation, kept for A/B comparison.
-//   kModelAffinity — model requests hash their model NAME to a shard
-//       (affinity survives hot-swaps); non-model requests fall back to
-//       least-outstanding-cost.
+// ROUTING. The shard with the smallest outstanding estimated cost (queued
+// backlog + batches currently executing, MAC units) takes the request. The
+// scan starts one shard further on each submit, so cost ties rotate across
+// shards instead of piling onto shard 0.
 //
 // SHARED REGISTRY / HOT-SWAP. All shards share ONE version-aware
 // ModelRegistry (and one immutable CPWL table set), so a fleet packs each
@@ -70,7 +67,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -78,11 +74,6 @@
 #include "serve/server_pool.hpp"
 
 namespace onesa::serve {
-
-/// How the fleet picks the shard for a request.
-enum class RouterPolicy { kLeastOutstandingCost, kRoundRobin, kModelAffinity };
-
-std::string_view router_policy_name(RouterPolicy policy);
 
 /// Retry / hedge / timeout budgets for every fleet submission. All-zero
 /// (default) disables wrapping entirely — the zero-overhead passthrough.
@@ -189,9 +180,6 @@ struct FleetConfig {
   OneSaConfig accelerator;
   /// Replicated to every shard's batcher (including max_batch_wait_ms).
   BatcherConfig batcher;
-  /// Worker dispatch inside each shard.
-  DispatchPolicy dispatch = DispatchPolicy::kLeastLoaded;
-  RouterPolicy router = RouterPolicy::kLeastOutstandingCost;
   /// FLEET-WIDE backlog bounds (summed over shards; reject semantics).
   AdmissionConfig admission;
   /// Retry/hedge/timeout budgets (default: disabled, zero overhead).
@@ -308,12 +296,11 @@ class Fleet {
   friend struct ResilientOp;
   friend class FleetSupervisor;
 
-  /// Shard index for `req` under the configured RouterPolicy, restricted to
-  /// breaker-admissible shards (falls back to every shard when none is
-  /// admissible — refusing all traffic would turn degradation into outage).
-  /// `exclude` (hedging) is honoured when another candidate exists.
-  std::size_t route(const ServeRequest& req,
-                    std::size_t exclude = ErrorContext::kNone);
+  /// Shard with the least outstanding cost among the breaker-admissible
+  /// ones (every shard when none is admissible — refusing all traffic would
+  /// turn degradation into outage). `exclude` (hedging) is honoured when
+  /// another shard exists.
+  std::size_t route(std::size_t exclude = ErrorContext::kNone);
 
   /// Wrap `req` in a ResilientOp and launch attempt #1. Caller has already
   /// passed fleet admission.
@@ -342,7 +329,7 @@ class Fleet {
   std::vector<std::unique_ptr<ServerPool>> shards_;
   std::vector<std::unique_ptr<ShardHealth>> health_;
   std::unique_ptr<class FleetSupervisor> supervisor_;
-  std::atomic<std::uint64_t> rr_turn_{0};      // kRoundRobin state
+  std::atomic<std::uint64_t> route_turn_{0};   // rotating scan start
   std::atomic<std::uint64_t> fleet_sheds_{0};  // fleet-admission counter
   std::atomic<std::uint64_t> retries_{0};
   std::atomic<std::uint64_t> hedges_{0};

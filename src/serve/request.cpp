@@ -59,6 +59,28 @@ void deliver_error(ServeRequest& req, std::exception_ptr error) {
   req.promise.set_exception(std::move(error));
 }
 
+ErrorContext request_context(RequestId id, const ModelHandle& model) {
+  ErrorContext ctx;
+  ctx.request_id = id;
+  if (model != nullptr) {
+    ctx.model = model->name;
+    ctx.model_version = model->version;
+  }
+  return ctx;
+}
+
+void shed_request(ServeRequest& req, const std::string& message, std::size_t queue_depth,
+                  std::uint64_t backlog_cost) {
+  if (req.traced && obs::tracing_enabled()) {
+    obs::trace_async_end("request", "request", req.id, obs::trace_now_us(),
+                         "\"outcome\":\"shed\"");
+  }
+  ErrorContext ctx = request_context(req.id, req.model);
+  ctx.queue_depth = queue_depth;
+  ctx.backlog_cost = backlog_cost;
+  deliver_error(req, std::make_exception_ptr(OverloadError(message, std::move(ctx))));
+}
+
 std::uint64_t ServeRequest::estimated_cost() const {
   switch (kind) {
     case RequestKind::kElementwise:

@@ -15,9 +15,11 @@
 #include <cstdint>
 #include <future>
 #include <memory>
+#include <string>
 
 #include "cpwl/functions.hpp"
 #include "nn/workload.hpp"
+#include "serve/errors.hpp"
 #include "serve/registry.hpp"
 #include "sim/clock.hpp"
 #include "tensor/matrix.hpp"
@@ -173,6 +175,18 @@ struct TaggedRequest {
 /// through these two, so attaching a hook re-routes EVERY outcome.
 void deliver(ServeRequest& req, ServeResult&& result);
 void deliver_error(ServeRequest& req, std::exception_ptr error);
+
+/// The request part of an ErrorContext: its id, and the model name + version
+/// it is bound to (none for non-model requests). Every serve-layer error
+/// built for one request starts here.
+ErrorContext request_context(RequestId id, const ModelHandle& model);
+
+/// Shed `req`: end its request span with outcome "shed", then deliver an
+/// OverloadError carrying `message` and the shedding component's backlog.
+/// The one shed path of the serve tier — queue admission and a closed
+/// queue, fleet admission, brownout and fleet shutdown all fail through it.
+void shed_request(ServeRequest& req, const std::string& message, std::size_t queue_depth,
+                  std::uint64_t backlog_cost);
 
 /// Y = f(X) through the CPWL + IPF + MHP path.
 TaggedRequest make_elementwise_request(cpwl::FunctionKind fn, tensor::FixMatrix x,

@@ -29,14 +29,6 @@ QueueMetrics& queue_metrics() {
   return metrics;
 }
 
-/// Terminal span for a request that will never reach a worker: its
-/// lifecycle ends here, outcome "shed".
-void emit_shed_span(const ServeRequest& req) {
-  if (!req.traced || !obs::tracing_enabled()) return;
-  obs::trace_async_end("request", "request", req.id, obs::trace_now_us(),
-                       "\"outcome\":\"shed\"");
-}
-
 /// Per-thread submit-stripe token. Process-global so every queue stripes the
 /// same way; what matters is that DIFFERENT submitter threads land on
 /// different stripes, and a round-robin stamp at first use does that without
@@ -49,35 +41,13 @@ std::size_t submit_stripe_token() {
 
 }  // namespace
 
-std::string_view dispatch_policy_name(DispatchPolicy policy) {
-  switch (policy) {
-    case DispatchPolicy::kLeastLoaded: return "least-loaded";
-    case DispatchPolicy::kRotation: return "rotation";
-  }
-  return "?";
-}
-
-std::string_view overload_policy_name(OverloadPolicy policy) {
-  switch (policy) {
-    case OverloadPolicy::kReject: return "reject";
-    case OverloadPolicy::kDropOldest: return "drop-oldest";
-  }
-  return "?";
-}
-
 RequestQueue::RequestQueue(std::size_t workers, DynamicBatcher batcher,
-                           DispatchPolicy policy, AdmissionConfig admission)
+                           AdmissionConfig admission)
     : workers_(workers),
       batcher_(std::move(batcher)),
-      policy_(policy),
       admission_(admission),
       assigned_cost_(workers, 0) {
   ONESA_CHECK(workers_ > 0, "RequestQueue needs at least one worker");
-}
-
-bool RequestQueue::over_budget(std::size_t extra_requests, std::uint64_t extra_cost) const {
-  return admission_.over(pending_.size(), extra_requests,
-                         backlog_cost_.load(std::memory_order_relaxed), extra_cost);
 }
 
 void RequestQueue::drain_inbox_locked() {
@@ -117,18 +87,9 @@ void RequestQueue::enqueue_to_shard(ServeRequest req) {
 void RequestQueue::shed_incoming(ServeRequest req, std::string_view reason) {
   sheds_.fetch_add(1, std::memory_order_relaxed);
   queue_metrics().sheds.add(1);
-  emit_shed_span(req);
-  ErrorContext ctx;
-  ctx.request_id = req.id;
-  ctx.queue_depth = count_.load(std::memory_order_relaxed);
-  ctx.backlog_cost = backlog_cost_.load(std::memory_order_relaxed);
-  if (req.model != nullptr) {
-    ctx.model = req.model->name;
-    ctx.model_version = req.model->version;
-  }
-  deliver_error(req, std::make_exception_ptr(OverloadError(
-                         "shed by admission control (" + std::string(reason) + ")",
-                         std::move(ctx))));
+  shed_request(req, "shed by admission control (" + std::string(reason) + ")",
+               count_.load(std::memory_order_relaxed),
+               backlog_cost_.load(std::memory_order_relaxed));
 }
 
 bool RequestQueue::no_pushers() const {
@@ -163,15 +124,7 @@ bool RequestQueue::push(ServeRequest req) {
   req.enqueued = ServeClock::now();
   req.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
 
-  // Unlimited admission and the kReject policy never touch admitted work,
-  // so their pushes take the contention-free striped path. kDropOldest must
-  // see (and may rewrite) the whole backlog, so it serializes on the
-  // scheduler mutex — exactness over throughput is that policy's contract.
-  if (!admission_.unlimited() && admission_.policy == OverloadPolicy::kDropOldest)
-    return push_drop_oldest(std::move(req));
-
-  if (!admission_.unlimited() &&
-      admission_.over(count_.load(std::memory_order_relaxed), 1,
+  if (admission_.over(count_.load(std::memory_order_relaxed), 1,
                       backlog_cost_.load(std::memory_order_relaxed), req.cost)) {
     shed_incoming(std::move(req), "over budget");
     return false;
@@ -182,111 +135,6 @@ bool RequestQueue::push(ServeRequest req) {
   queue_metrics().backlog.add(static_cast<std::int64_t>(req.cost));
   enqueue_to_shard(std::move(req));
   return true;
-}
-
-bool RequestQueue::push_drop_oldest(ServeRequest req) {
-  bool admitted = true;
-  // Shed promises are fulfilled after the lock drops: formatting and waking
-  // a future's waiter are not worth serializing every submitter and worker
-  // behind, especially in the eviction loop under overload.
-  std::vector<std::pair<ServeRequest, std::string_view>> shed_list;
-  std::size_t backlog_requests = 0;
-  std::uint64_t backlog_macs = 0;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    // Every kDropOldest push serializes here, so after this drain the
-    // inboxes stay empty for the rest of the critical section and
-    // pending_ IS the whole backlog — the eviction scan sees everything.
-    drain_inbox_locked();
-
-    if (over_budget(1, req.cost)) {
-      // Shed the newcomer outright — without destroying admitted work — when
-      // no amount of allowed eviction could ever make it fit: it exceeds the
-      // budget alone, or the at-or-below-class share of the backlog is too
-      // small to free enough room (higher classes are never evicted for it).
-      bool hopeless = admission_.max_backlog_cost != 0 &&
-                      req.cost > admission_.max_backlog_cost;
-      if (!hopeless) {
-        std::size_t evictable = 0;
-        std::uint64_t evictable_cost = 0;
-        for (const auto& pending : pending_) {
-          if (pending.priority >= req.priority) {
-            ++evictable;
-            evictable_cost += pending.cost;
-          }
-        }
-        if (admission_.max_pending_requests != 0 &&
-            pending_.size() - evictable + 1 > admission_.max_pending_requests)
-          hopeless = true;
-        if (admission_.max_backlog_cost != 0 &&
-            backlog_cost_.load(std::memory_order_relaxed) - evictable_cost +
-                    req.cost >
-                admission_.max_backlog_cost)
-          hopeless = true;
-      }
-      if (!hopeless) {
-        // Evict the oldest request of the lowest priority class present
-        // until the newcomer fits. Never evict above the newcomer's class
-        // (the hopeless pre-check guarantees this loop frees enough room).
-        while (over_budget(1, req.cost) && !pending_.empty()) {
-          std::size_t victim = 0;
-          for (std::size_t i = 1; i < pending_.size(); ++i) {
-            const ServeRequest& a = pending_[i];
-            const ServeRequest& b = pending_[victim];
-            if (a.priority > b.priority ||
-                (a.priority == b.priority && a.seq < b.seq))
-              victim = i;
-          }
-          if (pending_[victim].priority < req.priority) break;  // all outrank it
-          ServeRequest evicted = std::move(pending_[victim]);
-          pending_.erase(pending_.begin() +
-                         static_cast<std::ptrdiff_t>(victim));
-          count_.fetch_sub(1, std::memory_order_relaxed);
-          backlog_cost_.fetch_sub(evicted.cost, std::memory_order_relaxed);
-          sheds_.fetch_add(1, std::memory_order_relaxed);
-          queue_metrics().sheds.add(1);
-          queue_metrics().depth.add(-1);
-          queue_metrics().backlog.sub(static_cast<std::int64_t>(evicted.cost));
-          shed_list.emplace_back(std::move(evicted), "evicted for newer arrival");
-        }
-      }
-      if (over_budget(1, req.cost)) {
-        sheds_.fetch_add(1, std::memory_order_relaxed);
-        queue_metrics().sheds.add(1);
-        admitted = false;
-        shed_list.emplace_back(std::move(req), "over budget");
-      }
-    }
-    if (admitted) {
-      count_.fetch_add(1, std::memory_order_relaxed);
-      backlog_cost_.fetch_add(req.cost, std::memory_order_relaxed);
-      queue_metrics().depth.add(1);
-      queue_metrics().backlog.add(static_cast<std::int64_t>(req.cost));
-      pending_.push_back(std::move(req));
-      ++sched_epoch_;  // wake window-parked waiters onto the new arrival
-    }
-    backlog_requests = pending_.size();
-    backlog_macs = backlog_cost_.load(std::memory_order_relaxed);
-  }
-  // A shed push never adds work (evictions only shrink the backlog), so
-  // waking the workers would be pure lock contention during overload storms.
-  if (admitted) cv_.notify_all();
-  for (auto& [victim, reason] : shed_list) {
-    emit_shed_span(victim);
-    ErrorContext ctx;
-    ctx.request_id = victim.id;
-    ctx.queue_depth = backlog_requests;
-    ctx.backlog_cost = backlog_macs;
-    if (victim.model != nullptr) {
-      ctx.model = victim.model->name;
-      ctx.model_version = victim.model->version;
-    }
-    deliver_error(victim,
-                  std::make_exception_ptr(OverloadError(
-                      "shed by admission control (" + std::string(reason) + ")",
-                      std::move(ctx))));
-  }
-  return admitted;
 }
 
 void RequestQueue::requeue(std::vector<ServeRequest> requests) {
@@ -310,9 +158,8 @@ void RequestQueue::requeue(std::vector<ServeRequest> requests) {
 }
 
 bool RequestQueue::is_turn(std::size_t worker) const {
-  if (policy_ == DispatchPolicy::kRotation) return turn_ == worker;
-  // Least-loaded: smallest cumulative assigned cost wins, lowest index on
-  // ties — deterministic regardless of which worker threads are awake.
+  // Smallest cumulative assigned cost wins, lowest index on ties —
+  // deterministic regardless of which worker threads are awake.
   const auto least =
       std::min_element(assigned_cost_.begin(), assigned_cost_.end());
   return static_cast<std::size_t>(least - assigned_cost_.begin()) == worker;
@@ -467,7 +314,7 @@ void RequestQueue::pop_batch(std::size_t worker, std::vector<ServeRequest>& out)
     }
     // Sleep until the earliest window deadline — or until the scheduler
     // state moves underneath us: a new arrival (inbox count, or the epoch
-    // for a mutex-path push/requeue), a pop by another worker (epoch — the
+    // for a requeue), a pop by another worker (epoch — the
     // turn may now be ours for work that was previously someone else's),
     // or close. A timeout re-enters the loop and takes the expiry path.
     const std::uint64_t epoch0 = sched_epoch_;
@@ -494,13 +341,9 @@ void RequestQueue::pop_batch(std::size_t worker, std::vector<ServeRequest>& out)
   backlog_cost_.fetch_sub(cost, std::memory_order_relaxed);
   queue_metrics().depth.add(-static_cast<std::int64_t>(out.size()));
   queue_metrics().backlog.sub(static_cast<std::int64_t>(cost));
-  if (policy_ == DispatchPolicy::kRotation) {
-    turn_ = (turn_ + 1) % workers_;
-  } else {
-    // Charge at least one unit so zero-cost batches still advance the tie
-    // break instead of pinning every batch on one worker.
-    assigned_cost_[worker] += std::max<std::uint64_t>(cost, 1);
-  }
+  // Charge at least one unit so zero-cost batches still advance the tie
+  // break instead of pinning every batch on one worker.
+  assigned_cost_[worker] += std::max<std::uint64_t>(cost, 1);
   ++sched_epoch_;  // the turn and the backlog both changed
   lock.unlock();
   cv_.notify_all();

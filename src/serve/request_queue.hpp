@@ -37,31 +37,18 @@
 //
 // ADMISSION CONTROL. The queue is bounded by AdmissionConfig: a cap on
 // pending requests and/or on the backlog's estimated simulated cost (sum of
-// ServeRequest::cost, MAC units). When a push would exceed a cap the
-// configured overload policy sheds load:
-//   kReject     — the incoming request is refused: its future fails with
-//                 OverloadError and the queue is untouched.
-//   kDropOldest — the oldest request of the *lowest* priority class present
-//                 is evicted (its future fails with OverloadError) until the
-//                 newcomer fits; if the backlog is all higher-priority work
-//                 the newcomer itself is shed.
+// ServeRequest::cost, MAC units). A push that would exceed a cap is refused:
+// the newcomer's future fails with OverloadError and the queue is untouched.
 // Shed counts are exported for ServeStats.
 //
 // WORKER DISPATCH. Pool workers block in pop_batch until a batch is
-// available and it is their turn to take one. Two dispatch policies govern
-// whose turn it is:
-//
-//   kLeastLoaded (default) — the worker whose cumulative *assigned simulated
-//     cost* (sum of ServeRequest::estimated_cost over every batch it has
-//     taken, ties broken by lowest index) is smallest takes the next batch.
-//
-//   kRotation — strict worker rotation, kept for A/B comparison.
-//
-// Determinism: given the *sequence of batches*, both policies pick workers
-// deterministically (rotation by turn counter, least-loaded by assigned
-// cost with a fixed tie break), never by which worker thread happens to be
-// awake. Batch composition itself still depends on how many compatible
-// requests are pending at pop time, as it always has.
+// available and it is their turn to take one: the worker whose cumulative
+// *assigned simulated cost* (sum of ServeRequest::estimated_cost over every
+// batch it has taken, ties broken by lowest index) is smallest takes the
+// next batch. Given the *sequence of batches*, the pick is deterministic,
+// never decided by which worker thread happens to be awake. Batch
+// composition itself still depends on how many compatible requests are
+// pending at pop time.
 //
 // LOW-CONTENTION SUBMIT PATH. Submitters never touch the scheduler mutex:
 // push() appends to one of kSubmitShards striped inboxes (each a tiny
@@ -73,12 +60,10 @@
 // Dekker-style handshake (inbox count vs. sleeper count, both seq_cst, plus
 // an empty scheduler-mutex acquisition before notify) so a push can never
 // slip between a worker's "nothing to do" check and its sleep. Admission
-// bookkeeping (pending count, backlog cost) moves to atomics: exact under
-// the drop-oldest policy (which serializes on the scheduler mutex because
-// eviction must see the whole backlog), and exact for any serial submitter
-// under kReject — concurrent kReject submitters can transiently over-admit
-// by at most the number of in-flight pushes, a documented trade for a
-// contention-free reject path.
+// bookkeeping (pending count, backlog cost) moves to atomics: exact for any
+// serial submitter — concurrent submitters can transiently over-admit by at
+// most the number of in-flight pushes, a documented trade for a
+// contention-free admission check.
 //
 // close() stops new submissions; workers keep draining until the queue is
 // empty and then observe the closed state, so every accepted request is
@@ -106,20 +91,12 @@ namespace onesa::serve {
 // OverloadError lives in serve/errors.hpp now (it carries an ErrorContext);
 // re-exported here so existing includers keep compiling.
 
-/// What to shed when a push would exceed the admission budget.
-enum class OverloadPolicy { kReject, kDropOldest };
-
-std::string_view overload_policy_name(OverloadPolicy policy);
-
 /// Backlog bounds. Zero means "unlimited" for either cap; with both zero the
-/// queue never sheds (the pre-admission-control behaviour).
+/// queue never sheds. Over a cap, the newcomer is refused.
 struct AdmissionConfig {
   std::size_t max_pending_requests = 0;
   /// Cap on the backlog's summed estimated cost (MAC units).
   std::uint64_t max_backlog_cost = 0;
-  OverloadPolicy policy = OverloadPolicy::kReject;
-
-  bool unlimited() const { return max_pending_requests == 0 && max_backlog_cost == 0; }
 
   /// Would a backlog of `pending_requests` + `extra_requests` requests and
   /// `backlog_cost` + `extra_cost` MACs exceed a cap? The ONE copy of the
@@ -136,17 +113,10 @@ struct AdmissionConfig {
   }
 };
 
-/// How pop_batch decides which worker takes the next batch.
-enum class DispatchPolicy { kLeastLoaded, kRotation };
-
-std::string_view dispatch_policy_name(DispatchPolicy policy);
-
 class RequestQueue {
  public:
   /// `workers` is the dispatch-set size; batcher decides what rides together.
-  RequestQueue(std::size_t workers, DynamicBatcher batcher,
-               DispatchPolicy policy = DispatchPolicy::kLeastLoaded,
-               AdmissionConfig admission = {});
+  RequestQueue(std::size_t workers, DynamicBatcher batcher, AdmissionConfig admission = {});
 
   /// Enqueue a request (stamps its queue-entry time and arrival sequence).
   /// Returns true when admitted; when admission control sheds the request
@@ -195,10 +165,9 @@ class RequestQueue {
   std::size_t pending() const;
   /// Summed estimated cost (MACs) of the backlog right now.
   std::uint64_t backlog_cost() const;
-  DispatchPolicy policy() const { return policy_; }
   const AdmissionConfig& admission() const { return admission_; }
 
-  /// Requests shed by admission control so far (rejected or evicted).
+  /// Requests shed by admission control so far.
   std::uint64_t sheds() const;
 
   /// Batches launched partially filled because their batching window
@@ -206,7 +175,7 @@ class RequestQueue {
   std::uint64_t window_expiries() const;
 
   /// Cumulative estimated simulated cost (MACs) assigned to each worker so
-  /// far — the quantity the least-loaded policy levels.
+  /// far — the quantity dispatch levels.
   std::vector<std::uint64_t> assigned_cost() const;
 
  private:
@@ -238,11 +207,6 @@ class RequestQueue {
   /// ~10^4 pending requests.
   std::size_t scheduled_head(const std::vector<char>& parked) const;
 
-  /// Would the backlog (plus `extra_cost`/`extra_requests`) exceed a cap?
-  /// Caller holds mutex_ with the inboxes drained (the drop-oldest path),
-  /// so the counts are exact.
-  bool over_budget(std::size_t extra_requests, std::uint64_t extra_cost) const;
-
   /// Batching window of a head request (ms; 0 = launch immediately).
   /// Caller holds mutex_.
   double window_ms(const ServeRequest& head) const;
@@ -262,12 +226,8 @@ class RequestQueue {
   /// Admission exceeded on the submit path: count, trace, fail the future.
   void shed_incoming(ServeRequest req, std::string_view reason);
 
-  /// Drop-oldest admission: the exact, scheduler-mutex path.
-  bool push_drop_oldest(ServeRequest req);
-
   const std::size_t workers_;
   DynamicBatcher batcher_;
-  const DispatchPolicy policy_;
   const AdmissionConfig admission_;
 
   // ------------------------------------------------ submit side (no mutex_)
@@ -288,8 +248,7 @@ class RequestQueue {
   std::uint64_t window_expiries_ = 0;         // batching-window counter
   std::uint64_t sched_epoch_ = 0;             // bumped on pop/requeue/close
   bool drained_ = false;  // close() saw no push in flight; workers may exit
-  std::size_t turn_ = 0;                      // kRotation state
-  std::vector<std::uint64_t> assigned_cost_;  // kLeastLoaded state
+  std::vector<std::uint64_t> assigned_cost_;  // per-worker dispatch load
   std::vector<char> parked_scratch_;          // pop-time park flags, reused
 };
 

@@ -52,7 +52,7 @@ void fail_request(ServeRequest& req, std::exception_ptr error) {
 ServerPool::Core::Core(ServerPoolConfig cfg)
     : config(std::move(cfg)),
       batcher(config.batcher),
-      queue(config.workers, batcher, config.dispatch, config.admission),
+      queue(config.workers, batcher, config.admission),
       inflight_gauge(obs::MetricsRegistry::global().gauge(
           "serve_shard_inflight_cost{shard=\"" + std::to_string(config.shard) + "\"}")) {}
 
@@ -106,11 +106,9 @@ ServerPool::ServerPool(ServerPoolConfig config, std::shared_ptr<ModelRegistry> r
   }
   ONESA_LOG_DEBUG << "serve: pool up with " << core.workers.size() << " workers ("
                   << core.config.accelerator.array.rows << "x"
-                  << core.config.accelerator.array.cols << " array each, "
-                  << dispatch_policy_name(core.config.dispatch) << " dispatch, admission "
-                  << (core.config.admission.unlimited()
-                          ? std::string_view("unlimited")
-                          : overload_policy_name(core.config.admission.policy))
+                  << core.config.accelerator.array.cols << " array each, admission cap "
+                  << core.config.admission.max_pending_requests << " requests / "
+                  << core.config.admission.max_backlog_cost << " MACs, 0 = none"
                   << (core.config.watchdog.enabled ? ", watchdog on" : "") << ")";
 }
 
@@ -297,16 +295,11 @@ void ServerPool::Core::worker_loop(std::size_t index) {
           ++it;
           continue;
         }
-        ErrorContext ctx;
-        ctx.request_id = it->id;
+        ErrorContext ctx = request_context(it->id, it->model);
         ctx.shard = config.shard;
         ctx.worker = index;
         ctx.queue_depth = queue.pending();
         ctx.backlog_cost = queue.backlog_cost();
-        if (it->model != nullptr) {
-          ctx.model = it->model->name;
-          ctx.model_version = it->model->version;
-        }
         fail_request(*it, std::make_exception_ptr(InjectedFault(
                               InjectedFault::Kind::kTransient,
                               "injected transient error", std::move(ctx))));
@@ -319,15 +312,10 @@ void ServerPool::Core::worker_loop(std::size_t index) {
       // Poisoned batch: everything packed together dies together.
       if (faults.draw_poisoned_batch()) {
         for (auto& req : batch) {
-          ErrorContext ctx;
-          ctx.request_id = req.id;
+          ErrorContext ctx = request_context(req.id, req.model);
           ctx.shard = config.shard;
           ctx.worker = index;
           ctx.queue_depth = batch.size();
-          if (req.model != nullptr) {
-            ctx.model = req.model->name;
-            ctx.model_version = req.model->version;
-          }
           fail_request(req, std::make_exception_ptr(InjectedFault(
                                 InjectedFault::Kind::kPoisonedBatch,
                                 "injected poisoned batch", std::move(ctx))));
@@ -507,8 +495,7 @@ void ServerPool::shutdown() {
   std::vector<ServeRequest> orphaned =
       core.recover_dead_workers(/*respawn=*/false, nullptr);
   for (auto& req : orphaned) {
-    ErrorContext ctx;
-    ctx.request_id = req.id;
+    ErrorContext ctx = request_context(req.id, req.model);
     ctx.shard = core.config.shard;
     ctx.queue_depth = core.queue.pending();
     fail_request(req, std::make_exception_ptr(ServeError(

@@ -87,13 +87,8 @@ struct ServerPoolConfig {
   /// Replicated to every worker's accelerator instance.
   OneSaConfig accelerator;
   BatcherConfig batcher;
-  /// How the queue picks the worker for the next batch. Least-loaded levels
-  /// per-worker simulated cycles under heterogeneous request costs;
-  /// rotation gives every worker every Nth batch regardless of cost.
-  DispatchPolicy dispatch = DispatchPolicy::kLeastLoaded;
-  /// Backlog bounds + load-shedding policy (default: unlimited, no sheds).
-  /// Pools inside a serve::Fleet usually stay unlimited here — admission
-  /// moves up to the fleet so shedding decisions see fleet-wide backlog.
+  /// Backlog bounds (default: unlimited). Standalone pools set it; a fleet
+  /// forces it to {} because its admission sees the fleet-wide backlog.
   AdmissionConfig admission;
   /// Shard id stamped into every result/record this pool serves (set by the
   /// fleet; 0 for a standalone pool).
@@ -230,7 +225,7 @@ class ServerPool {
   /// alloccount counting allocator (the bench does); elsewhere reads 0.
   std::uint64_t worker_heap_allocations() const;
   /// Per-worker cumulative estimated cost the dispatcher has assigned (the
-  /// quantity the least-loaded policy levels; MAC units).
+  /// quantity least-loaded dispatch levels; MAC units).
   std::vector<std::uint64_t> assigned_cost() const { return core_->queue.assigned_cost(); }
 
  private:

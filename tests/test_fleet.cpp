@@ -110,49 +110,43 @@ TEST(Fleet, ServesModelBitExactlyAndShardStatsSumToFleetTotals) {
   EXPECT_GT(fleet.makespan_cycles(), 0u);
 }
 
-TEST(Fleet, RoundRobinRoutesSubmissionsInTurn) {
-  FleetConfig cfg = small_fleet(2, 1);
-  cfg.router = RouterPolicy::kRoundRobin;
-  Fleet fleet(cfg);
-
-  const auto trace = std::make_shared<nn::WorkloadTrace>(nn::gcn_trace(64, 16, 8, 4, 4));
-  std::vector<std::future<ServeResult>> futures;
-  for (int i = 0; i < 8; ++i) futures.push_back(fleet.submit_trace(trace));
-  for (std::size_t i = 0; i < futures.size(); ++i) {
-    // Routing happens at submit on the submitting thread, so the rotation
-    // is exact: submission i lands on shard i % 2.
-    EXPECT_EQ(futures[i].get().shard, i % 2) << "submission " << i;
-  }
-  fleet.shutdown();
-}
-
-TEST(Fleet, ModelAffinityPinsAModelToOneShardAcrossSwaps) {
-  FleetConfig cfg = small_fleet(4, 1);
-  cfg.router = RouterPolicy::kModelAffinity;
-  Fleet fleet(cfg);
+TEST(Fleet, RouterPrefersTheShardWithLessOutstandingCost) {
+  Fleet fleet(small_fleet(2, 1));
   Rng rng(81);
-  fleet.register_model("alpha", make_mlp(4, 8, 2, rng), batchable_options());
-  fleet.register_model("beta", make_mlp(4, 8, 2, rng), batchable_options());
-
-  auto served_shards = [&](const std::string& name, int n) {
-    std::vector<std::future<ServeResult>> futures;
-    for (int i = 0; i < n; ++i)
-      futures.push_back(fleet.submit_model(name, tensor::random_uniform(2, 4, rng)));
-    std::vector<std::size_t> shards;
-    for (auto& f : futures) shards.push_back(f.get().shard);
-    return shards;
+  const auto fix = [&](std::size_t rows, std::size_t cols) {
+    return to_fixed(tensor::random_uniform(rows, cols, rng));
   };
 
-  const auto alpha = served_shards("alpha", 6);
-  const auto beta = served_shards("beta", 6);
-  for (std::size_t s : alpha) EXPECT_EQ(s, alpha.front());  // one shard per model
-  for (std::size_t s : beta) EXPECT_EQ(s, beta.front());
+  // Hold shard 0's only worker in an injected stall, then park a heavy
+  // request (64x64 elementwise, 8192 MACs) in its backlog. Both submits go
+  // to the shard directly, past the router.
+  FaultPlan stall;
+  stall.stall_rate = 1.0;
+  stall.stall_ms = 300.0;
+  fleet.shard(0).fault_injector().arm(stall);
+  auto held = fleet.shard(0).submit_elementwise(cpwl::FunctionKind::kRelu, fix(1, 4));
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (fleet.shard(0).fault_injector().stalls_injected() == 0 &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  ASSERT_EQ(fleet.shard(0).fault_injector().stalls_injected(), 1u);
+  auto heavy = fleet.shard(0).submit_elementwise(cpwl::FunctionKind::kRelu, fix(64, 64));
+  ASSERT_GE(fleet.shard(0).outstanding_cost(), 8192u);
 
-  // Affinity hashes the NAME, so a hot-swap keeps the model on its shard
-  // (the new version's batches keep folding into the same queue).
-  fleet.swap_model("alpha", make_mlp(4, 8, 2, rng));
-  const auto swapped = served_shards("alpha", 4);
-  for (std::size_t s : swapped) EXPECT_EQ(s, alpha.front());
+  // Eight light requests (8 MACs each) through the router. Shard 1's
+  // outstanding cost stays below 8 x 8 = 64 whatever it has drained, so
+  // every one must land there; a rotation would send half to shard 0.
+  std::vector<std::future<ServeResult>> light;
+  for (int i = 0; i < 8; ++i)
+    light.push_back(fleet.submit_elementwise(cpwl::FunctionKind::kRelu, fix(1, 4)));
+  // The premise held while they were routed: shard 0 has completed nothing,
+  // so its worker was still stalled and the heavy request still queued.
+  ASSERT_EQ(fleet.shard(0).stats().completed(), 0u);
+  for (auto& f : light) EXPECT_EQ(f.get().shard, 1u);
+
+  fleet.shard(0).fault_injector().disarm();
+  EXPECT_EQ(held.get().shard, 0u);
+  EXPECT_EQ(heavy.get().shard, 0u);
   fleet.shutdown();
 }
 

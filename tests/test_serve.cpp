@@ -4,6 +4,7 @@
 // percentiles are monotone, and lifetime counters merge across workers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -276,14 +277,13 @@ TEST(ServerPool, TraceRequestMatchesDirectEstimate) {
   EXPECT_EQ(fleet.mac_ops, nn::trace_mac_ops(*trace));
 }
 
-TEST(ServerPool, RotationBalancesSimulatedLoadExactly) {
-  // 16 identical trace requests over 4 workers: rotation dispatch gives each
-  // worker exactly 4, so per-worker busy cycles are equal and the fleet
-  // makespan is total/4 — the mechanism behind the N-worker speedup of
-  // bench/serving_throughput.cpp.
+TEST(ServerPool, LeastLoadedBalancesUniformCostsExactly) {
+  // 16 identical trace requests over 4 workers: least-loaded dispatch with
+  // its lowest-index tie break hands each worker exactly 4, so per-worker
+  // busy cycles are equal and the fleet makespan is total/4 — the mechanism
+  // behind the N-worker speedup of bench/serving_throughput.cpp.
   ServerPoolConfig cfg;
   cfg.workers = 4;
-  cfg.dispatch = DispatchPolicy::kRotation;
   cfg.accelerator = small_config(ExecutionMode::kAnalytic);
   ServerPool pool(cfg);
 
@@ -300,64 +300,42 @@ TEST(ServerPool, RotationBalancesSimulatedLoadExactly) {
   EXPECT_EQ(pool.stats().total_cycles().total(), 4 * busy[0]);
 }
 
-TEST(ServerPool, LeastLoadedMatchesRotationOnUniformCosts) {
-  // Identical costs: least-loaded with lowest-index tie-break degenerates to
-  // the rotation schedule, so the uniform-traffic guarantees carry over.
-  ServerPoolConfig cfg;
-  cfg.workers = 4;
-  cfg.dispatch = DispatchPolicy::kLeastLoaded;
-  cfg.accelerator = small_config(ExecutionMode::kAnalytic);
-  ServerPool pool(cfg);
-
-  const auto trace = std::make_shared<nn::WorkloadTrace>(nn::gcn_trace(256, 32, 16, 4, 8));
-  std::vector<std::future<ServeResult>> futures;
-  for (int i = 0; i < 16; ++i) futures.push_back(pool.submit_trace(trace));
-  for (auto& f : futures) f.get();
-  pool.shutdown();
-
-  const auto busy = pool.worker_busy_cycles();
-  ASSERT_EQ(busy.size(), 4u);
-  for (std::size_t w = 1; w < busy.size(); ++w) EXPECT_EQ(busy[w], busy[0]);
-}
-
-TEST(ServerPool, LeastLoadedBalancesSkewedCostsBetterThanRotation) {
-  // Heterogeneous traffic: one heavy trace followed by many light ones. The
-  // rotation hands every second request to the worker already holding the
-  // heavy trace; least-loaded routes the light stream to the other worker
-  // until the assigned simulated cost evens out.
+TEST(ServerPool, LeastLoadedBalancesSkewedCosts) {
+  // Heterogeneous traffic: one heavy trace followed by many light ones.
+  // Least-loaded routes the light stream to the worker not holding the
+  // heavy trace until the assigned simulated cost evens out, so no worker
+  // ends more than one light trace above the even split (or above the
+  // heavy trace alone).
   const auto heavy =
       std::make_shared<nn::WorkloadTrace>(nn::gcn_trace(2048, 64, 32, 8, 16));
   const auto light = std::make_shared<nn::WorkloadTrace>(nn::gcn_trace(64, 16, 8, 4, 4));
-  const std::uint64_t heavy_macs = nn::trace_mac_ops(*heavy);
-  const std::uint64_t light_macs = nn::trace_mac_ops(*light);
-  ASSERT_GT(heavy_macs, 8 * light_macs);  // the skew the test depends on
+  ASSERT_GT(nn::trace_mac_ops(*heavy), 8 * nn::trace_mac_ops(*light));  // the skew
 
-  auto run = [&](DispatchPolicy policy) {
-    ServerPoolConfig cfg;
-    cfg.workers = 2;
-    cfg.dispatch = policy;
-    cfg.accelerator = small_config(ExecutionMode::kAnalytic);
-    ServerPool pool(cfg);
-    std::vector<std::future<ServeResult>> futures;
-    futures.push_back(pool.submit_trace(heavy));
-    for (int i = 0; i < 12; ++i) futures.push_back(pool.submit_trace(light));
-    for (auto& f : futures) f.get();
-    pool.shutdown();
-    return pool.makespan_cycles();
-  };
+  ServerPoolConfig cfg;
+  cfg.workers = 2;
+  cfg.accelerator = small_config(ExecutionMode::kAnalytic);
+  const sim::TimingModel timing(cfg.accelerator.array);
+  const std::uint64_t heavy_cycles = nn::estimate_trace(*heavy, timing).cycles.total();
+  const std::uint64_t light_cycles = nn::estimate_trace(*light, timing).cycles.total();
+  constexpr std::uint64_t kLight = 12;
 
-  const std::uint64_t rotation_makespan = run(DispatchPolicy::kRotation);
-  const std::uint64_t least_loaded_makespan = run(DispatchPolicy::kLeastLoaded);
-  // Rotation pins ~6 light traces behind the heavy one on worker 0;
-  // least-loaded sends every light trace to worker 1 until the costs level,
-  // so its makespan must be strictly better.
-  EXPECT_LT(least_loaded_makespan, rotation_makespan);
+  ServerPool pool(cfg);
+  std::vector<std::future<ServeResult>> futures;
+  futures.push_back(pool.submit_trace(heavy));
+  for (std::uint64_t i = 0; i < kLight; ++i) futures.push_back(pool.submit_trace(light));
+  for (auto& f : futures) f.get();
+  pool.shutdown();
+
+  const std::uint64_t makespan = pool.makespan_cycles();
+  EXPECT_GE(makespan, heavy_cycles);
+  // Greedy list-scheduling bound: below the ~heavy + 6 light a cost-blind
+  // alternation would give, whichever of the two dominates.
+  EXPECT_LE(makespan, std::max(heavy_cycles, kLight * light_cycles) + light_cycles);
 }
 
 TEST(ServerPool, LeastLoadedAssignedCostTracksEstimates) {
   ServerPoolConfig cfg;
   cfg.workers = 2;
-  cfg.dispatch = DispatchPolicy::kLeastLoaded;
   cfg.accelerator = small_config(ExecutionMode::kAnalytic);
   // One request per batch so assigned costs map 1:1 to request estimates.
   cfg.batcher.max_batch_requests = 1;
@@ -857,9 +835,7 @@ TEST(Scheduling, ResultCarriesPriorityClass) {
 TEST(Admission, RejectPolicyShedsTheNewcomer) {
   AdmissionConfig admission;
   admission.max_pending_requests = 2;
-  admission.policy = OverloadPolicy::kReject;
-  RequestQueue queue(1, DynamicBatcher(one_request_batches()),
-                     DispatchPolicy::kLeastLoaded, admission);
+  RequestQueue queue(1, DynamicBatcher(one_request_batches()), admission);
   Rng rng(60);
 
   auto a = make_elementwise_request(cpwl::FunctionKind::kRelu, random_fix(1, 4, rng));
@@ -880,8 +856,7 @@ TEST(Admission, RejectPolicyShedsTheNewcomer) {
 TEST(Admission, BacklogCostBudgetSheds) {
   AdmissionConfig admission;
   admission.max_backlog_cost = 40;  // each 2x4 elementwise request costs 16 MACs
-  RequestQueue queue(1, DynamicBatcher(one_request_batches()),
-                     DispatchPolicy::kLeastLoaded, admission);
+  RequestQueue queue(1, DynamicBatcher(one_request_batches()), admission);
   Rng rng(61);
 
   std::vector<TaggedRequest> tagged;
@@ -896,60 +871,11 @@ TEST(Admission, BacklogCostBudgetSheds) {
   service_order(queue, 2);
 }
 
-TEST(Admission, DropOldestEvictsLowestClassFirst) {
-  AdmissionConfig admission;
-  admission.max_pending_requests = 2;
-  admission.policy = OverloadPolicy::kDropOldest;
-  RequestQueue queue(1, DynamicBatcher(one_request_batches()),
-                     DispatchPolicy::kLeastLoaded, admission);
-  Rng rng(62);
-
-  SubmitOptions bulk;
-  bulk.priority = Priority::kBulk;
-  auto a = make_elementwise_request(cpwl::FunctionKind::kRelu, random_fix(1, 4, rng), bulk);
-  auto b = make_elementwise_request(cpwl::FunctionKind::kRelu, random_fix(1, 4, rng));
-  auto c = make_elementwise_request(cpwl::FunctionKind::kRelu, random_fix(1, 4, rng));
-  const RequestId idb = b.request.id, idc = c.request.id;
-  queue.push(std::move(a.request));
-  queue.push(std::move(b.request));
-  EXPECT_TRUE(queue.push(std::move(c.request)));  // evicts the bulk request
-
-  EXPECT_EQ(queue.sheds(), 1u);
-  EXPECT_THROW(a.result.get(), OverloadError);
-  EXPECT_EQ(service_order(queue, 2), (std::vector<RequestId>{idb, idc}));
-}
-
-TEST(Admission, DropOldestNeverEvictsAboveTheNewcomer) {
-  AdmissionConfig admission;
-  admission.max_pending_requests = 2;
-  admission.policy = OverloadPolicy::kDropOldest;
-  RequestQueue queue(1, DynamicBatcher(one_request_batches()),
-                     DispatchPolicy::kLeastLoaded, admission);
-  Rng rng(63);
-
-  SubmitOptions interactive;
-  interactive.priority = Priority::kInteractive;
-  SubmitOptions bulk;
-  bulk.priority = Priority::kBulk;
-  auto a = make_elementwise_request(cpwl::FunctionKind::kRelu, random_fix(1, 4, rng), interactive);
-  auto b = make_elementwise_request(cpwl::FunctionKind::kRelu, random_fix(1, 4, rng), interactive);
-  auto c = make_elementwise_request(cpwl::FunctionKind::kRelu, random_fix(1, 4, rng), bulk);
-  queue.push(std::move(a.request));
-  queue.push(std::move(b.request));
-  EXPECT_FALSE(queue.push(std::move(c.request)));  // everything pending outranks it
-
-  EXPECT_EQ(queue.sheds(), 1u);
-  EXPECT_EQ(queue.pending(), 2u);
-  EXPECT_THROW(c.result.get(), OverloadError);
-  service_order(queue, 2);
-}
-
 TEST(Admission, PoolAccountsShedsAndServesTheRest) {
   ServerPoolConfig cfg;
   cfg.workers = 2;
   cfg.accelerator = small_config(ExecutionMode::kAnalytic);
   cfg.admission.max_pending_requests = 4;
-  cfg.admission.policy = OverloadPolicy::kReject;
   ServerPool pool(cfg);
 
   Rng rng(64);
