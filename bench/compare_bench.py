@@ -44,13 +44,17 @@ Two classes of figures are compared but reported as INFO, never failed:
     there.
 
 List entries are matched by identity key (name / shape / priority /
-workers / shards / row_budget / window_ms / class / lanes); entries present
-in only one file are skipped with a note, so a baseline produced by a full
-run and a fresh smoke run (different shape sets) degrade to "nothing
-comparable" instead of a false failure. For the same reason, when both
-files carry a top-level "smoke" flag and the flags differ, all timing
-comparisons are skipped outright — timing ratios of differently-sized
-problems are not a trajectory.
+workers / shards / row_budget / window_ms / class / lanes). When both files
+carry a top-level "smoke" flag and the flags differ, all timing comparisons
+are skipped outright — timing ratios of differently-sized problems are not
+a trajectory.
+
+A watched field the BASELINE has but the fresh file lacks fails the run
+with exit code 1 and names the field: a dict key that is gone, or a list
+entry with no fresh counterpart whose subtree holds a watched field. A
+rewritten bench section that silently dropped (or renamed) a gated figure
+would otherwise disarm its gate without any failure. Baseline list entries
+that hold no watched field are skipped with a note.
 
 Fields or list entries present in the FRESH file but absent from the
 baseline are tolerated with a warning (never a failure): a bench gaining a
@@ -122,11 +126,35 @@ def entry_key(obj):
     return tuple(parts) if parts else None
 
 
+def watched_leaves(obj, path):
+    """Paths of every watched numeric field inside `obj` (itself at `path`)."""
+    if isinstance(obj, dict):
+        out = []
+        for key, value in obj.items():
+            label = f"{path}.{key}" if path else key
+            if is_watched(key) and isinstance(value, (int, float)) \
+                    and not isinstance(value, bool):
+                out.append(label)
+            out.extend(watched_leaves(value, label))
+        return out
+    if isinstance(obj, list):
+        out = []
+        for i, item in enumerate(obj):
+            out.extend(watched_leaves(item, f"{path}[{i}]"))
+        return out
+    return []
+
+
 def walk(base, fresh, path, results):
     if isinstance(base, dict) and isinstance(fresh, dict):
         for key in base:
+            label = f"{path}.{key}" if path else key
             if key in fresh:
-                walk(base[key], fresh[key], f"{path}.{key}" if path else key, results)
+                walk(base[key], fresh[key], label, results)
+            else:
+                # Gone from the fresh file: every watched field under it has
+                # lost its gate.
+                results["dropped"].extend(watched_leaves({key: base[key]}, path))
         for key in fresh:
             if key not in base:
                 # New-in-fresh field: warn, never fail — lets a bench grow a
@@ -149,10 +177,14 @@ def walk(base, fresh, path, results):
                 continue
             key = entry_key(item)
             match = fresh_by_key.pop(key, None)
-            if match is None:
-                results["skipped"].append(f"{path}[{key}] (no fresh counterpart)")
-                continue
             label = next((str(v) for _, v in (key or ())), "?")
+            if match is None:
+                dropped = watched_leaves(item, f"{path}[{label}]")
+                if dropped:
+                    results["dropped"].extend(dropped)
+                else:
+                    results["skipped"].append(f"{path}[{key}] (no fresh counterpart)")
+                continue
             walk(item, match, f"{path}[{label}]", results)
         for key in fresh_by_key:
             results["new"].append(f"{path}[{key}] (no baseline counterpart)")
@@ -202,7 +234,8 @@ def main():
               "problem sizes are not comparable — skipping all comparisons")
         return 0
 
-    results = {"compared": [], "skipped": [], "new": [], "informational": []}
+    results = {"compared": [], "skipped": [], "new": [], "informational": [],
+               "dropped": []}
     # Threaded-GEMM scaling rows are only meaningful when BOTH runs had
     # cores to scale onto; either side recording a 1-thread host demotes
     # them to INFO.
@@ -252,13 +285,26 @@ def main():
 
     for note in results["skipped"]:
         print(f"  skipped    {note}")
+    for label in results["dropped"]:
+        print(f"  DROPPED    {label}: watched in the baseline, absent from the fresh file")
     for note in results["new"]:
         print(f"  WARNING    new in fresh, absent from baseline: {note}")
     print(f"compare_bench: {len(results['compared'])} field(s) compared, "
           f"{len(results['informational'])} informational, "
           f"{len(results['skipped'])} entr(ies) skipped, "
-          f"{len(results['new'])} new-in-fresh warning(s), {len(regressions)} regression(s) "
+          f"{len(results['new'])} new-in-fresh warning(s), "
+          f"{len(results['dropped'])} dropped watched field(s), {len(regressions)} regression(s) "
           f"(threshold {args.threshold:.0%})")
+
+    # A watched field that vanished from the fresh file is a gate that no
+    # longer fires. Fail loudly and name it: regenerate the committed
+    # baseline together with the bench change if the drop is intended.
+    if results["dropped"]:
+        for label in results["dropped"]:
+            print(f"FAIL: watched field {label} is in the baseline but missing from the "
+                  "fresh file — a dropped or renamed gated figure disarms its gate",
+                  file=sys.stderr)
+        return 1
 
     # A gate that compares nothing guards nothing: when the problem sets were
     # supposed to be comparable (no smoke mismatch — that case returned

@@ -3,16 +3,19 @@
 //
 //   bench_serving_throughput [--json PATH]     (default BENCH_serving.json)
 //
-// Part 1 sweeps the worker count serving BERT-base/seq128 trace requests.
-// Each worker models an independent ONE-SA array, so the figure of merit is
+// Part 1 sweeps the worker count serving BERT-base/seq128 requests: a
+// registry entry whose simulated cost is the BERT-base trace (a one-layer
+// model registered with ModelOptions::cost_trace, never batched). Each
+// worker models an independent ONE-SA array, so the figure of merit is
 // *simulated* aggregate throughput: requests / fleet makespan, where the
 // makespan is the largest per-worker busy-cycle total (the N modeled arrays
 // run in parallel; host wall time only measures this single-host simulator
 // and is reported as an informational column).
 //
-// Part 2 sweeps the batcher's row budget on a single worker serving small
-// elementwise requests: packing more requests per array pass amortizes
-// fill/drain and IPF latency (the §V-C small-matrix cliff).
+// Part 2 sweeps the row budget of one array pass over small GELU requests,
+// stacking them and calling OneSaAccelerator::elementwise directly: packing
+// more requests per array pass amortizes fill/drain and IPF latency (the
+// §V-C small-matrix cliff).
 //
 // Part 3 is the real-inference sweep: an MLP registered with the pool's
 // ModelRegistry serves batched forward passes through the kernel layer on
@@ -40,9 +43,9 @@
 // and every logit must match one published version's direct forward
 // bit-exactly (zero dropped, zero corrupted requests across version flips).
 //
-// Part 8 prices the observability layer: the same small-request workload is
-// served with obs fully off, with the metrics registry on (the default),
-// and with full per-request tracing on, best-of-N host RPS each. The
+// Part 8 prices the observability layer: the same one-layer GELU model
+// workload is served with obs fully off, with the metrics registry on (the
+// default), and with full per-request tracing on, best-of-N host RPS each. The
 // acceptance gate demands metrics-on keeps >= 99% of the obs-off
 // throughput (the "<1% overhead" claim in README "Observability");
 // tracing-on is reported but ungated — it is opt-in and samples.
@@ -56,8 +59,8 @@
 // the cycle-accurate simulator allocates per-pass state and is reported
 // without the gate.
 //
-// Part 10 is the submit-contention sweep: a fixed budget of small
-// elementwise requests is pushed through one pool by 1/2/4/8 submitter
+// Part 10 is the submit-contention sweep: a fixed budget of small one-layer
+// GELU model requests is pushed through one pool by 1/2/4/8 submitter
 // threads. The sharded MPSC inbox keeps submitters off the scheduler mutex,
 // so host RPS should hold (or improve) as submitters multiply; the
 // `contention_scaling` ratio rides into the JSON for trajectory tracking
@@ -345,14 +348,16 @@ serve::FleetConfig chaos_fleet_config() {
   return cfg;
 }
 
-/// One burst of 150 mixed-priority GELU requests through `fleet`; returns
+/// One burst of 150 mixed-priority requests to the one-layer GELU model
+/// `gelu` through `fleet`; returns
 /// goodput + the interactive p99 (from the fleet's per-class accounting).
 /// `recovery_ms` (optional) is stamped with the time from first submit to
 /// the first observed watchdog respawn.
-ChaosPhase run_chaos_workload(serve::Fleet& fleet, double* recovery_ms) {
+ChaosPhase run_chaos_workload(serve::Fleet& fleet, const serve::ModelHandle& gelu,
+                              double* recovery_ms) {
   constexpr std::size_t kChaosRequests = 150;
   Rng rng(99);
-  const auto x = tensor::to_fixed(tensor::random_uniform(8, 256, rng, -3.0, 3.0));
+  const auto x = tensor::random_uniform(8, 256, rng, -3.0, 3.0);
   const serve::Priority kClasses[] = {serve::Priority::kInteractive,
                                       serve::Priority::kNormal, serve::Priority::kBulk};
 
@@ -364,7 +369,7 @@ ChaosPhase run_chaos_workload(serve::Fleet& fleet, double* recovery_ms) {
   for (std::size_t i = 0; i < kChaosRequests; ++i) {
     serve::SubmitOptions options;
     options.priority = kClasses[i % 3];
-    futures.push_back(fleet.submit_elementwise(cpwl::FunctionKind::kGelu, x, options));
+    futures.push_back(fleet.submit_model(gelu, x, options));
   }
   if (recovery_ms != nullptr) {
     // The poisoned worker crashes on its first batch; watch for the watchdog
@@ -396,6 +401,39 @@ ChaosPhase run_chaos_workload(serve::Fleet& fleet, double* recovery_ms) {
   return phase;
 }
 
+/// A one-layer model: `fn` evaluated through `table` (the double functional
+/// model of the array's CPWL pass). With `mac_ops_per_row` = 2 x the row
+/// width it is charged what an elementwise array pass over its rows costs;
+/// a `cost_trace` instead makes it the serving entry of a whole network.
+std::unique_ptr<nn::Sequential> one_layer_model(cpwl::FunctionKind fn,
+                                                const cpwl::SegmentTable* table) {
+  auto model = std::make_unique<nn::Sequential>();
+  auto act = std::make_unique<nn::Activation>(fn);
+  act->use_table(table);
+  model->add(std::move(act));
+  return model;
+}
+
+serve::ModelOptions one_layer_options(std::uint64_t mac_ops_per_row, bool batchable) {
+  serve::ModelOptions options;
+  options.mac_ops_per_row = mac_ops_per_row;
+  options.batchable = batchable;
+  return options;
+}
+
+/// The GELU table every one-layer GELU model in this bench reads.
+const cpwl::SegmentTable& gelu_table() {
+  static const cpwl::SegmentTable table = cpwl::SegmentTable::build(cpwl::FunctionKind::kGelu);
+  return table;
+}
+
+/// Register the chaos workload's model: 256-wide GELU rows, batchable.
+serve::ModelHandle register_chaos_model(serve::Fleet& fleet) {
+  return fleet.register_model("gelu-256",
+                              one_layer_model(cpwl::FunctionKind::kGelu, &gelu_table()),
+                              one_layer_options(2 * 256, true));
+}
+
 ChaosResult run_chaos() {
   ChaosResult result;
 
@@ -405,7 +443,8 @@ ChaosResult run_chaos() {
     std::vector<ChaosPhase> clean_runs;
     for (int i = 0; i < 3; ++i) {
       serve::Fleet fleet(chaos_fleet_config());
-      clean_runs.push_back(run_chaos_workload(fleet, nullptr));
+      const serve::ModelHandle gelu = register_chaos_model(fleet);
+      clean_runs.push_back(run_chaos_workload(fleet, gelu, nullptr));
       fleet.shutdown();
     }
     std::sort(clean_runs.begin(), clean_runs.end(),
@@ -416,6 +455,7 @@ ChaosResult run_chaos() {
   }
 
   serve::Fleet fleet(chaos_fleet_config());
+  const serve::ModelHandle gelu = register_chaos_model(fleet);
   // The chaos plan: 5% transient request errors everywhere, one worker
   // crash on shard 1, shard 2 serving 3x slow.
   serve::FaultPlan everywhere;
@@ -430,7 +470,7 @@ ChaosResult run_chaos() {
   fleet.shard(1).fault_injector().arm(crashy);
   fleet.shard(2).fault_injector().arm(slow);
 
-  result.chaos = run_chaos_workload(fleet, &result.recovery_ms);
+  result.chaos = run_chaos_workload(fleet, gelu, &result.recovery_ms);
   result.retries = fleet.retries();
   result.worker_restarts = fleet.worker_restarts();
   for (std::size_t s = 0; s < fleet.shards(); ++s) {
@@ -445,17 +485,17 @@ ChaosResult run_chaos() {
     poisoned.transient_error_rate = 1.0;
     fleet.shard(0).fault_injector().arm(poisoned);
     Rng rng(17);
-    const auto probe = tensor::to_fixed(tensor::random_uniform(2, 64, rng, -2.0, 2.0));
+    const auto probe = tensor::random_uniform(2, 64, rng, -2.0, 2.0);
     auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(15);
     while (fleet.health(0).opens() == 0 && std::chrono::steady_clock::now() < deadline) {
-      fleet.submit_elementwise(cpwl::FunctionKind::kRelu, probe).get();
+      fleet.submit_model(gelu, probe).get();
     }
     result.breaker_opens = fleet.health(0).opens();
     fleet.shard(0).fault_injector().disarm();
     deadline = std::chrono::steady_clock::now() + std::chrono::seconds(15);
     while (fleet.health(0).state() != serve::ShardHealth::Breaker::kClosed &&
            std::chrono::steady_clock::now() < deadline) {
-      fleet.submit_elementwise(cpwl::FunctionKind::kRelu, probe).get();
+      fleet.submit_model(gelu, probe).get();
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
     result.breaker_reclosed =
@@ -525,7 +565,7 @@ void write_json(const std::string& path, const std::vector<SweepRow>& traces,
     out << "    {\"row_budget\": " << r.budget << ", \"batches\": " << r.batches
         << ", \"fill\": " << r.fill << ", \"mean_requests_per_batch\": " << r.mean_requests
         << ", \"sim_cycles_per_request\": " << r.cycles_per_req
-        << ", \"p95_host_ms\": " << r.p95_ms << "}" << (i + 1 < batches.size() ? "," : "")
+        << ", \"p95_pass_host_ms\": " << r.p95_ms << "}" << (i + 1 < batches.size() ? "," : "")
         << "\n";
   }
   out << "  ],\n";
@@ -662,10 +702,15 @@ int main(int argc, char** argv) {
     std::cout << "(cycle-accurate mode: every modeled array runs the full simulator)\n\n";
   }
 
-  std::cout << "=== Serving throughput: BERT-base/seq128 trace requests ===\n\n";
+  std::cout << "=== Serving throughput: BERT-base/seq128 cost-trace requests ===\n\n";
 
   const auto trace = std::make_shared<const nn::WorkloadTrace>(nn::bert_base_trace(128));
   constexpr std::size_t kRequests = 64;
+  // The trace's end-to-end latency on one worker's array: every request of
+  // the entry is charged exactly this estimate.
+  const double trace_latency_ms =
+      nn::estimate_trace(*trace, sim::TimingModel(OneSaConfig{}.array)).latency_ms;
+  const tensor::Matrix trace_input(1, 1);  // the entry's one-layer model is a placeholder
 
   std::vector<SweepRow> trace_rows;
   double baseline_rps = 0.0;
@@ -677,15 +722,18 @@ int main(int argc, char** argv) {
     cfg.workers = workers;
     cfg.accelerator.mode = g_mode;
     serve::ServerPool pool(cfg);
+    serve::ModelOptions entry;
+    entry.cost_trace = trace;
+    entry.batchable = false;
+    const serve::ModelHandle bert = pool.register_model(
+        "bert-base-128", one_layer_model(cpwl::FunctionKind::kRelu, nullptr), entry);
 
     const auto start = std::chrono::steady_clock::now();
     std::vector<std::future<serve::ServeResult>> futures;
     futures.reserve(kRequests);
-    for (std::size_t i = 0; i < kRequests; ++i) futures.push_back(pool.submit_trace(trace));
-    double latency_ms = 0.0;
-    for (auto& f : futures) {
-      latency_ms = f.get().trace.latency_ms;  // identical per request (same trace)
-    }
+    for (std::size_t i = 0; i < kRequests; ++i)
+      futures.push_back(pool.submit_model(bert, trace_input));
+    for (auto& f : futures) f.get();
     pool.shutdown();
     const double host_ms = wall_ms_since(start);
 
@@ -703,7 +751,7 @@ int main(int argc, char** argv) {
                           aggregate_gops, speedup, host_ms, 0, 0});
     table.add_row({std::to_string(workers),
                    TablePrinter::num(static_cast<double>(pool.makespan_cycles()) / 1e6, 1),
-                   TablePrinter::num(latency_ms, 2), TablePrinter::num(rps, 1),
+                   TablePrinter::num(trace_latency_ms, 2), TablePrinter::num(rps, 1),
                    TablePrinter::num(aggregate_gops, 1), TablePrinter::num(speedup, 2) + "x",
                    TablePrinter::num(host_ms, 1)});
   }
@@ -711,39 +759,53 @@ int main(int argc, char** argv) {
   std::cout << "\n(one modeled ONE-SA array per worker; aggregate throughput = requests /\n"
                " fleet makespan in simulated time. Host ms is this simulator process.)\n\n";
 
-  std::cout << "=== Batch-size sweep: 2x768 GELU requests, 1 worker ===\n\n";
+  std::cout << "=== Batch-size sweep: 2x768 GELU requests, one array ===\n\n";
   std::vector<BatchRow> batch_rows;
   {
-    TablePrinter batch_table({"Row budget", "Batches", "Fill", "Mean req/batch",
-                              "Sim cycles/req", "p95 host ms"});
+    TablePrinter batch_table({"Row budget", "Passes", "Fill", "Mean req/pass",
+                              "Sim cycles/req", "p95 host ms/pass"});
     Rng rng(42);
     const auto x = tensor::to_fixed(tensor::random_uniform(2, 768, rng, -3.0, 3.0));
     constexpr std::size_t kEltRequests = 64;
     for (std::size_t budget : {2u, 8u, 32u, 128u}) {
-      serve::ServerPoolConfig cfg;
-      cfg.workers = 1;
-      cfg.accelerator.mode = g_mode;
-      cfg.batcher.max_batch_rows = budget;
-      cfg.batcher.max_batch_requests = 64;
-      serve::ServerPool pool(cfg);
-      std::vector<std::future<serve::ServeResult>> futures;
-      for (std::size_t i = 0; i < kEltRequests; ++i)
-        futures.push_back(pool.submit_elementwise(cpwl::FunctionKind::kGelu, x));
-      for (auto& f : futures) f.get();
-      pool.shutdown();
-
-      const serve::ServeStats stats = pool.stats();
-      const double cycles_per_req = static_cast<double>(stats.total_cycles().total()) /
-                                    static_cast<double>(stats.completed());
-      batch_rows.push_back({budget, stats.batches(), stats.batch_fill(),
-                            stats.mean_batch_requests(), cycles_per_req,
-                            stats.percentile_latency_ms(95.0)});
-      batch_table.add_row(
-          {std::to_string(budget), std::to_string(stats.batches()),
-           TablePrinter::num(stats.batch_fill(), 2),
-           TablePrinter::num(stats.mean_batch_requests(), 1),
-           TablePrinter::num(cycles_per_req, 0),
-           TablePrinter::num(stats.percentile_latency_ms(95.0), 2)});
+      OneSaConfig cfg;
+      cfg.mode = g_mode;
+      OneSaAccelerator accel(cfg);
+      // Stack as many whole requests as the row budget holds into one pass,
+      // padded with zero rows to whole array-height tiles.
+      const std::size_t tile_rows = cfg.array.rows;
+      const std::size_t per_pass = std::max<std::size_t>(1, budget / x.rows());
+      std::uint64_t cycles = 0;
+      std::size_t passes = 0;
+      std::size_t rows = 0;
+      std::size_t streamed_rows = 0;  // rows the array ran, zero padding included
+      std::vector<double> pass_ms;
+      for (std::size_t done = 0; done < kEltRequests; done += per_pass) {
+        const std::size_t n = std::min(per_pass, kEltRequests - done);
+        const std::size_t pass_rows = n * x.rows();
+        tensor::FixMatrix packed((pass_rows + tile_rows - 1) / tile_rows * tile_rows, x.cols());
+        for (std::size_t r = 0; r < n; ++r)
+          std::copy(x.data().begin(), x.data().end(), packed.data().begin() + r * x.size());
+        const auto start = std::chrono::steady_clock::now();
+        cycles += accel.elementwise(cpwl::FunctionKind::kGelu, packed).cycles.total();
+        pass_ms.push_back(wall_ms_since(start));
+        ++passes;
+        rows += pass_rows;
+        streamed_rows += packed.rows();
+      }
+      std::sort(pass_ms.begin(), pass_ms.end());
+      BatchRow row;
+      row.budget = budget;
+      row.batches = passes;
+      row.fill = static_cast<double>(rows) / static_cast<double>(streamed_rows);
+      row.mean_requests = static_cast<double>(kEltRequests) / static_cast<double>(passes);
+      row.cycles_per_req = static_cast<double>(cycles) / static_cast<double>(kEltRequests);
+      row.p95_ms = pass_ms[(pass_ms.size() * 95 + 99) / 100 - 1];
+      batch_rows.push_back(row);
+      batch_table.add_row({std::to_string(budget), std::to_string(passes),
+                           TablePrinter::num(row.fill, 2), TablePrinter::num(row.mean_requests, 1),
+                           TablePrinter::num(row.cycles_per_req, 0),
+                           TablePrinter::num(row.p95_ms, 2)});
     }
     batch_table.render(std::cout);
     std::cout << "\n(larger budgets pack more requests per array pass, amortizing\n"
@@ -1075,7 +1137,7 @@ int main(int argc, char** argv) {
     // obs layer's share of a serving-shaped request, not a bare
     // queue-machinery microbenchmark where ANY per-request work — a mutex,
     // a future, a counter — reads as a double-digit hit.
-    const auto x = tensor::to_fixed(tensor::random_uniform(64, 768, rng, -3.0, 3.0));
+    const auto x = tensor::random_uniform(64, 768, rng, -3.0, 3.0);
     auto measure = [&]() {
     ObsOverheadResult result;
     result.requests = kObsChunk * kObsChunks;  // per mode
@@ -1091,6 +1153,9 @@ int main(int argc, char** argv) {
     cfg.accelerator.mode = g_mode;
     cfg.batcher.max_batch_requests = 1;
     serve::ServerPool pool(cfg);
+    const serve::ModelHandle gelu = pool.register_model(
+        "gelu-768", one_layer_model(cpwl::FunctionKind::kGelu, &gelu_table()),
+        one_layer_options(2 * 768, false));
 
     // Measurement design, forced by noisy shared runners: a CI vCPU sees
     // multi-percent CPU-time swings at the hundreds-of-ms scale (co-tenant
@@ -1111,7 +1176,7 @@ int main(int argc, char** argv) {
       const auto start = std::chrono::steady_clock::now();
       const std::clock_t cpu_start = std::clock();  // whole-process CPU time
       for (std::size_t i = 0; i < kObsChunk; ++i)
-        futures.push_back(pool.submit_elementwise(cpwl::FunctionKind::kGelu, x));
+        futures.push_back(pool.submit_model(gelu, x));
       for (auto& f : futures) f.get();
       chunk_cpu_s[mode].push_back(static_cast<double>(std::clock() - cpu_start) /
                                   CLOCKS_PER_SEC);
@@ -1300,7 +1365,7 @@ int main(int argc, char** argv) {
   {
     constexpr std::size_t kContentionTotal = 2048;
     Rng rng(31);
-    const auto x = tensor::to_fixed(tensor::random_uniform(2, 64, rng, -2.0, 2.0));
+    const auto x = tensor::random_uniform(2, 64, rng, -2.0, 2.0);
 
     TablePrinter cont_table({"Submitters", "Requests", "Host ms", "Host req/s",
                              "Scaling", "Allocs/req"});
@@ -1312,13 +1377,16 @@ int main(int argc, char** argv) {
       cfg.batcher.max_batch_requests = 64;
       cfg.batcher.max_batch_rows = 256;
       serve::ServerPool pool(cfg);
+      const serve::ModelHandle gelu = pool.register_model(
+          "gelu-64", one_layer_model(cpwl::FunctionKind::kGelu, &gelu_table()),
+          one_layer_options(2 * 64, true));
       // Warm this pool's workers and vector capacities with the same total
       // load, then settle the published counters before the timed burst.
       {
         std::vector<std::future<serve::ServeResult>> warm;
         warm.reserve(kContentionTotal);
         for (std::size_t i = 0; i < kContentionTotal; ++i)
-          warm.push_back(pool.submit_elementwise(cpwl::FunctionKind::kGelu, x));
+          warm.push_back(pool.submit_model(gelu, x));
         for (auto& f : warm) f.get();
       }
       std::uint64_t before = pool.worker_heap_allocations();
@@ -1337,8 +1405,7 @@ int main(int argc, char** argv) {
       for (std::size_t t = 0; t < submitters; ++t) {
         threads.emplace_back([&, t] {
           for (std::size_t i = 0; i < per_thread; ++i)
-            futures[t * per_thread + i] =
-                pool.submit_elementwise(cpwl::FunctionKind::kGelu, x);
+            futures[t * per_thread + i] = pool.submit_model(gelu, x);
         });
       }
       for (std::thread& t : threads) t.join();

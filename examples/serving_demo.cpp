@@ -4,11 +4,11 @@
 // Spins up a serve::Fleet of 2 shards x 2 workers (each worker one
 // simulated ONE-SA array; one CPWL table set and one version-aware
 // ModelRegistry shared across the whole fleet) and throws mixed traffic at
-// it concurrently: BERT / ResNet-50 / GCN model traces, raw GELU
-// elementwise requests, GEMM requests against one shared weight matrix,
-// and real forward passes through an nn::Sequential MLP registered with
-// the fleet — one immutable weight copy packed once for every shard,
-// logits verified bit-exact against the direct forward. Requests carry
+// it concurrently: BERT / ResNet-50 / GCN workload traces — each served as
+// a registry entry whose simulated cost is the network's trace — and real
+// forward passes through an nn::Sequential MLP registered with the fleet —
+// one immutable weight copy packed once for every shard, logits verified
+// bit-exact against the direct forward. Requests carry
 // priority classes and deadlines; the least-outstanding-cost router levels
 // the shards, and the run finishes by hot-swapping the MLP to a new
 // version while serving, proving version-consistent logits across the
@@ -149,6 +149,9 @@ int main(int argc, char** argv) {
             << "least-outstanding-cost routing, shared CPWL tables + model registry\n\n";
 
   // --- model-trace traffic: three network families, several requests each.
+  // Each network is a registry entry: a one-layer placeholder model whose
+  // simulated cost is the network's workload trace (never batched — each
+  // request is one whole inference).
   struct ModelJob {
     std::string name;
     std::shared_ptr<const nn::WorkloadTrace> trace;
@@ -166,8 +169,19 @@ int main(int argc, char** argv) {
                   {}});
 
   constexpr int kPerModel = 6;
+  std::vector<serve::ModelHandle> trace_entries;
+  for (auto& job : jobs) {
+    serve::ModelOptions options;
+    options.cost_trace = job.trace;
+    auto placeholder = std::make_unique<nn::Sequential>();
+    placeholder->add(nn::make_relu());
+    trace_entries.push_back(
+        fleet.register_model(job.name, std::move(placeholder), std::move(options)));
+  }
+  const tensor::Matrix trace_input(1, 1);
   for (int i = 0; i < kPerModel; ++i)
-    for (auto& job : jobs) job.futures.push_back(fleet.submit_trace(job.trace));
+    for (std::size_t j = 0; j < jobs.size(); ++j)
+      jobs[j].futures.push_back(fleet.submit_model(trace_entries[j], trace_input));
 
   // --- real-model traffic: a registered MLP served end-to-end. The
   // registry is shared by every shard, so the weights pack exactly once;
@@ -188,35 +202,19 @@ int main(int argc, char** argv) {
     mlp_futures.push_back(fleet.submit_model(mlp, mlp_inputs.back(), interactive));
   }
 
-  // --- raw-op traffic interleaved with the models.
-  const auto weight = std::make_shared<const tensor::FixMatrix>(
-      tensor::to_fixed(tensor::random_uniform(64, 64, rng, -0.5, 0.5)));
-  std::vector<std::future<serve::ServeResult>> op_futures;
-  for (int i = 0; i < 12; ++i) {
-    op_futures.push_back(fleet.submit_elementwise(
-        cpwl::FunctionKind::kGelu,
-        tensor::to_fixed(tensor::random_uniform(4, 64, rng, -3.0, 3.0))));
-    op_futures.push_back(fleet.submit_gemm(
-        tensor::to_fixed(tensor::random_uniform(4, 64, rng, -1.0, 1.0)), weight));
-  }
-
-  // --- harvest.
+  // --- harvest. Latency and GOPS are the trace's closed-form estimate on
+  // one worker's array; the cycles column is what the serving worker was
+  // charged per request (the same estimate, by construction).
+  const sim::TimingModel timing(cfg.accelerator.array);
   TablePrinter models({"Model", "Requests", "Latency ms", "GOPS", "Mcycles/req"});
   for (auto& job : jobs) {
-    double latency = 0.0;
-    double gops = 0.0;
+    const nn::TraceEstimate estimate = nn::estimate_trace(*job.trace, timing);
     double cycles = 0.0;
-    for (auto& f : job.futures) {
-      const auto r = f.get();
-      latency = r.trace.latency_ms;
-      gops = r.trace.gops;
-      cycles = static_cast<double>(r.cycles.total()) / 1e6;
-    }
+    for (auto& f : job.futures) cycles = static_cast<double>(f.get().cycles.total()) / 1e6;
     models.add_row({job.name, std::to_string(job.futures.size()),
-                    TablePrinter::num(latency, 2), TablePrinter::num(gops, 1),
-                    TablePrinter::num(cycles, 1)});
+                    TablePrinter::num(estimate.latency_ms, 2),
+                    TablePrinter::num(estimate.gops, 1), TablePrinter::num(cycles, 1)});
   }
-  for (auto& f : op_futures) f.get();
 
   // --- real-model results: every served logit must equal the direct const
   // forward on the shared weights, bit for bit.
@@ -269,7 +267,6 @@ int main(int argc, char** argv) {
   fleet_table.add_row({"array passes (batches)", std::to_string(stats.batches())});
   fleet_table.add_row(
       {"mean requests/batch", TablePrinter::num(stats.mean_batch_requests(), 2)});
-  fleet_table.add_row({"batch fill ratio", TablePrinter::num(stats.batch_fill(), 2)});
   fleet_table.add_row({"deadline misses", std::to_string(stats.deadline_misses())});
   fleet_table.add_row({"admission sheds", std::to_string(stats.sheds())});
   fleet_table.add_row(
@@ -352,8 +349,8 @@ int main(int argc, char** argv) {
                  "queue depth and backlog cost it was rejected against\n";
   }
 
-  std::cout << "\nEvery request — whole-model traces, raw array ops and real\n"
-               "nn::Sequential forwards alike — flowed through ONE fleet submit API:\n"
+  std::cout << "\nEvery request — whole-network cost traces and real nn::Sequential\n"
+               "forwards alike — was a registered model, flowed through ONE fleet submit API:\n"
                "routed across shards by outstanding cost, served from one shared\n"
                "registry whose weights packed once, and hot-swapped mid-stream with\n"
                "zero dropped or torn requests.\n";

@@ -29,7 +29,6 @@ struct BatchMetrics {
   obs::Histogram& latency = obs::MetricsRegistry::global().histogram("serve_latency_ms");
   obs::Histogram& batch_requests =
       obs::MetricsRegistry::global().histogram("serve_batch_requests");
-  obs::Histogram& batch_fill = obs::MetricsRegistry::global().histogram("serve_batch_fill");
   std::array<obs::Histogram*, kPriorityClasses> latency_by_class{};
 
   BatchMetrics() {
@@ -56,9 +55,6 @@ BatchRecord record_batch_metrics(BatchRecord record) {
   m.completed.add(record.requests);
   if (record.deadline_misses > 0) m.deadline_misses.add(record.deadline_misses);
   m.batch_requests.record(static_cast<double>(record.requests));
-  if (record.padded_rows > 0)
-    m.batch_fill.record(static_cast<double>(record.rows) /
-                        static_cast<double>(record.padded_rows));
   for (std::size_t i = 0; i < record.latency_ms.size(); ++i) {
     m.latency.record(record.latency_ms[i]);
     const auto cls = i < record.latency_class.size()
@@ -118,77 +114,23 @@ bool stamp_slo(ServeResult& result, const ServeRequest& req, ServeClock::time_po
   return result.deadline_missed;
 }
 
-/// The `field` rows of every request stacked on top of each other, padded
-/// with zero rows to a whole number of `tile_rows`-high tiles (tile_rows =
-/// 1 means no padding — model batches run on kernels, not the tiled array).
-/// Each request's rows are one contiguous row-major block, so the stack is
-/// a flat copy per request (the kernel-layer idiom) instead of an element
-/// loop.
-template <typename Mat>
-Mat pack_rows(const std::vector<ServeRequest>& batch, std::size_t tile_rows,
-              Mat ServeRequest::* field) {
-  std::size_t total_rows = 0;
-  for (const auto& req : batch) total_rows += (req.*field).rows();
-  const std::size_t cols = (batch.front().*field).cols();
-  const std::size_t padded =
-      (total_rows + tile_rows - 1) / tile_rows * tile_rows;
-  Mat packed(padded, cols);  // zero-initialized padding rows
+/// The input rows of every request stacked on top of each other. Each
+/// request's rows are one contiguous row-major block, so the stack is a flat
+/// copy per request (the kernel-layer idiom) instead of an element loop.
+tensor::Matrix pack_rows(const std::vector<ServeRequest>& batch, std::size_t total_rows) {
+  tensor::Matrix packed(total_rows, batch.front().input.cols(), tensor::kUninitialized);
   auto* dst = packed.data().data();
-  for (const auto& req : batch) {
-    dst = std::copy((req.*field).data().begin(), (req.*field).data().end(), dst);
-  }
+  for (const auto& req : batch)
+    dst = std::copy(req.input.data().begin(), req.input.data().end(), dst);
   return packed;
 }
 
 /// One request's output rows cut back out of the batched result.
-template <typename Mat>
-Mat slice_rows(const Mat& packed, std::size_t row0, std::size_t rows) {
-  Mat out(rows, packed.cols(), tensor::kUninitialized);
+tensor::Matrix slice_rows(const tensor::Matrix& packed, std::size_t row0, std::size_t rows) {
+  tensor::Matrix out(rows, packed.cols(), tensor::kUninitialized);
   const auto* src = packed.data().data() + row0 * packed.cols();
   std::copy(src, src + rows * packed.cols(), out.data().data());
   return out;
-}
-
-/// Whole-model trace request: run every op of the trace against the
-/// worker's closed-form cycle model (nn::estimate_op_cycles — the same
-/// decompositions the accelerator façade executes) and charge the worker's
-/// accelerator so fleet-wide power accounting sees the work.
-BatchRecord execute_trace(ServeRequest req, OneSaAccelerator& accel, std::size_t worker,
-                          std::size_t shard) {
-  const auto start = ServeClock::now();
-  const nn::TraceEstimate estimate = nn::estimate_trace(*req.trace, accel.timing());
-  const sim::CycleStats& cycles = estimate.cycles;
-  const std::uint64_t macs = nn::trace_mac_ops(*req.trace);
-  accel.add_lifetime(cycles, macs);
-
-  ServeResult result;
-  result.id = req.id;
-  result.kind = RequestKind::kTrace;
-  result.cycles = cycles;
-  result.mac_ops = macs;
-  result.trace = estimate;
-  result.worker = worker;
-  result.shard = shard;
-  result.batch_rows = 1;
-  result.padded_rows = 1;
-  const auto end = ServeClock::now();
-  result.queue_ms = ms_between(req.enqueued, start);
-  result.service_ms = ms_between(start, end);
-  const bool missed = stamp_slo(result, req, end);
-
-  BatchRecord record;
-  record.cycles = cycles;
-  record.mac_ops = macs;
-  record.requests = 1;
-  record.rows = 1;
-  record.padded_rows = 1;
-  record.shard = shard;
-  record.deadline_misses = missed ? 1 : 0;
-  record.latency_ms.push_back(result.queue_ms + result.service_ms);
-  record.latency_class.push_back(req.priority);
-  emit_request_spans(req, start, end, worker, shard, 1);
-  deliver(req, std::move(result));
-  return record;
 }
 
 /// Simulated cycle/MAC charge of one model batch. With a registered cost
@@ -216,6 +158,50 @@ sim::CycleStats model_batch_cycles(const ModelEntry& entry, std::size_t requests
   return nn::estimate_op_cycles(op, timing);
 }
 
+}  // namespace
+
+void BatcherConfig::validate() const {
+  if (max_batch_rows == 0) throw ConfigError("BatcherConfig::max_batch_rows must be > 0");
+  if (max_batch_requests == 0)
+    throw ConfigError("BatcherConfig::max_batch_requests must be > 0");
+}
+
+DynamicBatcher::DynamicBatcher(BatcherConfig config) : config_(config) {
+  config_.validate();
+}
+
+bool DynamicBatcher::compatible(const ServeRequest& head, const ServeRequest& req) {
+  // Same registered model version (handle identity — one immutable entry
+  // per name and version, so two versions never share a pass), marked
+  // batchable by the registry, same input width.
+  return head.model == req.model && head.model != nullptr && head.model->batchable &&
+         head.input.cols() == req.input.cols();
+}
+
+void DynamicBatcher::take_batch(std::vector<ServeRequest>& pending,
+                                std::vector<ServeRequest>& out) const {
+  out.clear();
+  if (pending.empty()) return;
+  out.push_back(std::move(pending.front()));
+
+  // Single pass with in-place compaction: survivors slide left over the
+  // holes the taken requests leave, then one resize. Unlike erase-per-take
+  // this is O(pending) total, and both vectors keep their capacity.
+  std::size_t rows = out.front().rows();
+  std::size_t keep = 0;  // write cursor; slot 0 held the taken head
+  for (std::size_t i = 1; i < pending.size(); ++i) {
+    ServeRequest& req = pending[i];
+    if (out.size() < config_.max_batch_requests && compatible(out.front(), req) &&
+        rows + req.rows() <= config_.max_batch_rows) {
+      rows += req.rows();
+      out.push_back(std::move(req));
+    } else {
+      pending[keep++] = std::move(req);
+    }
+  }
+  pending.resize(keep);
+}
+
 /// Real-inference batch: ONE nn::Sequential::infer over the stacked rows
 /// (kernel-layer GEMMs on this worker thread), logits sliced back per
 /// request, simulated cycles charged to the worker's accelerator.
@@ -225,8 +211,10 @@ sim::CycleStats model_batch_cycles(const ModelEntry& entry, std::size_t requests
 /// infer path, a row-count-changing model registered as batchable) must fail
 /// THIS batch's futures — never escape into worker_loop, where an uncaught
 /// exception would std::terminate the whole pool.
-BatchRecord execute_model(std::vector<ServeRequest>& batch, OneSaAccelerator& accel,
-                          std::size_t worker, std::size_t shard) {
+BatchRecord DynamicBatcher::execute(std::vector<ServeRequest>& batch,
+                                    OneSaAccelerator& accel, std::size_t worker,
+                                    std::size_t shard) const {
+  ONESA_CHECK(!batch.empty(), "DynamicBatcher::execute on an empty batch");
   const auto start = ServeClock::now();
   const ModelEntry& entry = *batch.front().model;
   std::size_t total_rows = 0;
@@ -238,7 +226,7 @@ BatchRecord execute_model(std::vector<ServeRequest>& batch, OneSaAccelerator& ac
     // directly — no pack copy on the worker hot path.
     logits = batch.size() == 1
                  ? entry.infer(batch.front().input)
-                 : entry.infer(pack_rows(batch, 1, &ServeRequest::input));
+                 : entry.infer(pack_rows(batch, total_rows));
     // A multi-request batch is served by row slicing, so the model must
     // preserve the row count; otherwise the slices below would read out of
     // bounds. Single-request batches hand the whole output back, so
@@ -298,7 +286,6 @@ BatchRecord execute_model(std::vector<ServeRequest>& batch, OneSaAccelerator& ac
   record.mac_ops = macs;
   record.requests = batch.size();
   record.rows = total_rows;
-  record.padded_rows = total_rows;  // no padding: kernels need no tile alignment
   record.shard = shard;
   record.latency_ms.reserve(batch.size());
 
@@ -306,7 +293,6 @@ BatchRecord execute_model(std::vector<ServeRequest>& batch, OneSaAccelerator& ac
   for (auto& req : batch) {
     ServeResult result;
     result.id = req.id;
-    result.kind = RequestKind::kModel;
     // Solo pass: the whole output belongs to the one request (this is the
     // path row-count-changing models take). Batched pass: slice.
     result.logits = batch.size() == 1 ? std::move(logits)
@@ -320,136 +306,6 @@ BatchRecord execute_model(std::vector<ServeRequest>& batch, OneSaAccelerator& ac
     result.shard = shard;
     result.batch_requests = batch.size();
     result.batch_rows = total_rows;
-    result.padded_rows = total_rows;
-    if (stamp_slo(result, req, end)) ++record.deadline_misses;
-    record.latency_ms.push_back(result.queue_ms + result.service_ms);
-    record.latency_class.push_back(req.priority);
-    emit_request_spans(req, start, end, worker, shard, batch.size());
-    deliver(req, std::move(result));
-  }
-  return record;
-}
-
-}  // namespace
-
-void BatcherConfig::validate() const {
-  if (max_batch_rows == 0) throw ConfigError("BatcherConfig::max_batch_rows must be > 0");
-  if (max_batch_requests == 0)
-    throw ConfigError("BatcherConfig::max_batch_requests must be > 0");
-  if (max_batch_wait_ms < 0.0)
-    throw ConfigError("BatcherConfig::max_batch_wait_ms must be >= 0");
-}
-
-DynamicBatcher::DynamicBatcher(BatcherConfig config) : config_(config) {
-  config_.validate();
-}
-
-bool DynamicBatcher::compatible(const ServeRequest& head, const ServeRequest& req) {
-  if (head.kind != req.kind) return false;
-  switch (head.kind) {
-    case RequestKind::kTrace:
-      return false;  // whole-model executions never share a pass
-    case RequestKind::kElementwise:
-      return head.fn == req.fn && head.x.cols() == req.x.cols();
-    case RequestKind::kGemm:
-      // Same weight handle: stacking A rows over one B is exact. Identity
-      // only — compatible() runs under the queue lock for every candidate,
-      // and a deep element compare of large weights there would stall every
-      // submitter; sharing the B handle is the documented usage.
-      return head.weight == req.weight && head.x.cols() == req.x.cols();
-    case RequestKind::kModel:
-      // Same registered model (handle identity — one immutable entry per
-      // name), marked batchable by the registry, same input width.
-      return head.model == req.model && head.model != nullptr &&
-             head.model->batchable && head.input.cols() == req.input.cols();
-  }
-  return false;
-}
-
-void DynamicBatcher::take_batch(std::vector<ServeRequest>& pending,
-                                std::vector<ServeRequest>& out) const {
-  out.clear();
-  if (pending.empty()) return;
-  out.push_back(std::move(pending.front()));
-  if (out.front().kind == RequestKind::kTrace) {
-    pending.erase(pending.begin());
-    return;
-  }
-
-  // Single pass with in-place compaction: survivors slide left over the
-  // holes the taken requests leave, then one resize. Unlike erase-per-take
-  // this is O(pending) total, and both vectors keep their capacity.
-  std::size_t rows = out.front().rows();
-  std::size_t keep = 0;  // write cursor; slot 0 held the taken head
-  for (std::size_t i = 1; i < pending.size(); ++i) {
-    ServeRequest& req = pending[i];
-    if (out.size() < config_.max_batch_requests && compatible(out.front(), req) &&
-        rows + req.rows() <= config_.max_batch_rows) {
-      rows += req.rows();
-      out.push_back(std::move(req));
-    } else {
-      pending[keep++] = std::move(req);
-    }
-  }
-  pending.resize(keep);
-}
-
-BatchRecord DynamicBatcher::execute(std::vector<ServeRequest>& batch,
-                                    OneSaAccelerator& accel, std::size_t worker,
-                                    std::size_t shard) const {
-  ONESA_CHECK(!batch.empty(), "DynamicBatcher::execute on an empty batch");
-  if (batch.front().kind == RequestKind::kTrace) {
-    ONESA_CHECK(batch.size() == 1, "trace requests must not be batched");
-    return record_batch_metrics(execute_trace(std::move(batch.front()), accel, worker, shard));
-  }
-  if (batch.front().kind == RequestKind::kModel) {
-    return record_batch_metrics(execute_model(batch, accel, worker, shard));
-  }
-
-  const auto start = ServeClock::now();
-  const std::size_t tile_rows = accel.config().array.rows;
-  const tensor::FixMatrix packed = pack_rows(batch, tile_rows, &ServeRequest::x);
-
-  PassOutput pass = batch.front().kind == RequestKind::kElementwise
-                        ? accel.elementwise(batch.front().fn, packed)
-                        : accel.gemm(packed, *batch.front().weight);
-  const auto end = ServeClock::now();
-
-  std::size_t useful_rows = 0;
-  for (const auto& req : batch) useful_rows += req.rows();
-  // MAC charge of the pass, exactly as the accelerator's lifetime counters
-  // saw it (padding rows included — the array really streams them).
-  const std::uint64_t macs =
-      batch.front().kind == RequestKind::kElementwise
-          ? 2 * static_cast<std::uint64_t>(packed.size())
-          : static_cast<std::uint64_t>(packed.rows()) * packed.cols() *
-                batch.front().weight->cols();
-
-  BatchRecord record;
-  record.cycles = pass.cycles;
-  record.mac_ops = macs;
-  record.requests = batch.size();
-  record.rows = useful_rows;
-  record.padded_rows = packed.rows();
-  record.shard = shard;
-  record.latency_ms.reserve(batch.size());
-
-  std::size_t row = 0;
-  for (auto& req : batch) {
-    ServeResult result;
-    result.id = req.id;
-    result.kind = req.kind;
-    result.y = slice_rows(pass.y, row, req.rows());
-    row += req.rows();
-    result.cycles = pass.cycles;
-    result.mac_ops = macs;
-    result.queue_ms = ms_between(req.enqueued, start);
-    result.service_ms = ms_between(start, end);
-    result.worker = worker;
-    result.shard = shard;
-    result.batch_requests = batch.size();
-    result.batch_rows = useful_rows;
-    result.padded_rows = packed.rows();
     if (stamp_slo(result, req, end)) ++record.deadline_misses;
     record.latency_ms.push_back(result.queue_ms + result.service_ms);
     record.latency_class.push_back(req.priority);

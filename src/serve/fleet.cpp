@@ -171,11 +171,6 @@ struct ResilientOp : CompletionHook, std::enable_shared_from_this<ResilientOp> {
   Fleet* fleet = nullptr;
 
   // Rebuild payload (copied once at submit; attempts copy from here).
-  RequestKind kind = RequestKind::kElementwise;
-  cpwl::FunctionKind fn = cpwl::FunctionKind::kRelu;
-  tensor::FixMatrix x;
-  std::shared_ptr<const tensor::FixMatrix> weight;
-  std::shared_ptr<const nn::WorkloadTrace> trace;
   ModelHandle model;
   tensor::Matrix input;
   Priority priority = Priority::kNormal;
@@ -204,17 +199,7 @@ struct ResilientOp : CompletionHook, std::enable_shared_from_this<ResilientOp> {
   TaggedRequest rebuild() const {
     SubmitOptions options;
     options.priority = priority;
-    switch (kind) {
-      case RequestKind::kElementwise:
-        return make_elementwise_request(fn, x, options);
-      case RequestKind::kGemm:
-        return make_gemm_request(x, weight, options);
-      case RequestKind::kTrace:
-        return make_trace_request(trace, options);
-      case RequestKind::kModel:
-        return make_model_request(model, input, options);
-    }
-    throw Error("unreachable request kind");
+    return make_model_request(model, input, options);
   }
 
   void settle_value(ServeResult&& result) {
@@ -533,11 +518,6 @@ std::future<ServeResult> Fleet::submit_resilient(TaggedRequest req) {
   auto op = std::make_shared<ResilientOp>();
   ServeRequest& r = req.request;
   op->fleet = this;
-  op->kind = r.kind;
-  op->fn = r.fn;
-  op->x = r.x;
-  op->weight = r.weight;
-  op->trace = r.trace;
   op->model = r.model;
   op->input = r.input;
   op->priority = r.priority;
@@ -745,23 +725,6 @@ void Fleet::exit_brownout() {
   ONESA_LOG_INFO << "serve: fleet exiting brownout, "
                  << brownout_sheds_.load(std::memory_order_relaxed)
                  << " bulk requests shed while degraded";
-}
-
-std::future<ServeResult> Fleet::submit_elementwise(cpwl::FunctionKind fn,
-                                                   tensor::FixMatrix x,
-                                                   SubmitOptions options) {
-  return submit(make_elementwise_request(fn, std::move(x), options));
-}
-
-std::future<ServeResult> Fleet::submit_gemm(tensor::FixMatrix a,
-                                            std::shared_ptr<const tensor::FixMatrix> b,
-                                            SubmitOptions options) {
-  return submit(make_gemm_request(std::move(a), std::move(b), options));
-}
-
-std::future<ServeResult> Fleet::submit_trace(
-    std::shared_ptr<const nn::WorkloadTrace> trace, SubmitOptions options) {
-  return submit(make_trace_request(std::move(trace), options));
 }
 
 std::future<ServeResult> Fleet::submit_model(const std::string& name, tensor::Matrix input,

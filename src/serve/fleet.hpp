@@ -3,9 +3,10 @@
 // The pool is no longer the top of the serving stack — a Fleet owns S
 // shards (each a full ServerPool: its own request queue, batcher, and W
 // worker threads with one simulated accelerator each) and routes every
-// request to a shard:
+// request — always a registered-model request, whether a real forward or a
+// cost-trace entry standing in for a whole network — to a shard:
 //
-//   submit_*() ──> router ──> shard 0: RequestQueue ──> W workers
+//   submit*() ───> router ──> shard 0: RequestQueue ──> W workers
 //                        ──> shard 1: RequestQueue ──> W workers
 //   ModelRegistry (ONE,   ──> ...
 //   shared by all shards,
@@ -178,7 +179,7 @@ struct FleetConfig {
   std::size_t workers_per_shard = 2;
   /// Replicated to every worker's accelerator instance, fleet-wide.
   OneSaConfig accelerator;
-  /// Replicated to every shard's batcher (including max_batch_wait_ms).
+  /// Replicated to every shard's batcher.
   BatcherConfig batcher;
   /// FLEET-WIDE backlog bounds (summed over shards; reject semantics).
   AdmissionConfig admission;
@@ -221,13 +222,6 @@ class Fleet {
 
   // ------------------------------------------------------------- submission
 
-  std::future<ServeResult> submit_elementwise(cpwl::FunctionKind fn, tensor::FixMatrix x,
-                                              SubmitOptions options = {});
-  std::future<ServeResult> submit_gemm(tensor::FixMatrix a,
-                                       std::shared_ptr<const tensor::FixMatrix> b,
-                                       SubmitOptions options = {});
-  std::future<ServeResult> submit_trace(std::shared_ptr<const nn::WorkloadTrace> trace,
-                                        SubmitOptions options = {});
   /// By name: resolves the registry's CURRENT version at submit time (the
   /// hot-swap entry point). By handle: pins that exact version.
   std::future<ServeResult> submit_model(const std::string& name, tensor::Matrix input,

@@ -40,7 +40,11 @@
 //   cost_trace   — optional WorkloadTrace used as the simulated cycle model
 //                  of one request; without it the cycle charge falls back to
 //                  streaming the model's MAC volume through the array's GEMM
-//                  path.
+//                  path. It is also how a whole-network workload trace
+//                  (BERT/ResNet/GCN shapes, nn/workload.hpp) is served: a
+//                  one-layer placeholder model registered with the trace as
+//                  cost_trace and batchable = false is charged exactly
+//                  nn::estimate_trace_cycles per request.
 //   mac_ops_per_row — census-derived simulated cost estimate, feeding both
 //                  least-loaded dispatch and admission control.
 #pragma once

@@ -31,10 +31,9 @@ TaggedRequest tag(ServeRequest req, const SubmitOptions& options) {
   // reaching a terminal span.
   if (obs::tracing_enabled() && obs::trace_sample(req.id)) {
     req.traced = true;
-    obs::trace_async_begin("request", "request", req.id, obs::trace_now_us(),
-                           std::string("\"kind\":\"") + std::string(kind_name(req.kind)) +
-                               "\",\"priority\":\"" +
-                               std::string(priority_name(req.priority)) + "\"");
+    obs::trace_async_begin(
+        "request", "request", req.id, obs::trace_now_us(),
+        "\"priority\":\"" + std::string(priority_name(req.priority)) + "\"");
   }
   TaggedRequest out{std::move(req), {}};
   out.result = out.request.promise.get_future();
@@ -82,33 +81,12 @@ void shed_request(ServeRequest& req, const std::string& message, std::size_t que
 }
 
 std::uint64_t ServeRequest::estimated_cost() const {
-  switch (kind) {
-    case RequestKind::kElementwise:
-      return 2 * static_cast<std::uint64_t>(x.size());
-    case RequestKind::kGemm:
-      return static_cast<std::uint64_t>(x.rows()) * x.cols() *
-             (weight != nullptr ? weight->cols() : 0);
-    case RequestKind::kTrace:
-      return trace != nullptr ? nn::trace_mac_ops(*trace) : 0;
-    case RequestKind::kModel:
-      if (model == nullptr) return 0;
-      // Mirror what execution will actually charge (model_batch_cycles, same
-      // predicate): a registered cost trace models one whole request;
-      // otherwise the census-derived per-row MAC volume scales with rows.
-      if (model->cost_trace != nullptr) return model->cost_trace_macs;
-      return static_cast<std::uint64_t>(input.rows()) * model->mac_ops_per_row;
-  }
-  return 0;
-}
-
-std::string_view kind_name(RequestKind kind) {
-  switch (kind) {
-    case RequestKind::kElementwise: return "elementwise";
-    case RequestKind::kGemm: return "gemm";
-    case RequestKind::kTrace: return "trace";
-    case RequestKind::kModel: return "model";
-  }
-  return "?";
+  if (model == nullptr) return 0;
+  // Mirror what execution will actually charge (model_batch_cycles, same
+  // predicate): a registered cost trace models one whole request; otherwise
+  // the per-row MAC volume scales with rows.
+  if (model->cost_trace != nullptr) return model->cost_trace_macs;
+  return static_cast<std::uint64_t>(input.rows()) * model->mac_ops_per_row;
 }
 
 std::string_view priority_name(Priority priority) {
@@ -120,45 +98,11 @@ std::string_view priority_name(Priority priority) {
   return "?";
 }
 
-TaggedRequest make_elementwise_request(cpwl::FunctionKind fn, tensor::FixMatrix x,
-                                       SubmitOptions options) {
-  ONESA_CHECK_SHAPE(!x.empty(), "elementwise request with empty input");
-  ServeRequest req;
-  req.kind = RequestKind::kElementwise;
-  req.fn = fn;
-  req.x = std::move(x);
-  return tag(std::move(req), options);
-}
-
-TaggedRequest make_gemm_request(tensor::FixMatrix a,
-                                std::shared_ptr<const tensor::FixMatrix> b,
-                                SubmitOptions options) {
-  ONESA_CHECK(b != nullptr, "gemm request without a weight matrix");
-  ONESA_CHECK_SHAPE(!a.empty() && a.cols() == b->rows(),
-                    "gemm request A(" << a.rows() << "x" << a.cols() << ") incompatible with B("
-                                      << b->rows() << "x" << b->cols() << ")");
-  ServeRequest req;
-  req.kind = RequestKind::kGemm;
-  req.x = std::move(a);
-  req.weight = std::move(b);
-  return tag(std::move(req), options);
-}
-
-TaggedRequest make_trace_request(std::shared_ptr<const nn::WorkloadTrace> trace,
-                                 SubmitOptions options) {
-  ONESA_CHECK(trace != nullptr, "trace request without a trace");
-  ServeRequest req;
-  req.kind = RequestKind::kTrace;
-  req.trace = std::move(trace);
-  return tag(std::move(req), options);
-}
-
 TaggedRequest make_model_request(ModelHandle model, tensor::Matrix input,
                                  SubmitOptions options) {
   ONESA_CHECK(model != nullptr, "model request without a model handle");
   ONESA_CHECK_SHAPE(!input.empty(), "model request with empty input");
   ServeRequest req;
-  req.kind = RequestKind::kModel;
   req.model = std::move(model);
   req.input = std::move(input);
   return tag(std::move(req), options);

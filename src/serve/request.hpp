@@ -1,14 +1,15 @@
 // Request/response types of the serving runtime.
 //
-// A ServeRequest is one unit of client work — a tagged elementwise pass, a
-// GEMM against a shared weight matrix, a whole model WorkloadTrace, or a
-// real nn::Sequential forward pass against a registered model — with
-// future-based completion: the submitter holds a std::future<ServeResult>
-// that becomes ready when a pool worker finishes the batch containing the
-// request. Every request carries a priority class and an optional deadline;
-// the queue schedules earliest-deadline-first within priority classes and
-// the stats track per-request SLO outcomes. See server_pool.hpp for the
-// runtime that consumes these.
+// A ServeRequest is one unit of client work — an nn::Sequential forward
+// pass against a registered model — with future-based completion: the
+// submitter holds a std::future<ServeResult> that becomes ready when a pool
+// worker finishes the batch containing the request. Whole-network cost
+// models (WorkloadTrace) ride the same path as registry entries with a
+// cost_trace (see registry.hpp), so the serve tier has one request kind.
+// Every request carries a priority class and an optional deadline; the
+// queue schedules earliest-deadline-first within priority classes and the
+// stats track per-request SLO outcomes. See server_pool.hpp for the runtime
+// that consumes these.
 #pragma once
 
 #include <chrono>
@@ -17,8 +18,6 @@
 #include <memory>
 #include <string>
 
-#include "cpwl/functions.hpp"
-#include "nn/workload.hpp"
 #include "serve/errors.hpp"
 #include "serve/registry.hpp"
 #include "sim/clock.hpp"
@@ -28,11 +27,6 @@ namespace onesa::serve {
 
 using RequestId = std::uint64_t;
 using ServeClock = std::chrono::steady_clock;
-
-/// What kind of work a request carries.
-enum class RequestKind { kElementwise, kGemm, kTrace, kModel };
-
-std::string_view kind_name(RequestKind kind);
 
 /// Scheduling class. Lower value = served first; within a class the queue
 /// orders by deadline (EDF), then arrival.
@@ -52,14 +46,9 @@ struct SubmitOptions {
 /// Completion record delivered through the request's future.
 struct ServeResult {
   RequestId id = 0;
-  RequestKind kind = RequestKind::kElementwise;
 
-  /// Output rows of this request only (padding/batch-mate rows sliced away).
-  /// Empty for trace requests, whose output is the estimate below.
-  tensor::FixMatrix y;
-
-  /// Real model output for kModel requests (this request's rows of the
-  /// batched nn::Sequential::infer pass) — bit-identical to calling the
+  /// Model output: this request's rows of the batched nn::Sequential::infer
+  /// pass (batch-mate rows sliced away) — bit-identical to calling the
   /// model's forward directly on the request's input.
   tensor::Matrix logits;
 
@@ -69,10 +58,6 @@ struct ServeResult {
   /// batch once.
   sim::CycleStats cycles;
   std::uint64_t mac_ops = 0;
-
-  /// Filled for trace requests: end-to-end latency/GOPS on the worker's
-  /// accelerator configuration.
-  nn::TraceEstimate trace;
 
   /// Host wall-clock accounting (queueing delay and service time, ms).
   double queue_ms = 0.0;
@@ -85,9 +70,8 @@ struct ServeResult {
 
   std::size_t worker = 0;          // index of the worker that served it
   std::size_t shard = 0;           // fleet shard that served it (0 standalone)
-  std::size_t batch_requests = 1;  // requests packed into the same tile
-  std::size_t batch_rows = 0;      // useful rows in the tile
-  std::size_t padded_rows = 0;     // tile rows including padding
+  std::size_t batch_requests = 1;  // requests packed into the same pass
+  std::size_t batch_rows = 0;      // input rows of the whole pass
 };
 
 struct ServeRequest;
@@ -110,14 +94,9 @@ class CompletionHook {
 /// One queued unit of work. Move-only (owns the completion promise).
 struct ServeRequest {
   RequestId id = 0;
-  RequestKind kind = RequestKind::kElementwise;
 
-  cpwl::FunctionKind fn = cpwl::FunctionKind::kRelu;      // kElementwise
-  tensor::FixMatrix x;                                    // elementwise X / GEMM A
-  std::shared_ptr<const tensor::FixMatrix> weight;        // GEMM B, shared across requests
-  std::shared_ptr<const nn::WorkloadTrace> trace;         // kTrace
-  ModelHandle model;                                      // kModel
-  tensor::Matrix input;                                   // kModel forward input
+  ModelHandle model;     // the registered model version this request pins
+  tensor::Matrix input;  // forward input (rows are samples)
 
   std::promise<ServeResult> promise;
   ServeClock::time_point enqueued{};
@@ -139,8 +118,8 @@ struct ServeRequest {
   ServeClock::time_point parked_at{};
 
   /// Simulated-work estimate in MAC operations (see estimated_cost()),
-  /// stamped once by the request factories so the dispatcher never walks a
-  /// trace under the queue lock.
+  /// stamped once by make_model_request so the dispatcher never reads the
+  /// registry entry under the queue lock.
   std::uint64_t cost = 0;
 
   /// Resilience state: the fleet's retry/hedge layer attaches a hook (see
@@ -151,13 +130,12 @@ struct ServeRequest {
   std::shared_ptr<CompletionHook> hook;
   std::size_t routed_shard = static_cast<std::size_t>(-1);
 
-  std::size_t rows() const { return kind == RequestKind::kModel ? input.rows() : x.rows(); }
+  std::size_t rows() const { return input.rows(); }
 
-  /// Simulated-work estimate in MAC operations, mirroring the accelerator's
-  /// lifetime accounting for each kind (GEMM m*k*n, elementwise 2 MACs per
-  /// element, traces via nn::trace_mac_ops, models via the registry's
-  /// census-derived per-row MACs). The least-loaded dispatcher balances the
-  /// sum of these across workers, and admission control bounds the backlog's
+  /// Simulated-work estimate in MAC operations, mirroring what execution
+  /// charges: a cost-trace entry's per-request trace MACs, otherwise rows x
+  /// the entry's per-row MACs. The least-loaded dispatcher balances the sum
+  /// of these across workers, and admission control bounds the backlog's
   /// sum, so heterogeneous request streams are managed by simulated cost
   /// instead of request count.
   std::uint64_t estimated_cost() const;
@@ -177,7 +155,7 @@ void deliver(ServeRequest& req, ServeResult&& result);
 void deliver_error(ServeRequest& req, std::exception_ptr error);
 
 /// The request part of an ErrorContext: its id, and the model name + version
-/// it is bound to (none for non-model requests). Every serve-layer error
+/// it is bound to (none for a stub without a model). Every serve-layer error
 /// built for one request starts here.
 ErrorContext request_context(RequestId id, const ModelHandle& model);
 
@@ -188,22 +166,7 @@ ErrorContext request_context(RequestId id, const ModelHandle& model);
 void shed_request(ServeRequest& req, const std::string& message, std::size_t queue_depth,
                   std::uint64_t backlog_cost);
 
-/// Y = f(X) through the CPWL + IPF + MHP path.
-TaggedRequest make_elementwise_request(cpwl::FunctionKind fn, tensor::FixMatrix x,
-                                       SubmitOptions options = {});
-
-/// C = A * B. B is shared (typically a model weight served to many
-/// requests); requests with the same B batch together.
-TaggedRequest make_gemm_request(tensor::FixMatrix a,
-                                std::shared_ptr<const tensor::FixMatrix> b,
-                                SubmitOptions options = {});
-
-/// Full-model inference by shape trace (BERT/ResNet/GCN — nn/workload.hpp),
-/// executed op-by-op against the worker's cycle model.
-TaggedRequest make_trace_request(std::shared_ptr<const nn::WorkloadTrace> trace,
-                                 SubmitOptions options = {});
-
-/// Real nn::Sequential forward pass through a registered model: the batched
+/// nn::Sequential forward pass through a registered model: the batched
 /// input rows run model->infer() on the worker (kernel-layer GEMMs), and the
 /// response carries the request's logits plus the simulated cycle charge.
 TaggedRequest make_model_request(ModelHandle model, tensor::Matrix input,

@@ -189,23 +189,14 @@ std::size_t RequestQueue::scheduled_head(const std::vector<char>& parked) const 
 double RequestQueue::window_ms(const ServeRequest& head) const {
   // Interactive work always launches immediately — the class exists so a
   // latency-sensitive request is never parked behind a fill optimization.
-  if (head.priority == Priority::kInteractive) return 0.0;
-  // Brownout shrink: under degradation the fleet scales windows toward 0 so
-  // partial batches drain instead of parking while the backlog grows.
-  const double scale = window_scale_.load(std::memory_order_relaxed);
-  if (scale <= 0.0) return 0.0;
-  switch (head.kind) {
-    case RequestKind::kTrace:
-      return 0.0;  // traces never batch: nothing to wait for
-    case RequestKind::kModel:
-      // Per-model window from the registry entry; non-batchable models
-      // cannot grow their batch, so waiting would be pure added latency.
-      return head.model != nullptr && head.model->batchable
-                 ? head.model->batch_window_ms * scale
-                 : 0.0;
-    default:
-      return batcher_.config().max_batch_wait_ms * scale;
-  }
+  // Non-batchable models cannot grow their batch, so waiting would be pure
+  // added latency. Otherwise: the registry entry's per-model window, scaled
+  // by the brownout shrink (the fleet sets 0 under degradation so partial
+  // batches drain instead of parking while the backlog grows).
+  if (head.priority == Priority::kInteractive || head.model == nullptr ||
+      !head.model->batchable)
+    return 0.0;
+  return head.model->batch_window_ms * window_scale_.load(std::memory_order_relaxed);
 }
 
 bool RequestQueue::batch_is_full(std::size_t head) const {

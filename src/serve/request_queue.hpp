@@ -14,9 +14,8 @@
 //
 // LATENCY-AWARE BATCHING WINDOWS. A head whose batch is only partially
 // filled may WAIT for more compatible riders instead of launching
-// immediately: model requests wait up to their registry entry's
-// batch_window_ms, elementwise/GEMM requests up to the batcher's
-// max_batch_wait_ms (both default 0 = the immediate-launch behaviour).
+// immediately: up to its registry entry's batch_window_ms (default 0 = the
+// immediate-launch behaviour), scaled by the brownout window scale.
 // The wait ends — and the batch launches — when any of these happens first:
 //   - the window expires (counted in window_expiries(), exported to
 //     ServeStats) — the partial batch launches instead of waiting for full;
@@ -134,8 +133,8 @@ class RequestQueue {
   /// crash during shutdown still completes every accepted future.
   void requeue(std::vector<ServeRequest> requests);
 
-  /// Scale every batching window by `scale` (applied to both the per-model
-  /// window and max_batch_wait_ms at head-scheduling time). The fleet's
+  /// Scale every per-model batching window by `scale` (applied at
+  /// head-scheduling time). The fleet's
   /// brownout mode sets 0.0 — launch everything immediately, trading batch
   /// fill for queue drain — and restores 1.0 on exit.
   void set_window_scale(double scale) {

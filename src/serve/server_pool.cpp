@@ -121,10 +121,10 @@ ModelHandle ServerPool::register_model(std::string name,
   // First SUCCESSFUL registration: reserve the worker fleet in the kernels'
   // shared ThreadPool so model forwards on the workers cap their GEMM
   // fan-out instead of stacking N serve threads on top of a full
-  // kernel-pool fan-out. Lazy on purpose — pools serving only simulated
-  // traffic never run worker-side GEMMs and must not throttle other kernel
-  // users (which is also why a registration that throws above must not
-  // reserve). Released once in shutdown().
+  // kernel-pool fan-out. Lazy on purpose — a pool that never serves a model
+  // runs no worker-side GEMMs and must not throttle other kernel users
+  // (which is also why a registration that throws above must not reserve).
+  // Released once in shutdown().
   ensure_kernel_reservation();
   return handle;
 }
@@ -145,23 +145,6 @@ void ServerPool::ensure_kernel_reservation() {
 std::future<ServeResult> ServerPool::submit(TaggedRequest req) {
   core_->queue.push(std::move(req.request));
   return std::move(req.result);
-}
-
-std::future<ServeResult> ServerPool::submit_elementwise(cpwl::FunctionKind fn,
-                                                        tensor::FixMatrix x,
-                                                        SubmitOptions options) {
-  return submit(make_elementwise_request(fn, std::move(x), options));
-}
-
-std::future<ServeResult> ServerPool::submit_gemm(
-    tensor::FixMatrix a, std::shared_ptr<const tensor::FixMatrix> b,
-    SubmitOptions options) {
-  return submit(make_gemm_request(std::move(a), std::move(b), options));
-}
-
-std::future<ServeResult> ServerPool::submit_trace(
-    std::shared_ptr<const nn::WorkloadTrace> trace, SubmitOptions options) {
-  return submit(make_trace_request(std::move(trace), options));
 }
 
 std::future<ServeResult> ServerPool::submit_model(const std::string& name,
@@ -388,7 +371,7 @@ void ServerPool::Core::worker_loop(std::size_t index) {
       w.busy_cycles += record.cycles.total();
       // A failed batch (every promise already holds the error) returns an
       // empty record; recording it would count a zero-request batch and skew
-      // mean_batch_requests()/batch_fill().
+      // mean_batch_requests().
       if (record.requests > 0) w.stats.record_batch(record);
       if (traced && obs::tracing_enabled()) {
         // Worker-track span of the whole batch execution; the kernel spans
@@ -397,7 +380,6 @@ void ServerPool::Core::worker_loop(std::size_t index) {
             "batch", "batch", batch_t0, obs::trace_now_us() - batch_t0,
             "\"requests\":" + std::to_string(record.requests) +
                 ",\"rows\":" + std::to_string(record.rows) +
-                ",\"padded_rows\":" + std::to_string(record.padded_rows) +
                 ",\"shard\":" + std::to_string(config.shard) +
                 ",\"worker\":" + std::to_string(index));
       }

@@ -1,10 +1,12 @@
 // Multi-threaded batching inference runtime over a pool of simulated
-// ONE-SA accelerator instances, serving both cost-model traffic (traces,
-// shape requests) and REAL nn::Sequential inference from a model registry.
+// ONE-SA accelerator instances, serving nn::Sequential inference from a
+// model registry. Whole-network cost models are registry entries too: a
+// one-layer model registered with a ModelOptions::cost_trace is charged the
+// trace's simulated cycles per request (see registry.hpp).
 //
 // Architecture (one shared queue, N workers):
 //
-//   submit_*() ──> RequestQueue ──> worker 0 ── OneSaAccelerator #0
+//   submit*() ───> RequestQueue ──> worker 0 ── OneSaAccelerator #0
 //   ModelRegistry  (admission     ─> worker 1 ── OneSaAccelerator #1
 //   (shared        control, EDF  ──> ...
 //    weights)      scheduling,
@@ -149,21 +151,14 @@ class ServerPool {
   // admission control sheds a request, the returned future fails with
   // OverloadError instead of delivering a result.
 
-  std::future<ServeResult> submit_elementwise(cpwl::FunctionKind fn, tensor::FixMatrix x,
-                                              SubmitOptions options = {});
-  std::future<ServeResult> submit_gemm(tensor::FixMatrix a,
-                                       std::shared_ptr<const tensor::FixMatrix> b,
-                                       SubmitOptions options = {});
-  std::future<ServeResult> submit_trace(std::shared_ptr<const nn::WorkloadTrace> trace,
-                                        SubmitOptions options = {});
-  /// Real nn::Sequential inference by registered name / handle: the batched
+  /// nn::Sequential inference by registered name / handle: the batched
   /// forward runs on a worker thread through the kernel layer, and the
   /// result's logits are bit-identical to the model's direct forward.
   std::future<ServeResult> submit_model(const std::string& name, tensor::Matrix input,
                                         SubmitOptions options = {});
   std::future<ServeResult> submit_model(ModelHandle model, tensor::Matrix input,
                                         SubmitOptions options = {});
-  /// Submit a request built elsewhere (serve/request.hpp factories).
+  /// Submit a request built elsewhere (serve::make_model_request).
   std::future<ServeResult> submit(TaggedRequest req);
 
   // ----------------------------------------------------------------- faults

@@ -37,7 +37,6 @@ void ServeStats::record_batch(const BatchRecord& record) {
   completed_ += record.requests;
   batches_ += 1;
   rows_ += record.rows;
-  padded_rows_ += record.padded_rows;
   deadline_misses_ += record.deadline_misses;
   cycles_ += record.cycles;
   mac_ops_ += record.mac_ops;
@@ -55,7 +54,6 @@ void ServeStats::merge(const ServeStats& o) {
   completed_ += o.completed_;
   batches_ += o.batches_;
   rows_ += o.rows_;
-  padded_rows_ += o.padded_rows_;
   deadline_misses_ += o.deadline_misses_;
   sheds_ += o.sheds_;
   window_expiries_ += o.window_expiries_;
@@ -78,12 +76,6 @@ double ServeStats::class_percentile_latency_ms(Priority c, double p) const {
 
 double ServeStats::class_mean_latency_ms(Priority c) const {
   return mean_of(class_latency_ms_[class_index(c)]);
-}
-
-double ServeStats::batch_fill() const {
-  return padded_rows_ == 0
-             ? 0.0
-             : static_cast<double>(rows_) / static_cast<double>(padded_rows_);
 }
 
 double ServeStats::mean_batch_requests() const {

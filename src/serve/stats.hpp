@@ -1,5 +1,5 @@
-// Serving statistics: throughput, latency percentiles, batch-fill ratio,
-// SLO counters (deadline misses, sheds, batching-window expiries) and
+// Serving statistics: throughput, latency percentiles, batch sizes, SLO
+// counters (deadline misses, sheds, batching-window expiries) and
 // simulated-cycle totals.
 //
 // Each pool worker owns one ServeStats and records into it under the
@@ -36,8 +36,7 @@ struct BatchRecord {
   sim::CycleStats cycles;
   std::uint64_t mac_ops = 0;
   std::size_t requests = 0;
-  std::size_t rows = 0;         // useful rows packed into the tile
-  std::size_t padded_rows = 0;  // tile rows including padding
+  std::size_t rows = 0;  // input rows of the batched pass
   std::size_t deadline_misses = 0;  // requests completed past their deadline
   std::size_t shard = 0;  // fleet shard that executed the batch (0 standalone)
   LatencySamples latency_ms;  // queue+service wall latency per request
@@ -69,7 +68,6 @@ class ServeStats {
   std::size_t completed() const { return completed_; }
   std::uint64_t batches() const { return batches_; }
   std::uint64_t rows() const { return rows_; }
-  std::uint64_t padded_rows() const { return padded_rows_; }
 
   /// SLO counters: completions past their deadline, and requests shed by
   /// admission control (sheds never appear in completed()).
@@ -79,9 +77,6 @@ class ServeStats {
   /// window expired before the batch could fill.
   std::uint64_t window_expiries() const { return window_expiries_; }
 
-  /// Useful-row share of the padded tiles the array actually ran (1.0 =
-  /// every tile full, no padding waste).
-  double batch_fill() const;
   double mean_batch_requests() const;
 
   /// Wall-clock latency percentile in ms, p in [0, 100]. Nearest-rank on the
@@ -109,7 +104,6 @@ class ServeStats {
   std::size_t completed_ = 0;
   std::uint64_t batches_ = 0;
   std::uint64_t rows_ = 0;
-  std::uint64_t padded_rows_ = 0;
   std::uint64_t deadline_misses_ = 0;
   std::uint64_t sheds_ = 0;
   std::uint64_t window_expiries_ = 0;

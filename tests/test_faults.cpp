@@ -24,18 +24,16 @@
 #include "serve/request_queue.hpp"
 #include "serve/server_pool.hpp"
 #include "tensor/ops.hpp"
+#include "tiny_models.hpp"
 
 namespace onesa::serve {
 namespace {
 
+using test_models::register_tiny;
+using test_models::tiny_input;
+using test_models::tiny_options;
 using tensor::FixMatrix;
 using tensor::Matrix;
-using tensor::to_fixed;
-
-FixMatrix random_fix(std::size_t rows, std::size_t cols, Rng& rng, float lo = -2.0f,
-                     float hi = 2.0f) {
-  return to_fixed(tensor::random_uniform(rows, cols, rng, lo, hi));
-}
 
 OneSaConfig small_config() {
   OneSaConfig cfg;
@@ -171,7 +169,8 @@ TEST(FaultServing, TransientErrorsAreTypedAndCarryContext) {
   pool.fault_injector().arm(plan);
 
   Rng rng(7);
-  auto future = pool.submit_elementwise(cpwl::FunctionKind::kRelu, random_fix(2, 4, rng));
+  const ModelHandle tiny = register_tiny(pool, "tiny");
+  auto future = pool.submit_model(tiny, tiny_input(2, rng));
   try {
     future.get();
     FAIL() << "expected InjectedFault";
@@ -195,9 +194,10 @@ TEST(FaultServing, PoisonedBatchFailsEveryRequestInIt) {
   pool.fault_injector().arm(plan);
 
   Rng rng(8);
+  const ModelHandle tiny = register_tiny(pool, "tiny");
   std::vector<std::future<ServeResult>> futures;
   for (int i = 0; i < 4; ++i) {
-    futures.push_back(pool.submit_elementwise(cpwl::FunctionKind::kGelu, random_fix(2, 4, rng)));
+    futures.push_back(pool.submit_model(tiny, tiny_input(2, rng)));
   }
   std::size_t poisoned = 0;
   for (auto& f : futures) {
@@ -222,9 +222,10 @@ TEST(FaultServing, FleetAdmissionShedCarriesBacklogContext) {
   fleet.shard(0).fault_injector().arm(plan);
 
   Rng rng(9);
+  const ModelHandle tiny = register_tiny(fleet, "tiny");
   std::vector<std::future<ServeResult>> futures;
   for (int i = 0; i < 6; ++i) {
-    futures.push_back(fleet.submit_elementwise(cpwl::FunctionKind::kRelu, random_fix(2, 4, rng)));
+    futures.push_back(fleet.submit_model(tiny, tiny_input(2, rng)));
   }
   std::size_t shed = 0;
   for (auto& f : futures) {
@@ -256,9 +257,10 @@ TEST(FaultServing, WatchdogRespawnsCrashedWorkerAndRequeuesItsBatch) {
   pool.fault_injector().arm(plan);
 
   Rng rng(10);
+  const ModelHandle tiny = register_tiny(pool, "tiny");
   std::vector<std::future<ServeResult>> futures;
   for (int i = 0; i < 3; ++i) {
-    futures.push_back(pool.submit_elementwise(cpwl::FunctionKind::kRelu, random_fix(2, 4, rng)));
+    futures.push_back(pool.submit_model(tiny, tiny_input(2, rng)));
   }
   // The crashed worker's in-flight batch is re-queued and served by the
   // respawned thread: every future completes with a value, exactly once.
@@ -280,7 +282,8 @@ TEST(FaultServing, WatchdogAbandonsStalledWorker) {
   pool.fault_injector().arm(plan);
 
   Rng rng(11);
-  auto future = pool.submit_elementwise(cpwl::FunctionKind::kRelu, random_fix(2, 4, rng));
+  const ModelHandle tiny = register_tiny(pool, "tiny");
+  auto future = pool.submit_model(tiny, tiny_input(2, rng));
   ASSERT_TRUE(wait_for([&] { return pool.stalls_detected() >= 1; }, 5000.0));
   // Disarm so the respawned worker serves the recovered batch cleanly.
   pool.fault_injector().disarm();
@@ -303,7 +306,8 @@ TEST(FaultServing, ShutdownIsBoundedWhenAWorkerStalls) {
   pool->fault_injector().arm(plan);
 
   Rng rng(12);
-  auto future = pool->submit_elementwise(cpwl::FunctionKind::kRelu, random_fix(2, 4, rng));
+  const ModelHandle tiny = register_tiny(*pool, "tiny");
+  auto future = pool->submit_model(tiny, tiny_input(2, rng));
   // Give the worker time to pick the batch up and enter the stall.
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
 
@@ -336,9 +340,10 @@ TEST(FaultFleet, RetriesAbsorbTransientFaults) {
   fleet.shard(0).fault_injector().arm(plan);
 
   Rng rng(13);
+  const ModelHandle tiny = register_tiny(fleet, "tiny");
   std::vector<std::future<ServeResult>> futures;
   for (int i = 0; i < 16; ++i) {
-    futures.push_back(fleet.submit_elementwise(cpwl::FunctionKind::kRelu, random_fix(2, 4, rng)));
+    futures.push_back(fleet.submit_model(tiny, tiny_input(2, rng)));
   }
   for (auto& f : futures) EXPECT_NO_THROW(f.get());
   EXPECT_GE(fleet.retries(), 1u);
@@ -355,7 +360,8 @@ TEST(FaultFleet, RetryBudgetExhaustionSurfacesTheFault) {
   fleet.shard(0).fault_injector().arm(plan);
 
   Rng rng(14);
-  auto future = fleet.submit_elementwise(cpwl::FunctionKind::kRelu, random_fix(2, 4, rng));
+  const ModelHandle tiny = register_tiny(fleet, "tiny");
+  auto future = fleet.submit_model(tiny, tiny_input(2, rng));
   EXPECT_THROW(future.get(), InjectedFault);
   EXPECT_GE(fleet.retries(), 2u);
 }
@@ -375,9 +381,10 @@ TEST(FaultFleet, HedgingDuplicatesToAnotherShardAndDedupsResults) {
   fleet.shard(0).fault_injector().arm(plan);
 
   Rng rng(15);
+  const ModelHandle tiny = register_tiny(fleet, "tiny");
   std::vector<std::future<ServeResult>> futures;
   for (int i = 0; i < 8; ++i) {
-    futures.push_back(fleet.submit_elementwise(cpwl::FunctionKind::kRelu, random_fix(2, 4, rng)));
+    futures.push_back(fleet.submit_model(tiny, tiny_input(2, rng)));
   }
   for (auto& f : futures) EXPECT_NO_THROW(f.get());
   EXPECT_GE(fleet.hedges(), 1u);
@@ -394,7 +401,8 @@ TEST(FaultFleet, TimeoutSettlesTheFutureTyped) {
   fleet.shard(0).fault_injector().arm(plan);
 
   Rng rng(16);
-  auto future = fleet.submit_elementwise(cpwl::FunctionKind::kRelu, random_fix(2, 4, rng));
+  const ModelHandle tiny = register_tiny(fleet, "tiny");
+  auto future = fleet.submit_model(tiny, tiny_input(2, rng));
   EXPECT_THROW(future.get(), TimeoutError);
   EXPECT_GE(fleet.timeouts(), 1u);
 }
@@ -420,13 +428,13 @@ TEST(FaultFleet, BreakerOpensOnErrorsAndReclosesAfterRecovery) {
   fleet.shard(0).fault_injector().arm(plan);
 
   Rng rng(17);
+  const ModelHandle tiny = register_tiny(fleet, "tiny");
   std::vector<std::future<ServeResult>> futures;
   // Push traffic until shard 0's breaker trips. Retries re-route to the
   // healthy shard, so every future still succeeds.
   ASSERT_TRUE(wait_for(
       [&] {
-        futures.push_back(
-            fleet.submit_elementwise(cpwl::FunctionKind::kRelu, random_fix(2, 4, rng)));
+        futures.push_back(fleet.submit_model(tiny, tiny_input(2, rng)));
         return fleet.health(0).opens() >= 1;
       },
       10000.0));
@@ -437,8 +445,7 @@ TEST(FaultFleet, BreakerOpensOnErrorsAndReclosesAfterRecovery) {
   fleet.shard(0).fault_injector().disarm();
   ASSERT_TRUE(wait_for(
       [&] {
-        futures.push_back(
-            fleet.submit_elementwise(cpwl::FunctionKind::kRelu, random_fix(2, 4, rng)));
+        futures.push_back(fleet.submit_model(tiny, tiny_input(2, rng)));
         return fleet.health(0).state() == ShardHealth::Breaker::kClosed;
       },
       10000.0));
@@ -466,15 +473,15 @@ TEST(FaultFleet, BrownoutShedsBulkFirstAndKeepsInteractiveFlowing) {
   fleet.shard(0).fault_injector().arm(plan);
 
   Rng rng(18);
-  std::vector<std::future<ServeResult>> accepted;
-  // Alternate function kinds so the requests cannot merge into one batch —
+  const ModelHandle tiny = register_tiny(fleet, "tiny");
+  // A non-batchable model, so the requests cannot merge into one batch —
   // the backlog stays deep while the worker crawls through injected stalls.
-  const cpwl::FunctionKind kinds[] = {cpwl::FunctionKind::kRelu, cpwl::FunctionKind::kGelu,
-                                      cpwl::FunctionKind::kSigmoid};
+  const ModelHandle solo =
+      register_tiny(fleet, "solo", tiny_options(test_models::kTinyMacsPerRow, /*batchable=*/false));
+  std::vector<std::future<ServeResult>> accepted;
   ASSERT_TRUE(wait_for(
       [&] {
-        accepted.push_back(fleet.submit_elementwise(kinds[accepted.size() % 3],
-                                                    random_fix(2, 4, rng)));
+        accepted.push_back(fleet.submit_model(solo, tiny_input(2, rng)));
         return fleet.browned_out();
       },
       10000.0));
@@ -482,14 +489,13 @@ TEST(FaultFleet, BrownoutShedsBulkFirstAndKeepsInteractiveFlowing) {
   // Degraded: bulk is shed with a typed overload, interactive still admits.
   SubmitOptions bulk;
   bulk.priority = Priority::kBulk;
-  auto shed = fleet.submit_elementwise(cpwl::FunctionKind::kRelu, random_fix(2, 4, rng), bulk);
+  auto shed = fleet.submit_model(tiny, tiny_input(2, rng), bulk);
   EXPECT_THROW(shed.get(), OverloadError);
   EXPECT_GE(fleet.brownout_sheds(), 1u);
 
   SubmitOptions interactive;
   interactive.priority = Priority::kInteractive;
-  accepted.push_back(
-      fleet.submit_elementwise(cpwl::FunctionKind::kRelu, random_fix(2, 4, rng), interactive));
+  accepted.push_back(fleet.submit_model(tiny, tiny_input(2, rng), interactive));
 
   fleet.shard(0).fault_injector().disarm();
   for (auto& f : accepted) EXPECT_NO_THROW(f.get());
@@ -511,14 +517,15 @@ TEST(FaultServing, RejectAdmissionAndDeadlineMissesUnderStalls) {
   pool.fault_injector().arm(plan);
 
   Rng rng(19);
-  const cpwl::FunctionKind kinds[] = {cpwl::FunctionKind::kRelu, cpwl::FunctionKind::kGelu,
-                                      cpwl::FunctionKind::kSigmoid};
+  // Non-batchable: every request is its own pass, so the stalls hold the
+  // backlog deep.
+  const ModelHandle solo =
+      register_tiny(pool, "solo", tiny_options(test_models::kTinyMacsPerRow, /*batchable=*/false));
   SubmitOptions tight;
   tight.deadline_ms = 1.0;  // everything the stall touches misses this
   std::vector<std::future<ServeResult>> futures;
   for (int i = 0; i < 12; ++i) {
-    futures.push_back(pool.submit_elementwise(kinds[static_cast<std::size_t>(i) % 3],
-                                              random_fix(2, 4, rng), tight));
+    futures.push_back(pool.submit_model(solo, tiny_input(2, rng), tight));
   }
   std::size_t shed = 0;
   std::size_t completed = 0;
@@ -557,6 +564,9 @@ TEST(FaultFleet, RetryStormDoesNotStarveInteractive) {
   auto model = std::make_unique<nn::Sequential>();
   model->add(std::make_unique<GateLayer>(gate));
   fleet.register_model("gate", std::move(model));
+  const ModelHandle bulk_model =
+      register_tiny(fleet, "bulk-work", tiny_options(), cpwl::FunctionKind::kGelu);
+  const ModelHandle interactive_model = register_tiny(fleet, "interactive-work");
   Rng rng(20);
   auto held = fleet.submit_model("gate", tensor::random_uniform(1, 4, rng));
   ASSERT_EQ(entered.wait_for(std::chrono::seconds(10)), std::future_status::ready);
@@ -569,18 +579,16 @@ TEST(FaultFleet, RetryStormDoesNotStarveInteractive) {
   // One saturating burst: bulk first so the queue is deep when the
   // interactive requests arrive — strict priority must jump them ahead even
   // while the transient-fault retry storm churns the queue.
+  // Bulk and interactive traffic go to two different models, so the classes
+  // never share a batch.
   SubmitOptions bulk;
   bulk.priority = Priority::kBulk;
-  for (int i = 0; i < 24; ++i) {
-    futures.push_back(
-        fleet.submit_elementwise(cpwl::FunctionKind::kGelu, random_fix(2, 4, rng), bulk));
-  }
+  for (int i = 0; i < 24; ++i)
+    futures.push_back(fleet.submit_model(bulk_model, tiny_input(2, rng), bulk));
   SubmitOptions interactive;
   interactive.priority = Priority::kInteractive;
-  for (int i = 0; i < 8; ++i) {
-    futures.push_back(fleet.submit_elementwise(cpwl::FunctionKind::kRelu,
-                                               random_fix(2, 4, rng), interactive));
-  }
+  for (int i = 0; i < 8; ++i)
+    futures.push_back(fleet.submit_model(interactive_model, tiny_input(2, rng), interactive));
   EXPECT_EQ(fleet.pending(), futures.size());  // all 32 queued behind the gate
   // Keep the burst queued a while longer, as behind any long-running job.
   // Every bulk request then waits out the hold plus the interactive work

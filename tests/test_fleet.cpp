@@ -25,13 +25,15 @@
 #include "serve/request_queue.hpp"
 #include "tensor/kernels/pack.hpp"
 #include "tensor/ops.hpp"
+#include "tiny_models.hpp"
 
 namespace onesa::serve {
 namespace {
 
-using tensor::FixMatrix;
+using test_models::register_tiny;
+using test_models::tiny_input;
+using test_models::tiny_options;
 using tensor::Matrix;
-using tensor::to_fixed;
 
 OneSaConfig small_config() {
   OneSaConfig cfg;
@@ -113,24 +115,23 @@ TEST(Fleet, ServesModelBitExactlyAndShardStatsSumToFleetTotals) {
 TEST(Fleet, RouterPrefersTheShardWithLessOutstandingCost) {
   Fleet fleet(small_fleet(2, 1));
   Rng rng(81);
-  const auto fix = [&](std::size_t rows, std::size_t cols) {
-    return to_fixed(tensor::random_uniform(rows, cols, rng));
-  };
+  const ModelHandle light_model = register_tiny(fleet, "light");         // 8 MACs/row
+  const ModelHandle heavy_model = register_tiny(fleet, "heavy", tiny_options(8192));
 
   // Hold shard 0's only worker in an injected stall, then park a heavy
-  // request (64x64 elementwise, 8192 MACs) in its backlog. Both submits go
-  // to the shard directly, past the router.
+  // request (one row at 8192 MACs) in its backlog. Both submits go to the
+  // shard directly, past the router.
   FaultPlan stall;
   stall.stall_rate = 1.0;
   stall.stall_ms = 300.0;
   fleet.shard(0).fault_injector().arm(stall);
-  auto held = fleet.shard(0).submit_elementwise(cpwl::FunctionKind::kRelu, fix(1, 4));
+  auto held = fleet.shard(0).submit_model(light_model, tiny_input(1, rng));
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
   while (fleet.shard(0).fault_injector().stalls_injected() == 0 &&
          std::chrono::steady_clock::now() < deadline)
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   ASSERT_EQ(fleet.shard(0).fault_injector().stalls_injected(), 1u);
-  auto heavy = fleet.shard(0).submit_elementwise(cpwl::FunctionKind::kRelu, fix(64, 64));
+  auto heavy = fleet.shard(0).submit_model(heavy_model, tiny_input(1, rng));
   ASSERT_GE(fleet.shard(0).outstanding_cost(), 8192u);
 
   // Eight light requests (8 MACs each) through the router. Shard 1's
@@ -138,7 +139,7 @@ TEST(Fleet, RouterPrefersTheShardWithLessOutstandingCost) {
   // every one must land there; a rotation would send half to shard 0.
   std::vector<std::future<ServeResult>> light;
   for (int i = 0; i < 8; ++i)
-    light.push_back(fleet.submit_elementwise(cpwl::FunctionKind::kRelu, fix(1, 4)));
+    light.push_back(fleet.submit_model(light_model, tiny_input(1, rng)));
   // The premise held while they were routed: shard 0 has completed nothing,
   // so its worker was still stalled and the heavy request still queued.
   ASSERT_EQ(fleet.shard(0).stats().completed(), 0u);
@@ -178,12 +179,12 @@ TEST(Fleet, FleetAdmissionShedsBySummedBacklogAndAccountsEverything) {
   cfg.admission.max_pending_requests = 3;  // fleet-wide, not per shard
   Fleet fleet(cfg);
   Rng rng(83);
+  const ModelHandle tiny = register_tiny(fleet, "tiny");
 
   constexpr int kSubmitted = 40;
   std::vector<std::future<ServeResult>> futures;
   for (int i = 0; i < kSubmitted; ++i)
-    futures.push_back(fleet.submit_elementwise(
-        cpwl::FunctionKind::kRelu, to_fixed(tensor::random_uniform(2, 4, rng))));
+    futures.push_back(fleet.submit_model(tiny, tiny_input(2, rng)));
 
   std::size_t served = 0;
   std::size_t shed = 0;
@@ -366,19 +367,26 @@ TEST(HotSwap, QuantizedSwapUnderSaturatingLoadNeverMixesVersions) {
 
 // ------------------------------------------------------- batching windows
 
-BatcherConfig windowed_batcher(double wait_ms) {
+BatcherConfig windowed_batcher() {
   BatcherConfig cfg;
   cfg.max_batch_requests = 4;
   cfg.max_batch_rows = 64;
-  cfg.max_batch_wait_ms = wait_ms;
   return cfg;
 }
 
+/// A batchable tiny model whose registry entry carries a `window_ms`
+/// batching window (the one window knob: it lives on the model).
+ModelHandle windowed_model(ModelRegistry& registry, double window_ms) {
+  return register_tiny(registry, "windowed", tiny_options(test_models::kTinyMacsPerRow,
+                                                          /*batchable=*/true, window_ms));
+}
+
 TEST(BatchingWindow, PartialBatchLaunchesAtExpiryAndIsCounted) {
-  RequestQueue queue(1, DynamicBatcher(windowed_batcher(20.0)));
+  RequestQueue queue(1, DynamicBatcher(windowed_batcher()));
+  ModelRegistry registry;
+  const ModelHandle windowed = windowed_model(registry, 20.0);
   Rng rng(86);
-  auto t = make_elementwise_request(cpwl::FunctionKind::kRelu,
-                                    to_fixed(tensor::random_uniform(2, 4, rng)));
+  auto t = make_model_request(windowed, tiny_input(2, rng));
   const auto pushed = ServeClock::now();
   queue.push(std::move(t.request));
 
@@ -394,12 +402,13 @@ TEST(BatchingWindow, PartialBatchLaunchesAtExpiryAndIsCounted) {
 }
 
 TEST(BatchingWindow, InteractiveHeadLaunchesImmediately) {
-  RequestQueue queue(1, DynamicBatcher(windowed_batcher(500.0)));
+  RequestQueue queue(1, DynamicBatcher(windowed_batcher()));
+  ModelRegistry registry;
+  const ModelHandle windowed = windowed_model(registry, 500.0);
   Rng rng(87);
   SubmitOptions interactive;
   interactive.priority = Priority::kInteractive;
-  auto t = make_elementwise_request(
-      cpwl::FunctionKind::kRelu, to_fixed(tensor::random_uniform(2, 4, rng)), interactive);
+  auto t = make_model_request(windowed, tiny_input(2, rng), interactive);
   queue.push(std::move(t.request));
 
   // A 500 ms window would hang this single-threaded pop; the interactive
@@ -411,12 +420,13 @@ TEST(BatchingWindow, InteractiveHeadLaunchesImmediately) {
 }
 
 TEST(BatchingWindow, FullBatchLaunchesWithoutWaiting) {
-  RequestQueue queue(1, DynamicBatcher(windowed_batcher(500.0)));
+  RequestQueue queue(1, DynamicBatcher(windowed_batcher()));
+  ModelRegistry registry;
+  const ModelHandle windowed = windowed_model(registry, 500.0);
   Rng rng(88);
   std::vector<TaggedRequest> tagged;
   for (std::size_t i = 0; i < 4; ++i) {  // == max_batch_requests
-    tagged.push_back(make_elementwise_request(
-        cpwl::FunctionKind::kRelu, to_fixed(tensor::random_uniform(2, 4, rng))));
+    tagged.push_back(make_model_request(windowed, tiny_input(2, rng)));
     queue.push(std::move(tagged.back().request));
   }
   auto batch = queue.pop_batch(0);  // budget reached: nothing to wait for
@@ -426,10 +436,11 @@ TEST(BatchingWindow, FullBatchLaunchesWithoutWaiting) {
 }
 
 TEST(BatchingWindow, CloseDrainsWithoutWaitingOutTheWindow) {
-  RequestQueue queue(1, DynamicBatcher(windowed_batcher(500.0)));
+  RequestQueue queue(1, DynamicBatcher(windowed_batcher()));
+  ModelRegistry registry;
+  const ModelHandle windowed = windowed_model(registry, 500.0);
   Rng rng(89);
-  auto t = make_elementwise_request(cpwl::FunctionKind::kRelu,
-                                    to_fixed(tensor::random_uniform(2, 4, rng)));
+  auto t = make_model_request(windowed, tiny_input(2, rng));
   queue.push(std::move(t.request));
   queue.close();
 
@@ -448,7 +459,7 @@ TEST(BatchingWindow, PerModelWindowAppliesOnlyToBatchableModels) {
   solo.batch_window_ms = 15.0;  // non-batchable: the window must be ignored
   const ModelHandle unbatchable = registry.add("solo", make_mlp(4, 8, 2, rng), solo);
 
-  RequestQueue queue(1, DynamicBatcher(windowed_batcher(0.0)));
+  RequestQueue queue(1, DynamicBatcher(windowed_batcher()));
   auto a = make_model_request(windowed, tensor::random_uniform(2, 4, rng));
   queue.push(std::move(a.request));
   auto batch = queue.pop_batch(0);
@@ -468,12 +479,13 @@ TEST(BatchingWindow, SloDeadlineCutsTheWindowShort) {
   // A head whose SLO deadline lands before its window end launches at the
   // deadline: parking a request past its own deadline to improve fill would
   // manufacture a miss the immediate-launch behaviour never had.
-  RequestQueue queue(1, DynamicBatcher(windowed_batcher(5000.0)));
+  RequestQueue queue(1, DynamicBatcher(windowed_batcher()));
+  ModelRegistry registry;
+  const ModelHandle windowed = windowed_model(registry, 5000.0);
   Rng rng(95);
   SubmitOptions slo;
   slo.deadline_ms = 20.0;  // far earlier than the 5 s window
-  auto t = make_elementwise_request(cpwl::FunctionKind::kRelu,
-                                    to_fixed(tensor::random_uniform(2, 4, rng)), slo);
+  auto t = make_model_request(windowed, tiny_input(2, rng), slo);
   const auto pushed = ServeClock::now();
   queue.push(std::move(t.request));
 
@@ -498,7 +510,7 @@ TEST(BatchingWindow, ParkedHeadNeverBlocksIncompatibleWork) {
   const ModelHandle other = registry.add("other", make_mlp(4, 8, 2, rng),
                                          batchable_options(0.0));
 
-  RequestQueue queue(1, DynamicBatcher(windowed_batcher(0.0)));
+  RequestQueue queue(1, DynamicBatcher(windowed_batcher()));
   auto parked = make_model_request(windowed, tensor::random_uniform(2, 4, rng));
   const RequestId parked_id = parked.request.id;
   auto ready = make_model_request(other, tensor::random_uniform(2, 4, rng));
@@ -526,22 +538,21 @@ TEST(BatchingWindow, ExpiryCountsSurfaceInPoolAndFleetStats) {
   ServerPoolConfig cfg;
   cfg.workers = 1;
   cfg.accelerator = small_config();
-  cfg.batcher = windowed_batcher(5.0);
+  cfg.batcher = windowed_batcher();
   ServerPool pool(cfg);
   Rng rng(92);
-  pool.submit_elementwise(cpwl::FunctionKind::kRelu,
-                          to_fixed(tensor::random_uniform(2, 4, rng)))
-      .get();
+  const ModelHandle pool_model =
+      register_tiny(pool, "windowed", tiny_options(test_models::kTinyMacsPerRow, true, 5.0));
+  pool.submit_model(pool_model, tiny_input(2, rng)).get();
   pool.shutdown();
   EXPECT_GE(pool.stats().window_expiries(), 1u);
 
   FleetConfig fleet_cfg = small_fleet(2, 1);
-  fleet_cfg.batcher = windowed_batcher(5.0);
+  fleet_cfg.batcher = windowed_batcher();
   Fleet fleet(fleet_cfg);
-  fleet
-      .submit_elementwise(cpwl::FunctionKind::kRelu,
-                          to_fixed(tensor::random_uniform(2, 4, rng)))
-      .get();
+  const ModelHandle fleet_model =
+      register_tiny(fleet, "windowed", tiny_options(test_models::kTinyMacsPerRow, true, 5.0));
+  fleet.submit_model(fleet_model, tiny_input(2, rng)).get();
   fleet.shutdown();
   EXPECT_GE(fleet.stats().window_expiries(), 1u);  // summed across shards
 }
@@ -554,14 +565,12 @@ TEST(ServeStatsAggregation, OperatorPlusMatchesMerge) {
   BatchRecord ra;
   ra.requests = 2;
   ra.rows = 4;
-  ra.padded_rows = 8;
   ra.mac_ops = 50;
   ra.latency_ms = {1.0, 2.0};
   ra.latency_class = {Priority::kInteractive, Priority::kBulk};
   BatchRecord rb;
   rb.requests = 1;
   rb.rows = 4;
-  rb.padded_rows = 4;
   rb.mac_ops = 20;
   rb.latency_ms = {10.0};
   a.record_batch(ra);

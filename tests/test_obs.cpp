@@ -21,6 +21,7 @@
 #include "obs/trace.hpp"
 #include "serve/server_pool.hpp"
 #include "tensor/ops.hpp"
+#include "tiny_models.hpp"
 
 namespace onesa::obs {
 namespace {
@@ -268,12 +269,10 @@ TEST_F(ObsTest, ServedRequestsFormCompleteSpanChains) {
     cfg.accelerator.array.cols = 4;
     serve::ServerPool pool(cfg);
     Rng rng(99);
+    const serve::ModelHandle tiny = serve::test_models::register_tiny(pool, "tiny");
     std::vector<std::future<serve::ServeResult>> futures;
-    for (int i = 0; i < 12; ++i) {
-      futures.push_back(pool.submit_elementwise(
-          cpwl::FunctionKind::kRelu,
-          tensor::to_fixed(tensor::random_uniform(3, 8, rng, -1.0, 1.0))));
-    }
+    for (int i = 0; i < 12; ++i)
+      futures.push_back(pool.submit_model(tiny, serve::test_models::tiny_input(3, rng, 8)));
     for (auto& f : futures) f.get();
     pool.shutdown();
   }

@@ -1,7 +1,9 @@
-// Tests of the serving runtime (src/serve/): batched execution is
-// bit-identical to sequential per-request accelerator calls, padding rows
-// never leak into outputs, the pool drains cleanly on shutdown, the stats
-// percentiles are monotone, and lifetime counters merge across workers.
+// Tests of the serving runtime (src/serve/): batched model execution is
+// bit-identical to per-request forwards, cost-trace entries charge exactly
+// the trace's simulated cycles, the pool drains cleanly on shutdown, the
+// stats percentiles are monotone, and lifetime counters merge across
+// workers. Scheduling, admission and dispatch tests use the tiny registered
+// models of tiny_models.hpp as cheap payloads with a fixed simulated cost.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,10 +27,15 @@
 #include "serve/stats.hpp"
 #include "tensor/kernels/thread_pool.hpp"
 #include "tensor/ops.hpp"
+#include "tiny_models.hpp"
 
 namespace onesa::serve {
 namespace {
 
+using test_models::register_tiny;
+using test_models::tiny_input;
+using test_models::tiny_options;
+using test_models::trace_options;
 using tensor::FixMatrix;
 using tensor::Matrix;
 using tensor::to_fixed;
@@ -68,118 +75,61 @@ ModelOptions batchable_options() {
 
 // ------------------------------------------------------------------ batching
 
-class BatchBitIdentity : public ::testing::TestWithParam<ExecutionMode> {};
-
-TEST_P(BatchBitIdentity, ElementwiseMatchesSequential) {
-  // Ragged row counts so requests straddle tile boundaries.
-  const std::size_t row_counts[] = {1, 3, 2, 5};
+TEST(Batcher, BatchedModelPassMatchesSoloForwards) {
+  // Ragged row counts, executed directly (not through worker timing), so a
+  // multi-request pass runs deterministically: every sliced output must
+  // equal the request's own forward bit for bit.
   Rng rng(11);
-  std::vector<FixMatrix> inputs;
-  for (std::size_t r : row_counts) inputs.push_back(random_fix(r, 6, rng, -4.0, 4.0));
-
-  std::vector<TaggedRequest> tagged;
-  for (const auto& x : inputs)
-    tagged.push_back(make_elementwise_request(cpwl::FunctionKind::kGelu, x));
+  ModelRegistry registry;
+  const ModelHandle handle = registry.add("mlp", make_mlp(6, 12, 3, rng), batchable_options());
+  std::vector<Matrix> inputs;
   std::vector<ServeRequest> batch;
   std::vector<std::future<ServeResult>> futures;
-  for (auto& t : tagged) {
+  for (std::size_t rows : {1u, 3u, 2u, 5u}) {
+    inputs.push_back(tensor::random_uniform(rows, 6, rng, -1.0, 1.0));
+    auto t = make_model_request(handle, inputs.back());
     batch.push_back(std::move(t.request));
     futures.push_back(std::move(t.result));
   }
-
-  OneSaAccelerator batched_accel(small_config(GetParam()));
-  DynamicBatcher batcher;
-  const BatchRecord record = batcher.execute(batch, batched_accel, 0);
-  EXPECT_EQ(record.requests, 4u);
-  EXPECT_EQ(record.rows, 11u);
-  EXPECT_EQ(record.padded_rows % 4, 0u);  // whole tiles of the 4-row array
-
-  // Sequential reference: a fresh accelerator per request.
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    OneSaAccelerator solo(small_config(GetParam()));
-    const auto want = solo.elementwise(cpwl::FunctionKind::kGelu, inputs[i]);
-    const ServeResult got = futures[i].get();
-    EXPECT_EQ(got.y, want.y) << "request " << i;
-    EXPECT_EQ(got.batch_requests, 4u);
-  }
-}
-
-TEST_P(BatchBitIdentity, GemmWithSharedWeightMatchesSequential) {
-  Rng rng(12);
-  const auto weight = std::make_shared<const FixMatrix>(random_fix(5, 7, rng));
-  const std::size_t row_counts[] = {2, 1, 4};
-  std::vector<FixMatrix> inputs;
-  for (std::size_t r : row_counts) inputs.push_back(random_fix(r, 5, rng));
-
-  std::vector<ServeRequest> batch;
-  std::vector<std::future<ServeResult>> futures;
-  for (const auto& a : inputs) {
-    auto t = make_gemm_request(a, weight);
-    batch.push_back(std::move(t.request));
-    futures.push_back(std::move(t.result));
-  }
-
-  OneSaAccelerator batched_accel(small_config(GetParam()));
-  DynamicBatcher batcher;
-  batcher.execute(batch, batched_accel, 0);
-
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    OneSaAccelerator solo(small_config(GetParam()));
-    const auto want = solo.gemm(inputs[i], *weight);
-    EXPECT_EQ(futures[i].get().y, want.y) << "request " << i;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Modes, BatchBitIdentity,
-                         ::testing::Values(ExecutionMode::kCycleAccurate,
-                                           ExecutionMode::kAnalytic),
-                         [](const auto& info) {
-                           return info.param == ExecutionMode::kCycleAccurate
-                                      ? "CycleAccurate"
-                                      : "Analytic";
-                         });
-
-TEST(Batcher, PaddingRowsNeverLeakIntoOutputs) {
-  // Sigmoid(0) = 0.5 != 0, so a leaked zero padding row would be visible.
-  Rng rng(13);
-  const FixMatrix x = random_fix(3, 5, rng, -3.0, 3.0);  // pads 3 -> 4 rows
-  auto t = make_elementwise_request(cpwl::FunctionKind::kSigmoid, x);
-  std::vector<ServeRequest> batch;
-  batch.push_back(std::move(t.request));
 
   OneSaAccelerator accel(small_config(ExecutionMode::kAnalytic));
   const BatchRecord record = DynamicBatcher().execute(batch, accel, 0);
-  EXPECT_EQ(record.padded_rows, 4u);
-  EXPECT_EQ(record.rows, 3u);
-
-  const ServeResult got = t.result.get();
-  ASSERT_EQ(got.y.rows(), 3u);  // exactly the request's rows, no pad row
-  ASSERT_EQ(got.y.cols(), 5u);
-  OneSaAccelerator solo(small_config(ExecutionMode::kAnalytic));
-  EXPECT_EQ(got.y, solo.elementwise(cpwl::FunctionKind::kSigmoid, x).y);
+  EXPECT_EQ(record.requests, 4u);
+  EXPECT_EQ(record.rows, 11u);
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    const ServeResult got = futures[i].get();
+    EXPECT_EQ(got.logits, handle->infer(inputs[i])) << "request " << i;
+    EXPECT_EQ(got.batch_requests, 4u);
+    EXPECT_EQ(got.batch_rows, 11u);
+  }
 }
 
 TEST(Batcher, CompatibilityRules) {
   Rng rng(14);
-  auto gelu_a = make_elementwise_request(cpwl::FunctionKind::kGelu, random_fix(2, 4, rng));
-  auto gelu_b = make_elementwise_request(cpwl::FunctionKind::kGelu, random_fix(3, 4, rng));
-  auto gelu_wide = make_elementwise_request(cpwl::FunctionKind::kGelu, random_fix(2, 6, rng));
-  auto relu = make_elementwise_request(cpwl::FunctionKind::kRelu, random_fix(2, 4, rng));
-  EXPECT_TRUE(DynamicBatcher::compatible(gelu_a.request, gelu_b.request));
-  EXPECT_FALSE(DynamicBatcher::compatible(gelu_a.request, gelu_wide.request));  // width
-  EXPECT_FALSE(DynamicBatcher::compatible(gelu_a.request, relu.request));       // function
+  ModelRegistry registry;
+  const ModelHandle a = register_tiny(registry, "a");
+  const ModelHandle b = register_tiny(registry, "b");
+  const ModelHandle solo = register_tiny(registry, "solo", tiny_options(8, /*batchable=*/false));
 
-  const auto w1 = std::make_shared<const FixMatrix>(random_fix(4, 3, rng));
-  const auto w2 = std::make_shared<const FixMatrix>(random_fix(4, 3, rng));
-  auto g1 = make_gemm_request(random_fix(2, 4, rng), w1);
-  auto g2 = make_gemm_request(random_fix(3, 4, rng), w1);
-  auto g3 = make_gemm_request(random_fix(2, 4, rng), w2);
-  EXPECT_TRUE(DynamicBatcher::compatible(g1.request, g2.request));   // same weight
-  EXPECT_FALSE(DynamicBatcher::compatible(g1.request, g3.request));  // different weight
-  EXPECT_FALSE(DynamicBatcher::compatible(gelu_a.request, g1.request));
+  auto a1 = make_model_request(a, tiny_input(2, rng));
+  auto a2 = make_model_request(a, tiny_input(3, rng));
+  auto a_wide = make_model_request(a, tiny_input(2, rng, 6));
+  auto b1 = make_model_request(b, tiny_input(2, rng));
+  auto s1 = make_model_request(solo, tiny_input(2, rng));
+  auto s2 = make_model_request(solo, tiny_input(2, rng));
+  EXPECT_TRUE(DynamicBatcher::compatible(a1.request, a2.request));       // same handle
+  EXPECT_FALSE(DynamicBatcher::compatible(a1.request, a_wide.request));  // width
+  EXPECT_FALSE(DynamicBatcher::compatible(a1.request, b1.request));      // other model
+  EXPECT_FALSE(DynamicBatcher::compatible(s1.request, s2.request));      // not batchable
 
-  auto tr = make_trace_request(std::make_shared<nn::WorkloadTrace>(nn::gcn_trace(64, 8, 4, 2, 3)));
-  EXPECT_FALSE(DynamicBatcher::compatible(tr.request, tr.request));  // traces never batch
+  // Two versions of one name never share a pass: the hot-swapped entry is a
+  // different handle, so its requests cannot ride with the old version's.
+  const ModelHandle a_v2 = registry.swap("a", test_models::tiny_model());
+  ASSERT_EQ(a_v2->name, a->name);
+  ASSERT_TRUE(a_v2->batchable);
+  auto v2 = make_model_request(a_v2, tiny_input(2, rng));
+  EXPECT_FALSE(DynamicBatcher::compatible(a1.request, v2.request));
+  EXPECT_FALSE(DynamicBatcher::compatible(v2.request, a1.request));
 }
 
 TEST(Batcher, TakeBatchRespectsBudgetsAndOrder) {
@@ -187,11 +137,13 @@ TEST(Batcher, TakeBatchRespectsBudgetsAndOrder) {
   BatcherConfig cfg;
   cfg.max_batch_rows = 6;
   DynamicBatcher batcher(cfg);
+  ModelRegistry registry;
+  const ModelHandle tiny = register_tiny(registry, "tiny");
 
   std::vector<ServeRequest> pending;
   std::vector<RequestId> ids;
   for (std::size_t rows : {3u, 2u, 4u, 1u}) {  // 3+2 fit; 4 overflows; 1 fits
-    auto t = make_elementwise_request(cpwl::FunctionKind::kTanh, random_fix(rows, 4, rng));
+    auto t = make_model_request(tiny, tiny_input(rows, rng));
     ids.push_back(t.request.id);
     pending.push_back(std::move(t.request));
   }
@@ -213,16 +165,16 @@ TEST(ServerPool, ServesManyRequestsBitIdentically) {
   ServerPool pool(cfg);
 
   Rng rng(16);
-  std::vector<FixMatrix> inputs;
+  const ModelHandle gelu =
+      register_tiny(pool, "gelu", tiny_options(), cpwl::FunctionKind::kGelu);
+  std::vector<Matrix> inputs;
   std::vector<std::future<ServeResult>> futures;
   for (int i = 0; i < 30; ++i) {
-    inputs.push_back(random_fix(1 + i % 5, 8, rng, -3.0, 3.0));
-    futures.push_back(pool.submit_elementwise(cpwl::FunctionKind::kGelu, inputs.back()));
+    inputs.push_back(tiny_input(1 + i % 5, rng, 8));
+    futures.push_back(pool.submit_model(gelu, inputs.back()));
   }
-  OneSaAccelerator solo(small_config(ExecutionMode::kAnalytic));
   for (std::size_t i = 0; i < futures.size(); ++i) {
-    EXPECT_EQ(futures[i].get().y, solo.elementwise(cpwl::FunctionKind::kGelu, inputs[i]).y)
-        << "request " << i;
+    EXPECT_EQ(futures[i].get().logits, gelu->infer(inputs[i])) << "request " << i;
   }
 }
 
@@ -233,9 +185,9 @@ TEST(ServerPool, DrainsCleanlyOnShutdown) {
   ServerPool pool(cfg);
 
   Rng rng(17);
+  const ModelHandle tiny = register_tiny(pool, "tiny");
   std::vector<std::future<ServeResult>> futures;
-  for (int i = 0; i < 25; ++i)
-    futures.push_back(pool.submit_elementwise(cpwl::FunctionKind::kRelu, random_fix(2, 4, rng)));
+  for (int i = 0; i < 25; ++i) futures.push_back(pool.submit_model(tiny, tiny_input(2, rng)));
 
   pool.shutdown();  // must serve all 25 before returning
   EXPECT_EQ(pool.pending(), 0u);
@@ -247,29 +199,34 @@ TEST(ServerPool, DrainsCleanlyOnShutdown) {
   // Closed pool rejects new work — typed, through the future, via the same
   // shed path a submit racing shutdown takes (never a bare throw, so the
   // submit call itself can't blow up mid-race).
-  auto rejected =
-      pool.submit_elementwise(cpwl::FunctionKind::kRelu, random_fix(2, 4, rng));
+  auto rejected = pool.submit_model(tiny, tiny_input(2, rng));
   EXPECT_THROW(rejected.get(), OverloadError);
   pool.shutdown();  // idempotent
 }
 
-TEST(ServerPool, TraceRequestMatchesDirectEstimate) {
+TEST(ServerPool, CostTraceEntryMatchesDirectEstimate) {
+  // A whole-network workload trace is served as an ordinary registry entry:
+  // a one-layer model registered with the trace as its cost model. Each
+  // request is charged exactly the trace's closed-form estimate.
   ServerPoolConfig cfg;
   cfg.workers = 2;
   cfg.accelerator = small_config(ExecutionMode::kAnalytic);
   ServerPool pool(cfg);
 
-  const auto trace = std::make_shared<nn::WorkloadTrace>(nn::bert_base_trace(16));
-  auto future = pool.submit_trace(trace);
-  const ServeResult got = future.get();
+  const auto trace = std::make_shared<const nn::WorkloadTrace>(nn::bert_base_trace(16));
+  const ModelHandle bert = register_tiny(pool, "bert-16", trace_options(trace));
+  EXPECT_FALSE(bert->batchable);
+  EXPECT_EQ(bert->cost_trace_macs, nn::trace_mac_ops(*trace));
+  Rng rng(21);
+  const ServeResult got = pool.submit_model(bert, tiny_input(1, rng)).get();
   pool.shutdown();
 
   const sim::TimingModel timing(cfg.accelerator.array);
   const auto want = nn::estimate_trace(*trace, timing);
-  EXPECT_EQ(got.cycles.total(), want.cycles.total());
-  EXPECT_DOUBLE_EQ(got.trace.latency_ms, want.latency_ms);
-  EXPECT_DOUBLE_EQ(got.trace.gops, want.gops);
+  EXPECT_EQ(got.cycles, want.cycles);
+  EXPECT_EQ(got.cycles.total(), nn::estimate_trace_cycles(*trace, timing).total());
   EXPECT_EQ(got.mac_ops, nn::trace_mac_ops(*trace));
+  EXPECT_EQ(got.batch_requests, 1u);
 
   // The worker charged its accelerator, so the fleet totals see the trace.
   const LifetimeTotals fleet = pool.fleet_lifetime();
@@ -278,7 +235,7 @@ TEST(ServerPool, TraceRequestMatchesDirectEstimate) {
 }
 
 TEST(ServerPool, LeastLoadedBalancesUniformCostsExactly) {
-  // 16 identical trace requests over 4 workers: least-loaded dispatch with
+  // 16 identical cost-trace requests over 4 workers: least-loaded dispatch with
   // its lowest-index tie break hands each worker exactly 4, so per-worker
   // busy cycles are equal and the fleet makespan is total/4 — the mechanism
   // behind the N-worker speedup of bench/serving_throughput.cpp.
@@ -287,9 +244,12 @@ TEST(ServerPool, LeastLoadedBalancesUniformCostsExactly) {
   cfg.accelerator = small_config(ExecutionMode::kAnalytic);
   ServerPool pool(cfg);
 
-  const auto trace = std::make_shared<nn::WorkloadTrace>(nn::gcn_trace(256, 32, 16, 4, 8));
+  const ModelHandle gcn = register_tiny(
+      pool, "gcn",
+      trace_options(std::make_shared<const nn::WorkloadTrace>(nn::gcn_trace(256, 32, 16, 4, 8))));
+  Rng rng(22);
   std::vector<std::future<ServeResult>> futures;
-  for (int i = 0; i < 16; ++i) futures.push_back(pool.submit_trace(trace));
+  for (int i = 0; i < 16; ++i) futures.push_back(pool.submit_model(gcn, tiny_input(1, rng)));
   for (auto& f : futures) f.get();
   pool.shutdown();
 
@@ -301,14 +261,16 @@ TEST(ServerPool, LeastLoadedBalancesUniformCostsExactly) {
 }
 
 TEST(ServerPool, LeastLoadedBalancesSkewedCosts) {
-  // Heterogeneous traffic: one heavy trace followed by many light ones.
+  // Heterogeneous traffic: one heavy cost-trace request followed by many
+  // light ones.
   // Least-loaded routes the light stream to the worker not holding the
   // heavy trace until the assigned simulated cost evens out, so no worker
   // ends more than one light trace above the even split (or above the
   // heavy trace alone).
   const auto heavy =
-      std::make_shared<nn::WorkloadTrace>(nn::gcn_trace(2048, 64, 32, 8, 16));
-  const auto light = std::make_shared<nn::WorkloadTrace>(nn::gcn_trace(64, 16, 8, 4, 4));
+      std::make_shared<const nn::WorkloadTrace>(nn::gcn_trace(2048, 64, 32, 8, 16));
+  const auto light =
+      std::make_shared<const nn::WorkloadTrace>(nn::gcn_trace(64, 16, 8, 4, 4));
   ASSERT_GT(nn::trace_mac_ops(*heavy), 8 * nn::trace_mac_ops(*light));  // the skew
 
   ServerPoolConfig cfg;
@@ -320,9 +282,13 @@ TEST(ServerPool, LeastLoadedBalancesSkewedCosts) {
   constexpr std::uint64_t kLight = 12;
 
   ServerPool pool(cfg);
+  const ModelHandle heavy_entry = register_tiny(pool, "heavy", trace_options(heavy));
+  const ModelHandle light_entry = register_tiny(pool, "light", trace_options(light));
+  Rng rng(23);
   std::vector<std::future<ServeResult>> futures;
-  futures.push_back(pool.submit_trace(heavy));
-  for (std::uint64_t i = 0; i < kLight; ++i) futures.push_back(pool.submit_trace(light));
+  futures.push_back(pool.submit_model(heavy_entry, tiny_input(1, rng)));
+  for (std::uint64_t i = 0; i < kLight; ++i)
+    futures.push_back(pool.submit_model(light_entry, tiny_input(1, rng)));
   for (auto& f : futures) f.get();
   pool.shutdown();
 
@@ -342,16 +308,15 @@ TEST(ServerPool, LeastLoadedAssignedCostTracksEstimates) {
   ServerPool pool(cfg);
 
   Rng rng(77);
+  const ModelHandle tiny = register_tiny(pool, "tiny", tiny_options(16));
   std::vector<std::future<ServeResult>> futures;
-  for (int i = 0; i < 6; ++i)
-    futures.push_back(
-        pool.submit_elementwise(cpwl::FunctionKind::kGelu, random_fix(2, 8, rng)));
+  for (int i = 0; i < 6; ++i) futures.push_back(pool.submit_model(tiny, tiny_input(2, rng, 8)));
   for (auto& f : futures) f.get();
   pool.shutdown();
 
   const auto assigned = pool.assigned_cost();
   ASSERT_EQ(assigned.size(), 2u);
-  // 6 equal-cost requests (2x8 elementwise = 32 MACs each) level to 3 each.
+  // 6 equal-cost requests (2 rows x 16 MACs = 32 MACs each) level to 3 each.
   EXPECT_EQ(assigned[0], assigned[1]);
   EXPECT_EQ(assigned[0] + assigned[1], 6u * 2u * 16u);
 }
@@ -364,20 +329,20 @@ TEST(ServerPool, BatchesCompatibleRequestsTogether) {
   ServerPool pool(cfg);
 
   Rng rng(18);
-  // Same function and width — all 6 should ride in few passes. The single
+  const ModelHandle tiny = register_tiny(pool, "tiny");
+  // Same model and width — all 6 should ride in few passes. The single
   // worker only starts consuming after the first pop, so later requests
   // accumulate and batch.
   std::vector<std::future<ServeResult>> futures;
-  for (int i = 0; i < 6; ++i)
-    futures.push_back(pool.submit_elementwise(cpwl::FunctionKind::kGelu, random_fix(4, 4, rng)));
+  for (int i = 0; i < 6; ++i) futures.push_back(pool.submit_model(tiny, tiny_input(4, rng)));
   for (auto& f : futures) f.get();
   pool.shutdown();
 
   const ServeStats stats = pool.stats();
   EXPECT_EQ(stats.completed(), 6u);
   EXPECT_LE(stats.batches(), 6u);
-  EXPECT_GT(stats.batch_fill(), 0.0);
-  EXPECT_LE(stats.batch_fill(), 1.0);
+  EXPECT_EQ(stats.rows(), 24u);  // every input row served exactly once
+  EXPECT_GE(stats.mean_batch_requests(), 1.0);
 }
 
 // --------------------------------------------------------------------- stats
@@ -387,7 +352,6 @@ TEST(ServeStats, PercentilesAreMonotone) {
   BatchRecord record;
   record.requests = 9;
   record.rows = 9;
-  record.padded_rows = 12;
   // Deliberately unsorted latencies.
   record.latency_ms = {5.0, 1.0, 9.0, 3.0, 7.0, 2.0, 8.0, 4.0, 6.0};
   stats.record_batch(record);
@@ -410,14 +374,12 @@ TEST(ServeStats, MergeAccumulatesEverything) {
   BatchRecord ra;
   ra.requests = 2;
   ra.rows = 4;
-  ra.padded_rows = 8;
   ra.cycles.compute_cycles = 100;
   ra.mac_ops = 50;
   ra.latency_ms = {1.0, 2.0};
   BatchRecord rb;
   rb.requests = 1;
   rb.rows = 4;
-  rb.padded_rows = 4;
   rb.cycles.compute_cycles = 40;
   rb.mac_ops = 20;
   rb.latency_ms = {10.0};
@@ -429,7 +391,7 @@ TEST(ServeStats, MergeAccumulatesEverything) {
   EXPECT_EQ(a.batches(), 2u);
   EXPECT_EQ(a.total_cycles().compute_cycles, 140u);
   EXPECT_EQ(a.total_mac_ops(), 70u);
-  EXPECT_DOUBLE_EQ(a.batch_fill(), 8.0 / 12.0);
+  EXPECT_EQ(a.rows(), 8u);
   EXPECT_DOUBLE_EQ(a.percentile_latency_ms(100.0), 10.0);
 }
 
@@ -441,7 +403,6 @@ TEST(ServeStats, PerClassLatencyAccounting) {
   BatchRecord record;
   record.requests = 5;
   record.rows = 5;
-  record.padded_rows = 5;
   record.latency_ms = {1.0, 100.0, 2.0, 200.0, 3.0};
   record.latency_class = {Priority::kInteractive, Priority::kBulk, Priority::kInteractive,
                           Priority::kBulk, Priority::kInteractive};
@@ -461,7 +422,6 @@ TEST(ServeStats, PerClassLatencyAccounting) {
   BatchRecord classless;
   classless.requests = 2;
   classless.rows = 2;
-  classless.padded_rows = 2;
   classless.latency_ms = {7.0, 9.0};
   ServeStats other;
   other.record_batch(classless);
@@ -610,7 +570,6 @@ TEST(ServerPool, ModelLogitsMatchDirectForwardBitExactly) {
   }
   for (std::size_t i = 0; i < futures.size(); ++i) {
     const ServeResult got = futures[i].get();
-    EXPECT_EQ(got.kind, RequestKind::kModel);
     // Bit-exact vs the direct const forward on the shared weights.
     EXPECT_EQ(got.logits, handle->infer(inputs[i])) << "request " << i;
     EXPECT_GT(got.mac_ops, 0u);
@@ -742,6 +701,8 @@ BatcherConfig one_request_batches() {
 TEST(Scheduling, EdfOrdersWithinPriorityClass) {
   RequestQueue queue(1, DynamicBatcher(one_request_batches()));
   Rng rng(50);
+  ModelRegistry registry;
+  const ModelHandle tiny = register_tiny(registry, "tiny");
 
   SubmitOptions late;
   late.deadline_ms = 5000.0;
@@ -749,9 +710,9 @@ TEST(Scheduling, EdfOrdersWithinPriorityClass) {
   soon.deadline_ms = 50.0;
   SubmitOptions none;  // no deadline — sorts after every dated request
 
-  auto a = make_elementwise_request(cpwl::FunctionKind::kRelu, random_fix(1, 4, rng), none);
-  auto b = make_elementwise_request(cpwl::FunctionKind::kRelu, random_fix(1, 4, rng), late);
-  auto c = make_elementwise_request(cpwl::FunctionKind::kRelu, random_fix(1, 4, rng), soon);
+  auto a = make_model_request(tiny, tiny_input(1, rng), none);
+  auto b = make_model_request(tiny, tiny_input(1, rng), late);
+  auto c = make_model_request(tiny, tiny_input(1, rng), soon);
   const RequestId ida = a.request.id, idb = b.request.id, idc = c.request.id;
   queue.push(std::move(a.request));
   queue.push(std::move(b.request));
@@ -764,6 +725,8 @@ TEST(Scheduling, EdfOrdersWithinPriorityClass) {
 TEST(Scheduling, PriorityClassesBeatDeadlines) {
   RequestQueue queue(1, DynamicBatcher(one_request_batches()));
   Rng rng(51);
+  ModelRegistry registry;
+  const ModelHandle tiny = register_tiny(registry, "tiny");
 
   SubmitOptions bulk_soon;
   bulk_soon.priority = Priority::kBulk;
@@ -773,10 +736,9 @@ TEST(Scheduling, PriorityClassesBeatDeadlines) {
   SubmitOptions interactive;
   interactive.priority = Priority::kInteractive;
 
-  auto a = make_elementwise_request(cpwl::FunctionKind::kRelu, random_fix(1, 4, rng), bulk_soon);
-  auto b = make_elementwise_request(cpwl::FunctionKind::kRelu, random_fix(1, 4, rng), normal);
-  auto c =
-      make_elementwise_request(cpwl::FunctionKind::kRelu, random_fix(1, 4, rng), interactive);
+  auto a = make_model_request(tiny, tiny_input(1, rng), bulk_soon);
+  auto b = make_model_request(tiny, tiny_input(1, rng), normal);
+  auto c = make_model_request(tiny, tiny_input(1, rng), interactive);
   const RequestId ida = a.request.id, idb = b.request.id, idc = c.request.id;
   queue.push(std::move(a.request));
   queue.push(std::move(b.request));
@@ -789,9 +751,11 @@ TEST(Scheduling, PriorityClassesBeatDeadlines) {
 TEST(Scheduling, FifoTieBreakWithinEqualClassAndDeadline) {
   RequestQueue queue(1, DynamicBatcher(one_request_batches()));
   Rng rng(52);
+  ModelRegistry registry;
+  const ModelHandle tiny = register_tiny(registry, "tiny");
   std::vector<RequestId> ids;
   for (int i = 0; i < 4; ++i) {
-    auto t = make_elementwise_request(cpwl::FunctionKind::kRelu, random_fix(1, 4, rng));
+    auto t = make_model_request(tiny, tiny_input(1, rng));
     ids.push_back(t.request.id);
     queue.push(std::move(t.request));
   }
@@ -805,11 +769,11 @@ TEST(Scheduling, DeadlineMissesAreCountedPerRequest) {
   ServerPool pool(cfg);
 
   Rng rng(53);
+  const ModelHandle tiny = register_tiny(pool, "tiny");
   SubmitOptions hopeless;
   hopeless.deadline_ms = 1e-6;  // already blown by the time a worker runs it
-  auto missed = pool.submit_elementwise(cpwl::FunctionKind::kRelu, random_fix(2, 4, rng),
-                                        hopeless);
-  auto relaxed = pool.submit_elementwise(cpwl::FunctionKind::kRelu, random_fix(2, 4, rng));
+  auto missed = pool.submit_model(tiny, tiny_input(2, rng), hopeless);
+  auto relaxed = pool.submit_model(tiny, tiny_input(2, rng));
 
   EXPECT_TRUE(missed.get().deadline_missed);
   EXPECT_FALSE(relaxed.get().deadline_missed);
@@ -823,9 +787,10 @@ TEST(Scheduling, ResultCarriesPriorityClass) {
   cfg.accelerator = small_config(ExecutionMode::kAnalytic);
   ServerPool pool(cfg);
   Rng rng(54);
+  const ModelHandle tiny = register_tiny(pool, "tiny");
   SubmitOptions opts;
   opts.priority = Priority::kInteractive;
-  auto f = pool.submit_elementwise(cpwl::FunctionKind::kRelu, random_fix(1, 4, rng), opts);
+  auto f = pool.submit_model(tiny, tiny_input(1, rng), opts);
   EXPECT_EQ(f.get().priority, Priority::kInteractive);
   pool.shutdown();
 }
@@ -837,10 +802,12 @@ TEST(Admission, RejectPolicyShedsTheNewcomer) {
   admission.max_pending_requests = 2;
   RequestQueue queue(1, DynamicBatcher(one_request_batches()), admission);
   Rng rng(60);
+  ModelRegistry registry;
+  const ModelHandle tiny = register_tiny(registry, "tiny");
 
-  auto a = make_elementwise_request(cpwl::FunctionKind::kRelu, random_fix(1, 4, rng));
-  auto b = make_elementwise_request(cpwl::FunctionKind::kRelu, random_fix(1, 4, rng));
-  auto c = make_elementwise_request(cpwl::FunctionKind::kRelu, random_fix(1, 4, rng));
+  auto a = make_model_request(tiny, tiny_input(1, rng));
+  auto b = make_model_request(tiny, tiny_input(1, rng));
+  auto c = make_model_request(tiny, tiny_input(1, rng));
   EXPECT_TRUE(queue.push(std::move(a.request)));
   EXPECT_TRUE(queue.push(std::move(b.request)));
   EXPECT_FALSE(queue.push(std::move(c.request)));  // over the cap — shed
@@ -855,13 +822,14 @@ TEST(Admission, RejectPolicyShedsTheNewcomer) {
 
 TEST(Admission, BacklogCostBudgetSheds) {
   AdmissionConfig admission;
-  admission.max_backlog_cost = 40;  // each 2x4 elementwise request costs 16 MACs
+  admission.max_backlog_cost = 40;  // each 2-row tiny request costs 2 x 8 = 16 MACs
   RequestQueue queue(1, DynamicBatcher(one_request_batches()), admission);
   Rng rng(61);
+  ModelRegistry registry;
+  const ModelHandle tiny = register_tiny(registry, "tiny");
 
   std::vector<TaggedRequest> tagged;
-  for (int i = 0; i < 3; ++i)
-    tagged.push_back(make_elementwise_request(cpwl::FunctionKind::kRelu, random_fix(2, 4, rng)));
+  for (int i = 0; i < 3; ++i) tagged.push_back(make_model_request(tiny, tiny_input(2, rng)));
   EXPECT_TRUE(queue.push(std::move(tagged[0].request)));
   EXPECT_EQ(queue.backlog_cost(), 16u);
   EXPECT_TRUE(queue.push(std::move(tagged[1].request)));
@@ -879,10 +847,11 @@ TEST(Admission, PoolAccountsShedsAndServesTheRest) {
   ServerPool pool(cfg);
 
   Rng rng(64);
+  const ModelHandle tiny = register_tiny(pool, "tiny");
   constexpr int kSubmitted = 40;
   std::vector<std::future<ServeResult>> futures;
   for (int i = 0; i < kSubmitted; ++i)
-    futures.push_back(pool.submit_elementwise(cpwl::FunctionKind::kRelu, random_fix(2, 4, rng)));
+    futures.push_back(pool.submit_model(tiny, tiny_input(2, rng)));
 
   std::size_t served = 0;
   std::size_t shed = 0;
@@ -931,8 +900,8 @@ TEST(ServerPool, ReservesKernelLanesOnFirstModelRegistration) {
   cfg.accelerator = small_config(ExecutionMode::kAnalytic);
   {
     ServerPool pool(cfg);
-    // Simulated-only pools never run worker-side GEMMs and must not
-    // throttle other kernel users.
+    // A pool with no registered model runs no worker-side GEMMs and must
+    // not throttle other kernel users.
     EXPECT_EQ(ThreadPool::instance().reserved(), base_reserved);
     // A registration that fails validation must not reserve either.
     EXPECT_THROW(pool.register_model("bad", nullptr), Error);
