@@ -43,11 +43,14 @@ Two classes of figures are compared but reported as INFO, never failed:
     exhibit (or predict) multi-core scaling, so those ratios are noise
     there.
 
-List entries are matched by identity key (name / shape / priority /
-workers / shards / row_budget / window_ms / class / lanes). When both files
-carry a top-level "smoke" flag and the flags differ, all timing comparisons
-are skipped outright — timing ratios of differently-sized problems are not
-a trajectory.
+List entries are matched by identity key (name / granularity / shape /
+priority / workers / shards / row_budget / window_ms / class / lanes). When both files
+carry a top-level "smoke" flag and the flags differ, only the sections
+whose problem size does not depend on --smoke (SMOKE_INVARIANT_SECTIONS:
+the precision ablation) are compared, and every skipped section is named —
+timing ratios of differently-sized problems are not a trajectory. If the
+kept sections' watched figures are all demoted to INFO, the run passes
+with that said instead of failing for comparing nothing.
 
 A watched field the BASELINE has but the fresh file lacks fails the run
 with exit code 1 and names the field: a dict key that is gone, or a list
@@ -115,11 +118,18 @@ ABSOLUTE_RPS_KEYS = ("knee_offered_rps",)
 KERNEL_TIER_KEYS = ("int16_vs_double_rps_ratio", "speedup_int16_vs_double")
 
 
+# Top-level sections whose problem size is the same in smoke and full runs:
+# bench_ablation_precision takes no --smoke flag and splices "precision"
+# into the kernels artifact, so its figures stay comparable when the
+# artifact's own sections do not.
+SMOKE_INVARIANT_SECTIONS = ("precision",)
+
+
 def entry_key(obj):
     """Identity of a list entry, built from its discriminating fields."""
     parts = []
-    for field in ("name", "shape", "priority", "workers", "shards", "row_budget",
-                  "window_ms", "class", "lanes", "submitters", "bench",
+    for field in ("name", "granularity", "shape", "priority", "workers", "shards",
+                  "row_budget", "window_ms", "class", "lanes", "submitters", "bench",
                   "multiplier", "model"):
         if field in obj:
             parts.append((field, obj[field]))
@@ -229,10 +239,8 @@ def main():
     with open(args.fresh) as f:
         fresh = json.load(f)
 
-    if ("smoke" in base and "smoke" in fresh and base["smoke"] != fresh["smoke"]):
-        print(f"compare_bench: smoke flags differ ({base['smoke']} vs {fresh['smoke']}); "
-              "problem sizes are not comparable — skipping all comparisons")
-        return 0
+    smoke_mismatch = ("smoke" in base and "smoke" in fresh
+                      and base["smoke"] != fresh["smoke"])
 
     results = {"compared": [], "skipped": [], "new": [], "informational": [],
                "dropped": []}
@@ -253,6 +261,14 @@ def main():
         return lane.get("int16_kernel") if isinstance(lane, dict) else None
 
     results["kernel_tier_mismatch"] = int16_kernel(base) != int16_kernel(fresh)
+    if smoke_mismatch:
+        skipped = [key for key, value in base.items()
+                   if isinstance(value, (dict, list)) and key not in SMOKE_INVARIANT_SECTIONS]
+        print(f"compare_bench: smoke flags differ ({base['smoke']} vs {fresh['smoke']}); "
+              f"comparing only {', '.join(SMOKE_INVARIANT_SECTIONS)}; skipped "
+              f"size-dependent section(s): {', '.join(skipped) or 'none'}")
+        base = {key: base[key] for key in SMOKE_INVARIANT_SECTIONS if key in base}
+        fresh = {key: fresh[key] for key in SMOKE_INVARIANT_SECTIONS if key in fresh}
     walk(base, fresh, "", results)
 
     regressions = []
@@ -306,11 +322,15 @@ def main():
                   file=sys.stderr)
         return 1
 
-    # A gate that compares nothing guards nothing: when the problem sets were
-    # supposed to be comparable (no smoke mismatch — that case returned
-    # above), zero matched fields means a section/field was renamed or
-    # dropped, and silently passing would disarm the CI check forever.
-    if not results["compared"]:
+    # A gate that compares nothing guards nothing: zero matched fields means
+    # a section/field was renamed or dropped, and silently passing would
+    # disarm the CI check forever. The one exception is a smoke mismatch
+    # whose kept sections matched but were demoted to INFO above (e.g. the
+    # INT16 ratio on a different kernel tier): that is said, not hidden.
+    if smoke_mismatch and not results["compared"] and results["informational"]:
+        print("compare_bench: every size-independent figure is informational on "
+              "this pair of runs; nothing gated")
+    elif not results["compared"]:
         print("FAIL: no comparable speedup/aggregate_rps fields found — was a bench "
               "section renamed or dropped? Regenerate the committed baseline alongside "
               "the bench change.", file=sys.stderr)

@@ -61,11 +61,10 @@
 //
 // Part 10 is the submit-contention sweep: a fixed budget of small one-layer
 // GELU model requests is pushed through one pool by 1/2/4/8 submitter
-// threads. The sharded MPSC inbox keeps submitters off the scheduler mutex,
-// so host RPS should hold (or improve) as submitters multiply; the
-// `contention_scaling` ratio rides into the JSON for trajectory tracking
-// (informational — wall clock on shared single-core runners is too noisy
-// for a hard in-bench gate).
+// threads, all taking the shard queue's one mutex. It shows how host RPS
+// holds as submitters multiply; the `contention_scaling` ratio rides into
+// the JSON for trajectory tracking (informational — wall clock on shared
+// runners is too noisy for a hard in-bench gate).
 //
 // `--cycle-accurate` switches every part from the analytic cost model to
 // the cycle-accurate simulator (the nightly workflow's configuration); the
@@ -1273,7 +1272,9 @@ int main(int argc, char** argv) {
     // Startup warmth: a few blocks in every class up to 128 KiB so capacity
     // growth that crosses into a NEVER-before-touched size class mid-phase
     // (the stats latency vectors double monotonically across phases) is a
-    // pool hit, not a heap allocation.
+    // pool hit, not a heap allocation. The queue's own buffers need no
+    // warmth: its pending vector and park flags grow on the submitting
+    // thread, which the worker-side count never sees.
     tensor::pool::prewarm(std::size_t{1} << 17, 16);
 
     serve::ServerPoolConfig cfg;
@@ -1436,10 +1437,9 @@ int main(int argc, char** argv) {
                           TablePrinter::num(row.allocs_per_request, 2)});
     }
     cont_table.render(std::cout);
-    std::cout << "\n(2048 GELU 2x64 requests through a 2-worker pool; submitters land on\n"
-                 " striped inboxes instead of the scheduler mutex, so the host RPS holds\n"
-                 " as the submitter count multiplies — wall clock, informational on\n"
-                 " shared runners)\n\n";
+    std::cout << "\n(2048 GELU 2x64 requests through a 2-worker pool; every submitter\n"
+                 " takes the shard queue's one mutex for a short append — wall clock,\n"
+                 " informational on shared runners)\n\n";
   }
 
   std::cout << "=== INT16 quantized lane: 768->3072->768 GELU FFN, double vs int16 ===\n\n";

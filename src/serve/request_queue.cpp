@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <iterator>
 #include <string>
-#include <thread>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -29,16 +28,6 @@ QueueMetrics& queue_metrics() {
   return metrics;
 }
 
-/// Per-thread submit-stripe token. Process-global so every queue stripes the
-/// same way; what matters is that DIFFERENT submitter threads land on
-/// different stripes, and a round-robin stamp at first use does that without
-/// any per-queue registration.
-std::size_t submit_stripe_token() {
-  static std::atomic<std::size_t> next{0};
-  thread_local const std::size_t token = next.fetch_add(1, std::memory_order_relaxed);
-  return token;
-}
-
 }  // namespace
 
 RequestQueue::RequestQueue(std::size_t workers, DynamicBatcher batcher,
@@ -50,40 +39,6 @@ RequestQueue::RequestQueue(std::size_t workers, DynamicBatcher batcher,
   ONESA_CHECK(workers_ > 0, "RequestQueue needs at least one worker");
 }
 
-void RequestQueue::drain_inbox_locked() {
-  std::size_t drained = 0;
-  for (auto& shard : inbox_) {
-    std::lock_guard<std::mutex> shard_lock(shard.m);
-    if (shard.items.empty()) continue;
-    drained += shard.items.size();
-    pending_.insert(pending_.end(), std::make_move_iterator(shard.items.begin()),
-                    std::make_move_iterator(shard.items.end()));
-    shard.items.clear();  // capacity stays with the stripe
-  }
-  if (drained != 0) inbox_count_.fetch_sub(drained, std::memory_order_seq_cst);
-}
-
-void RequestQueue::enqueue_to_shard(ServeRequest req) {
-  SubmitShard& shard = inbox_[submit_stripe_token() % kSubmitShards];
-  {
-    std::lock_guard<std::mutex> shard_lock(shard.m);
-    shard.items.push_back(std::move(req));
-  }
-  // Dekker-style wakeup handshake with pop_batch: the submitter publishes
-  // the item count and THEN reads the sleeper count; a worker publishes its
-  // sleeper count and THEN reads the item count (both seq_cst). One side
-  // always sees the other, so either the worker's wait predicate observes
-  // the new item, or the submitter observes the sleeper and notifies. The
-  // empty mutex acquisition pins the notify after the worker has actually
-  // released the mutex into its wait — without it the signal could fire
-  // between the predicate check and the sleep and be lost.
-  inbox_count_.fetch_add(1, std::memory_order_seq_cst);
-  if (sleepers_.load(std::memory_order_seq_cst) > 0) {
-    { std::lock_guard<std::mutex> lock(mutex_); }
-    cv_.notify_all();
-  }
-}
-
 void RequestQueue::shed_incoming(ServeRequest req, std::string_view reason) {
   sheds_.fetch_add(1, std::memory_order_relaxed);
   queue_metrics().sheds.add(1);
@@ -92,48 +47,36 @@ void RequestQueue::shed_incoming(ServeRequest req, std::string_view reason) {
                backlog_cost_.load(std::memory_order_relaxed));
 }
 
-bool RequestQueue::no_pushers() const {
-  for (const auto& shard : inbox_)
-    if (shard.pushers.load(std::memory_order_seq_cst) != 0) return false;
-  return true;
-}
-
 bool RequestQueue::push(ServeRequest req) {
-  // Counted in flight on this thread's stripe for the whole push: close()
-  // waits until no push is in flight before it lets the workers exit, so a
-  // push that reads closed_ == false always lands where a worker still looks.
-  // The decrement is the push's last touch of the queue.
-  struct InFlight {
-    std::atomic<std::size_t>& pushers;
-    explicit InFlight(std::atomic<std::size_t>& count) : pushers(count) {
-      pushers.fetch_add(1, std::memory_order_seq_cst);
+  const char* refusal = nullptr;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (closed_) {
+      refusal = "queue closed";
+    } else if (admission_.over(pending_.size(), 1,
+                               backlog_cost_.load(std::memory_order_relaxed), req.cost)) {
+      refusal = "over budget";
+    } else {
+      req.enqueued = ServeClock::now();
+      req.seq = next_seq_++;
+      count_.fetch_add(1, std::memory_order_relaxed);
+      backlog_cost_.fetch_add(req.cost, std::memory_order_relaxed);
+      queue_metrics().depth.add(1);
+      queue_metrics().backlog.add(static_cast<std::int64_t>(req.cost));
+      pending_.push_back(std::move(req));
+      parked_scratch_.reserve(pending_.capacity());
+      ++sched_epoch_;
     }
-    InFlight(const InFlight&) = delete;
-    InFlight& operator=(const InFlight&) = delete;
-    ~InFlight() { pushers.fetch_sub(1, std::memory_order_seq_cst); }
-  } in_flight(inbox_[submit_stripe_token() % kSubmitShards].pushers);
-
-  if (closed_.load(std::memory_order_seq_cst)) {
+  }
+  if (refusal != nullptr) {
     // A submit racing shutdown settles its future with a typed OverloadError
     // instead of throwing into the submitter: the caller (fleet front door,
     // network server) treats "shut down" as one more shedding condition, and
     // every accepted future still settles exactly once.
-    shed_incoming(std::move(req), "queue closed");
+    shed_incoming(std::move(req), refusal);
     return false;
   }
-  req.enqueued = ServeClock::now();
-  req.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
-
-  if (admission_.over(count_.load(std::memory_order_relaxed), 1,
-                      backlog_cost_.load(std::memory_order_relaxed), req.cost)) {
-    shed_incoming(std::move(req), "over budget");
-    return false;
-  }
-  count_.fetch_add(1, std::memory_order_relaxed);
-  backlog_cost_.fetch_add(req.cost, std::memory_order_relaxed);
-  queue_metrics().depth.add(1);
-  queue_metrics().backlog.add(static_cast<std::int64_t>(req.cost));
-  enqueue_to_shard(std::move(req));
+  cv_.notify_all();
   return true;
 }
 
@@ -152,6 +95,7 @@ void RequestQueue::requeue(std::vector<ServeRequest> requests) {
     }
     pending_.insert(pending_.begin(), std::make_move_iterator(requests.begin()),
                     std::make_move_iterator(requests.end()));
+    parked_scratch_.reserve(pending_.capacity());
     ++sched_epoch_;
   }
   cv_.notify_all();
@@ -221,18 +165,9 @@ void RequestQueue::pop_batch(std::size_t worker, std::vector<ServeRequest>& out)
   std::unique_lock<std::mutex> lock(mutex_);
   std::size_t head = 0;
   for (;;) {
-    // Dekker partner of enqueue_to_shard: publish the sleeper BEFORE the
-    // predicate's inbox read (both seq_cst) so a concurrent push either
-    // becomes visible to the predicate or sees the sleeper and notifies.
-    sleepers_.fetch_add(1, std::memory_order_seq_cst);
     cv_.wait(lock, [&] {
-      if (inbox_count_.load(std::memory_order_seq_cst) > 0) drain_inbox_locked();
-      // drained_: every push that saw the queue open is already in an inbox.
-      if (drained_ && pending_.empty() && inbox_count_.load(std::memory_order_seq_cst) == 0)
-        return true;  // drained — exit
-      return !pending_.empty() && is_turn(worker);
+      return (closed_ && pending_.empty()) || (!pending_.empty() && is_turn(worker));
     });
-    sleepers_.fetch_sub(1, std::memory_order_seq_cst);
     if (pending_.empty()) return;  // closed and drained; out stays empty
 
     // Find a launchable head in scheduler order, PARKING heads whose
@@ -247,7 +182,7 @@ void RequestQueue::pop_batch(std::size_t worker, std::vector<ServeRequest>& out)
     bool expired = false;
     auto earliest = ServeClock::time_point::max();
     // Member scratch: assigned fresh each evaluation, never read across a
-    // wait — reusing the capacity keeps the steady-state pop allocation-free.
+    // wait. push() and requeue() already grew its capacity to pending_'s.
     parked_scratch_.assign(pending_.size(), 0);
     std::vector<char>& parked = parked_scratch_;
     // A request's FIRST park is an observable event: it stamps the
@@ -263,8 +198,7 @@ void RequestQueue::pop_batch(std::size_t worker, std::vector<ServeRequest>& out)
       head = scheduled_head(parked);
       if (head == pending_.size()) break;  // everything is parked
       const double window = window_ms(pending_[head]);
-      if (window <= 0.0 || closed_.load(std::memory_order_relaxed) ||
-          batch_is_full(head)) {
+      if (window <= 0.0 || closed_ || batch_is_full(head)) {
         launch = true;
         break;
       }
@@ -304,17 +238,12 @@ void RequestQueue::pop_batch(std::size_t worker, std::vector<ServeRequest>& out)
       break;
     }
     // Sleep until the earliest window deadline — or until the scheduler
-    // state moves underneath us: a new arrival (inbox count, or the epoch
-    // for a requeue), a pop by another worker (epoch — the
-    // turn may now be ours for work that was previously someone else's),
-    // or close. A timeout re-enters the loop and takes the expiry path.
+    // state moves underneath us (the epoch): a new arrival or requeue, a
+    // pop by another worker (the turn may now be ours for work that was
+    // previously someone else's), or close. A timeout re-enters the loop
+    // and takes the expiry path.
     const std::uint64_t epoch0 = sched_epoch_;
-    sleepers_.fetch_add(1, std::memory_order_seq_cst);
-    cv_.wait_until(lock, earliest, [&] {
-      return inbox_count_.load(std::memory_order_seq_cst) > 0 ||
-             closed_.load(std::memory_order_seq_cst) || sched_epoch_ != epoch0;
-    });
-    sleepers_.fetch_sub(1, std::memory_order_seq_cst);
+    cv_.wait_until(lock, earliest, [&] { return sched_epoch_ != epoch0; });
   }
 
   // Rotate the scheduled head (priority -> EDF -> arrival) to the front;
@@ -341,20 +270,13 @@ void RequestQueue::pop_batch(std::size_t worker, std::vector<ServeRequest>& out)
 }
 
 void RequestQueue::close() {
-  closed_.store(true, std::memory_order_seq_cst);
-  // A push that read the queue open was counted before the store above, so
-  // once every stripe reads zero its request is in an inbox (pushes are
-  // short: this waits microseconds). Only then may workers exit.
-  while (!no_pushers()) std::this_thread::yield();
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    drained_ = true;
+    closed_ = true;
     ++sched_epoch_;
   }
   cv_.notify_all();
 }
-
-bool RequestQueue::closed() const { return closed_.load(std::memory_order_seq_cst); }
 
 std::size_t RequestQueue::pending() const {
   return count_.load(std::memory_order_relaxed);

@@ -49,30 +49,17 @@
 // composition itself still depends on how many compatible requests are
 // pending at pop time.
 //
-// LOW-CONTENTION SUBMIT PATH. Submitters never touch the scheduler mutex:
-// push() appends to one of kSubmitShards striped inboxes (each a tiny
-// mutex + vector; submitter threads spread across the stripes, so
-// same-thread pushes never contend with each other either) and signals the
-// workers through atomics. The dispatcher drains every inbox into the
-// scheduling backlog at the top of each pop — the scheduler mutex now
-// serializes only worker-side dispatch, not every submit. Wakeups use a
-// Dekker-style handshake (inbox count vs. sleeper count, both seq_cst, plus
-// an empty scheduler-mutex acquisition before notify) so a push can never
-// slip between a worker's "nothing to do" check and its sleep. Admission
-// bookkeeping (pending count, backlog cost) moves to atomics: exact for any
-// serial submitter — concurrent submitters can transiently over-admit by at
-// most the number of in-flight pushes, a documented trade for a
-// contention-free admission check.
-//
-// close() stops new submissions; workers keep draining until the queue is
-// empty and then observe the closed state, so every accepted request is
-// served before shutdown completes. A push that read the queue open may
-// still be on its way into an inbox when close() lands, so each stripe also
-// counts its pushes in flight, and close() waits for every stripe's count
-// to reach zero before it lets the workers exit.
+// SUBMIT PATH. One mutex guards the pending vector, the arrival counter and
+// the dispatch state: push() checks the closed flag and admission, stamps
+// the request and appends it under the lock, then wakes the workers after
+// unlocking. Admission is therefore exact for any number of concurrent
+// submitters. The pending count and backlog cost are mirrored in atomics
+// (written under the lock) so the fleet's router and admission can read
+// them without it. close() stops new submissions; workers keep draining
+// until the queue is empty and only then observe the closed state, so
+// every accepted request is served before shutdown completes.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -160,7 +147,6 @@ class RequestQueue {
   /// Stop accepting pushes and wake every waiter. Idempotent.
   void close();
 
-  bool closed() const;
   std::size_t pending() const;
   /// Summed estimated cost (MACs) of the backlog right now.
   std::uint64_t backlog_cost() const;
@@ -178,19 +164,6 @@ class RequestQueue {
   std::vector<std::uint64_t> assigned_cost() const;
 
  private:
-  /// Striped submit inboxes: submitter threads scatter across the stripes,
-  /// so the only contention on a push is another submitter that hashed to
-  /// the same stripe — never the dispatcher's scheduler mutex.
-  static constexpr std::size_t kSubmitShards = 8;
-  struct alignas(64) SubmitShard {
-    std::mutex m;
-    std::vector<ServeRequest> items;  // capacity survives drains
-    std::atomic<std::size_t> pushers{0};  // push() calls in flight here
-  };
-
-  /// No push is in flight on any stripe (seq_cst; see close()).
-  bool no_pushers() const;
-
   /// True when `worker` is the one that should take the next batch.
   /// Caller holds mutex_.
   bool is_turn(std::size_t worker) const;
@@ -215,40 +188,32 @@ class RequestQueue {
   /// mutex_.
   bool batch_is_full(std::size_t head) const;
 
-  /// Move every inbox item into pending_. Caller holds mutex_; the shard
-  /// mutexes are taken briefly one at a time (lock order: mutex_ -> shard).
-  void drain_inbox_locked();
-
-  /// Lock-free-path admit: stripe append + Dekker wakeup (see header).
-  void enqueue_to_shard(ServeRequest req);
-
-  /// Admission exceeded on the submit path: count, trace, fail the future.
+  /// Refused on the submit path: count, trace, fail the future. Called
+  /// without mutex_ — the completion hooks it runs take other locks.
   void shed_incoming(ServeRequest req, std::string_view reason);
 
   const std::size_t workers_;
   DynamicBatcher batcher_;
   const AdmissionConfig admission_;
 
-  // ------------------------------------------------ submit side (no mutex_)
-  std::array<SubmitShard, kSubmitShards> inbox_;
-  std::atomic<std::uint64_t> next_seq_{0};        // arrival stamp
-  std::atomic<std::size_t> inbox_count_{0};       // items awaiting drain
-  std::atomic<std::size_t> count_{0};             // inbox_ + pending_ items
-  std::atomic<std::uint64_t> backlog_cost_{0};    // summed cost of the above
+  // Written under mutex_; read without it by pending(), backlog_cost() and
+  // the fleet's router and admission.
+  std::atomic<std::size_t> count_{0};             // pending_.size()
+  std::atomic<std::uint64_t> backlog_cost_{0};    // summed cost of pending_
   std::atomic<std::uint64_t> sheds_{0};           // admission-control counter
-  std::atomic<std::size_t> sleepers_{0};          // workers parked on cv_
-  std::atomic<bool> closed_{false};
   std::atomic<double> window_scale_{1.0};         // brownout window shrink
 
-  // ------------------------------------------- scheduler state (mutex_)
   mutable std::mutex mutex_;
   std::condition_variable cv_;
   std::vector<ServeRequest> pending_;
+  std::uint64_t next_seq_ = 0;                // arrival stamp
+  bool closed_ = false;
   std::uint64_t window_expiries_ = 0;         // batching-window counter
-  std::uint64_t sched_epoch_ = 0;             // bumped on pop/requeue/close
-  bool drained_ = false;  // close() saw no push in flight; workers may exit
+  std::uint64_t sched_epoch_ = 0;             // bumped on push/pop/requeue/close
   std::vector<std::uint64_t> assigned_cost_;  // per-worker dispatch load
-  std::vector<char> parked_scratch_;          // pop-time park flags, reused
+  // Pop-time park flags. push() and requeue() keep its capacity at
+  // pending_'s, so a worker's pop never allocates when the backlog grows.
+  std::vector<char> parked_scratch_;
 };
 
 }  // namespace onesa::serve

@@ -7,12 +7,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "common/alloc_count.hpp"
 #include "common/rng.hpp"
 #include "nn/activations.hpp"
 #include "nn/embedding.hpp"
@@ -795,6 +798,37 @@ TEST(Scheduling, ResultCarriesPriorityClass) {
   pool.shutdown();
 }
 
+TEST(RequestQueue, PopNeverAllocatesWhenTheBacklogOutgrowsItsHighWater) {
+  BatcherConfig batches;
+  batches.max_batch_requests = 4;
+  RequestQueue queue(1, DynamicBatcher(batches));
+  ModelRegistry registry;
+  const ModelHandle tiny = register_tiny(registry, "tiny");
+  std::vector<ServeRequest> out;
+  out.reserve(batches.max_batch_requests);
+  std::vector<ServeRequest> served;
+  served.reserve(128);
+  // Every step's backlog passes the previous high-water mark. The pushes
+  // come from another thread, as a submitter's do; only the popping
+  // (worker) thread's allocations are counted.
+  for (const std::size_t backlog : {16u, 32u, 64u, 128u}) {
+    std::thread submitter([&] {
+      Rng rng(70 + backlog);
+      for (std::size_t i = 0; i < backlog; ++i)
+        queue.push(make_model_request(tiny, tiny_input(1, rng)).request);
+    });
+    submitter.join();
+    const std::uint64_t before = alloccount::thread_allocations();
+    while (served.size() < backlog) {
+      queue.pop_batch(0, out);
+      for (ServeRequest& req : out) served.push_back(std::move(req));
+    }
+    EXPECT_EQ(alloccount::thread_allocations() - before, 0u) << "backlog " << backlog;
+    for (ServeRequest& req : served) req.promise.set_value({});
+    served.clear();
+  }
+}
+
 // ----------------------------------------------------------- admission control
 
 TEST(Admission, RejectPolicyShedsTheNewcomer) {
@@ -837,6 +871,41 @@ TEST(Admission, BacklogCostBudgetSheds) {
   EXPECT_FALSE(queue.push(std::move(tagged[2].request)));  // 48 > 40
   EXPECT_THROW(tagged[2].result.get(), OverloadError);
   service_order(queue, 2);
+}
+
+TEST(Admission, PendingCapIsExactUnderConcurrentSubmitters) {
+  constexpr std::size_t kCap = 16;
+  constexpr std::size_t kSubmitters = 8;
+  constexpr std::size_t kPushesEach = 50;
+  AdmissionConfig admission;
+  admission.max_pending_requests = kCap;
+  ModelRegistry registry;
+  const ModelHandle tiny = register_tiny(registry, "tiny");
+  Rng rng(65);
+  for (int trial = 0; trial < 1000; ++trial) {
+    // No worker pops, so every admitted request stays pending: exactly kCap
+    // of the pushes may be admitted, however the submitters interleave.
+    RequestQueue queue(1, DynamicBatcher(one_request_batches()), admission);
+    std::vector<std::vector<ServeRequest>> requests(kSubmitters);
+    for (auto& mine : requests)
+      for (std::size_t i = 0; i < kPushesEach; ++i)
+        mine.push_back(make_model_request(tiny, tiny_input(1, rng)).request);
+    std::atomic<bool> go{false};
+    std::atomic<std::size_t> admitted{0};
+    std::vector<std::thread> submitters;
+    for (auto& mine : requests) {
+      submitters.emplace_back([&go, &admitted, &queue, &mine] {
+        while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+        for (ServeRequest& req : mine)
+          if (queue.push(std::move(req))) admitted.fetch_add(1, std::memory_order_relaxed);
+      });
+    }
+    go.store(true, std::memory_order_release);
+    for (std::thread& t : submitters) t.join();
+    ASSERT_EQ(admitted.load(), kCap) << "trial " << trial;
+    ASSERT_EQ(queue.pending(), kCap) << "trial " << trial;
+    ASSERT_EQ(queue.sheds(), kSubmitters * kPushesEach - kCap) << "trial " << trial;
+  }
 }
 
 TEST(Admission, PoolAccountsShedsAndServesTheRest) {
