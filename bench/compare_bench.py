@@ -111,7 +111,9 @@ THREADED_KEYS = ("speedup_vs_1t", "speedup_dispatch")
 ABSOLUTE_RPS_KEYS = ("knee_offered_rps",)
 
 # Figures whose meaning depends on which INT16 GEMM kernel tier the host
-# dispatched (avx512bw vs avx2 vs scalar). Comparing a baseline produced on
+# dispatched (amx vs avx512vnni vs avx512bw vs avx2 vs portable). The check
+# is name equality, not a list of known names, so a new tier is handled
+# without an edit here. Comparing a baseline produced on
 # an AVX-512 box against a fresh run on a scalar box (or vice versa) measures
 # the hardware difference, not a code regression — demote to INFO whenever
 # the two files record different kernel names (or either omits one).

@@ -250,7 +250,7 @@ struct PrecisionLaneResult {
   double max_logit_error = 0.0;
   double error_bound = 0.1;  // measured ~0.040 on this shape; slack for drift
   const char* kernel = "";   // int16_kernel_name() on this host
-  bool ratio_gated = false;  // bar armed (an AVX-512 kernel tier)
+  bool ratio_gated = false;  // bar armed (a tier ranked at or above avx512bw)
   bool ratio_ok = true;
   bool accuracy_ok = false;
   bool pass() const { return ratio_ok && accuracy_ok; }
@@ -1548,8 +1548,11 @@ int main(int argc, char** argv) {
     precision.cpu_rps_int16 = kept / cpu_int16;
     precision.ratio = cpu_int16 > 0.0 ? cpu_double / cpu_int16 : 0.0;
     precision.accuracy_ok = precision.max_logit_error < precision.error_bound;
-    precision.ratio_gated = std::strcmp(precision.kernel, "avx512bw") == 0 ||
-                           std::strcmp(precision.kernel, "avx512vnni") == 0;
+    // Armed on every tier from AVX-512BW up, by rank, so a faster tier added
+    // later cannot disarm it by its name.
+    using tensor::kernels::detail::Int16Tier;
+    precision.ratio_gated =
+        tensor::kernels::detail::selected_int16_tier() >= Int16Tier::kAvx512bw;
     precision.ratio_ok = !precision.ratio_gated || precision.ratio >= 2.0;
 
     TablePrinter prec_table({"Lane", "Requests", "CPU RPS (best 6/8)", "Wall RPS", "Speedup"});

@@ -139,6 +139,10 @@ struct NetServer::CompletionBus {
   bool open = true;
   int wake_fd = -1;  // write end of the server's self-pipe
   std::vector<Item> items;
+  /// The event loop's side of the swap in drain_bus: it takes `items`' place
+  /// under the lock and is cleared, not freed, after the drain, so both
+  /// vectors keep their capacity and a warm post never allocates.
+  std::vector<Item> draining;
 
   /// Completion-hook settles observed more than once (exactly-once breach).
   std::atomic<std::uint64_t> double_settles{0};
@@ -737,6 +741,12 @@ void NetServer::handle_infer(Conn& conn, const Frame& frame) {
   serve::TaggedRequest tagged =
       serve::make_model_request(std::move(model), std::move(req.input), options);
   tagged.request.hook = hook;
+  // The outcome arrives through the hook (exactly once — sheds, errors and
+  // values all route there), so the future is dropped before the request is
+  // queued: a worker that finished the request while this thread still held
+  // the future would destroy a shared, unset promise and allocate a
+  // broken_promise error on the worker thread.
+  tagged.result = {};
 
   inflight_.fetch_add(1, std::memory_order_relaxed);
   NetMetrics::get().inflight.add(1);
@@ -744,9 +754,7 @@ void NetServer::handle_infer(Conn& conn, const Frame& frame) {
   counters_->infers_accepted.fetch_add(1, std::memory_order_relaxed);
   NetMetrics::get().infers.add(1);
   try {
-    // The future is intentionally dropped: the outcome arrives through the
-    // hook (exactly once — sheds, errors, and values all route there).
-    (void)fleet_.submit(std::move(tagged));
+    (void)fleet_.submit(std::move(tagged));  // hands back the emptied future
   } catch (const std::exception& e) {
     // Fleet::submit sheds instead of throwing; this is belt-and-braces for
     // anything unexpected below it.
@@ -870,7 +878,8 @@ void NetServer::handle_writable(Conn& conn) { flush_or_arm(conn); }
 // ---------------------------------------------------------------------------
 
 void NetServer::drain_bus() {
-  std::vector<CompletionBus::Item> items;
+  std::vector<CompletionBus::Item>& items = bus_->draining;
+  items.clear();  // a drain that threw part-way must not hand items back
   {
     std::lock_guard<std::mutex> lock(bus_->mutex);
     if (bus_->items.empty()) return;
@@ -900,6 +909,7 @@ void NetServer::drain_bus() {
       send_error(conn, item.code, item.request_id, std::move(item.err));
     }
   }
+  items.clear();
 }
 
 void NetServer::check_timeouts() {

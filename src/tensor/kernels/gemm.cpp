@@ -564,7 +564,7 @@ void gemm_blocked(const double* a, const double* b, double* c, std::size_t m,
   blocked_compute(
       c, m, k, n, Epilogue{}, g_micro, kMC,
       [&](std::size_t jc, std::size_t kc, std::size_t kcb, std::size_t ncb) {
-        detail::pack_panel(b + kc * n + jc, n, kcb, ncb, nr, bpack);
+        detail::pack_panel(b + kc * n + jc, n, kcb, ncb, nr, PackedB::kGroup, bpack);
         return bpack;
       },
       [&](std::size_t ic, std::size_t kc, std::size_t mcb, std::size_t kcb) {

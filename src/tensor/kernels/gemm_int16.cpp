@@ -6,8 +6,14 @@
 #include <vector>
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#include <cpuid.h>
 #include <immintrin.h>
 #define ONESA_GEMM_INT16_X86 1
+#if defined(__linux__)
+#include <sys/syscall.h>
+#include <unistd.h>
+#define ONESA_GEMM_INT16_AMX 1
+#endif
 #endif
 
 #include "common/error.hpp"
@@ -175,6 +181,160 @@ template <class Step, std::size_t MR>
 }
 #endif  // ONESA_GEMM_INT16_X86
 
+#ifdef ONESA_GEMM_INT16_AMX
+// ---------------------------------------------------------------- AMX tier
+//
+// The INT16 lane on the host's own systolic array. AMX's tile unit only
+// multiplies bytes, so every int16 operand splits as a = 256 * hi + lo, with
+// hi = a >> 8 a signed byte and lo = a & 0xFF an unsigned one, and
+//   a * b = 65536 * hh + 256 * (hl + lh) + ll.
+// Three int32 accumulator tiles take the terms: tdpbssd (hh), tdpbsud and
+// tdpbusd (both cross terms into one tile) and tdpbuud (ll). Each tile sum
+// is exact mod 2^32, so (hh << 16) + (cross << 8) + ll in wrapping int32 is
+// the vpdpwssd accumulator raw for raw — the way Ootomo, Ozaki & Yokota
+// ("DGEMM on Integer Matrix Multiplication Unit", IJHPCA 2024) build wide
+// products exactly from int8 matrix units. Tiles 0-2 hold the accumulators,
+// 3-4 the A hi/lo bytes (rows x 64), 5-6 the B hi/lo tiles of one
+// kByteSplitGroup block (16 x 64). The tile instructions are inline asm,
+// like DpwssdStep, so no function needs an AMX target attribute.
+
+/// Tile height, and k steps per tile block.
+constexpr std::size_t kAmxRows = 16;
+constexpr std::size_t kAmxK = kByteSplitGroup;
+/// Bytes per row of every tile: 64 int8 values, or 16 int32 accumulators.
+constexpr std::size_t kAmxRowBytes = 64;
+/// Bytes of one B hi/lo tile pair, the unit the k loop steps over.
+constexpr std::size_t kAmxBPairBytes = 2 * kAmxK * kMaxNr;
+
+template <int T>
+[[gnu::always_inline]] inline void tile_zero() {
+  asm volatile("tilezero %%tmm%c[t]" ::[t] "i"(T));
+}
+
+template <int T>
+[[gnu::always_inline]] inline void tile_load(const void* base, std::size_t stride) {
+  asm volatile("{tileloadd (%[b],%[s],1), %%tmm%c[t]|tileloadd %%tmm%c[t], [%[b]+%[s]*1]}"
+               ::[b] "r"(base), [s] "r"(stride), [t] "i"(T)
+               : "memory");
+}
+
+template <int T>
+[[gnu::always_inline]] inline void tile_store(void* base, std::size_t stride) {
+  asm volatile("{tilestored %%tmm%c[t], (%[b],%[s],1)|tilestored [%[b]+%[s]*1], %%tmm%c[t]}"
+               ::[b] "r"(base), [s] "r"(stride), [t] "i"(T)
+               : "memory");
+}
+
+/// One 64-step k block: A's byte planes (row stride lda) and B's tile pair
+/// into tiles 3-6, then the four byte products of the split rule.
+[[gnu::always_inline]] inline void byte_split_step(const unsigned char* a_hi,
+                                                   const unsigned char* a_lo, std::size_t lda,
+                                                   const unsigned char* b_pair) {
+  tile_load<3>(a_hi, lda);
+  tile_load<5>(b_pair, kAmxRowBytes);
+  tile_load<6>(b_pair + kAmxBPairBytes / 2, kAmxRowBytes);
+  tile_load<4>(a_lo, lda);
+  asm volatile(
+      "{tdpbssd %%tmm5, %%tmm3, %%tmm0|tdpbssd %%tmm0, %%tmm3, %%tmm5}\n\t"
+      "{tdpbsud %%tmm6, %%tmm3, %%tmm1|tdpbsud %%tmm1, %%tmm3, %%tmm6}\n\t"
+      "{tdpbusd %%tmm5, %%tmm4, %%tmm1|tdpbusd %%tmm1, %%tmm4, %%tmm5}\n\t"
+      "{tdpbuud %%tmm6, %%tmm4, %%tmm2|tdpbuud %%tmm2, %%tmm4, %%tmm6}" ::);
+}
+
+/// The ldtilecfg operand, palette 1.
+struct alignas(64) AmxTileConfig {
+  std::uint8_t palette = 1;
+  std::uint8_t start_row = 0;
+  std::uint8_t reserved[14] = {};
+  std::uint16_t colsb[16] = {};
+  std::uint8_t rows[16] = {};
+};
+static_assert(sizeof(AmxTileConfig) == 64);
+
+/// Tile state for one loop nest: ldtilecfg with the A and accumulator tiles
+/// `rows` tall, tilerelease when the nest ends — so a thread holds tile
+/// state only while it multiplies, and an idle worker's context switch
+/// never saves 8 KB of it.
+class AmxTileScope {
+ public:
+  explicit AmxTileScope(std::size_t rows) {
+    AmxTileConfig cfg;
+    for (std::size_t t = 0; t < 7; ++t) {
+      cfg.colsb[t] = kAmxRowBytes;
+      cfg.rows[t] = static_cast<std::uint8_t>(t < 5 ? rows : kAmxK / 4);
+    }
+    asm volatile("{ldtilecfg (%0)|ldtilecfg [%0]}" ::"r"(&cfg) : "memory");
+  }
+  ~AmxTileScope() { asm volatile("tilerelease" ::: "memory"); }
+  AmxTileScope(const AmxTileScope&) = delete;
+  AmxTileScope& operator=(const AmxTileScope&) = delete;
+};
+
+// The same gcc 12 -Wmaybe-uninitialized false positive as around the vector
+// store below (vpmovwb and vpslld's header-internal `__Y`).
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+/// A's byte planes for the tiles: rows [0, m) of A (row stride k) into
+/// `rows` x kp byte planes (kp = k rounded up to kAmxK), zero past k and
+/// past m. vpmovwb narrows x >> 8 (the signed high byte) and x (the low
+/// byte) 32 words at a time.
+[[gnu::target("avx512f,avx512bw")]] void split_a_bytes(const std::int16_t* a, std::size_t m,
+                                                       std::size_t k, std::size_t rows,
+                                                       std::size_t kp, unsigned char* hi,
+                                                       unsigned char* lo) {
+  for (std::size_t i = 0; i < rows; ++i, hi += kp, lo += kp) {
+    if (i >= m) {
+      std::memset(hi, 0, kp);
+      std::memset(lo, 0, kp);
+      continue;
+    }
+    const std::int16_t* row = a + i * k;
+    for (std::size_t kk = 0; kk < kp; kk += 32) {
+      const std::size_t left = kk < k ? k - kk : 0;
+      const __mmask32 words = left >= 32 ? ~__mmask32{0} : (__mmask32{1} << left) - 1;
+      const __m512i x = _mm512_maskz_loadu_epi16(words, row + kk);
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(hi + kk),
+                          _mm512_cvtepi16_epi8(_mm512_srai_epi16(x, 8)));
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(lo + kk), _mm512_cvtepi16_epi8(x));
+    }
+  }
+}
+
+/// acc = (hh << 16) + (cross << 8) + acc over `rows` rows, in wrapping int32
+/// lanes; acc holds the ll tile on entry.
+[[gnu::target("avx512f")]] void recombine_byte_split(std::uint32_t* acc, const std::int32_t* hh,
+                                                     const std::int32_t* cross,
+                                                     std::size_t rows) {
+  for (std::size_t r = 0; r < rows; ++r) {
+    const __m512i high = _mm512_slli_epi32(_mm512_loadu_si512(hh + r * kMaxNr), 16);
+    const __m512i mid = _mm512_slli_epi32(_mm512_loadu_si512(cross + r * kMaxNr), 8);
+    const __m512i low = _mm512_loadu_si512(acc + r * kMaxNr);
+    _mm512_storeu_si512(acc + r * kMaxNr, _mm512_add_epi32(_mm512_add_epi32(high, mid), low));
+  }
+}
+#pragma GCC diagnostic pop
+
+/// Whether this process may run the AMX tier: AMX-TILE and AMX-INT8 (CPUID
+/// leaf 7 EDX bits 24 and 25) plus AVX-512BW, and the kernel grants the tile
+/// data state through one arch_prctl(ARCH_REQ_XCOMP_PERM,
+/// XFEATURE_XTILEDATA). That request acts on this process alone; a refusal
+/// (an older kernel, a hypervisor that hides the state) reads unsupported.
+bool amx_usable() {
+  static const bool usable = [] {
+    unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+    if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) == 0) return false;
+    constexpr unsigned kAmxTile = 1u << 24;
+    constexpr unsigned kAmxInt8 = 1u << 25;
+    if ((edx & kAmxTile) == 0 || (edx & kAmxInt8) == 0) return false;
+    if (!__builtin_cpu_supports("avx512bw")) return false;
+    constexpr long kArchReqXcompPerm = 0x1023;
+    constexpr long kXfeatureXtiledata = 18;
+    return syscall(SYS_arch_prctl, kArchReqXcompPerm, kXfeatureXtiledata) == 0;
+  }();
+  return usable;
+}
+#endif  // ONESA_GEMM_INT16_AMX
+
 // ------------------------------------------------------------- tile store
 //
 // One store per micro-tile, after its complete k-sum. Raw mode bit-casts the
@@ -285,41 +445,65 @@ struct Int16Tile {
   std::size_t mr;
 };
 
-/// A kernel tier: the tiles it offers, the sliver width they share and its
-/// tile store. The driver runs `tall` over full row blocks and `rest` over a
-/// remainder of at most rest.mr rows, so a short m never pays for a tall
-/// tile's idle rows.
+struct Int16Kernel;
+
+/// A tier's loop nest over one row slice: C rows [0, m) from A and B.
+using NestFnInt16 = void (*)(const std::int16_t* a, const PackedBInt16& b,
+                             const OutSink& sink, std::size_t m, const Int16Kernel& kernel);
+
+void blocked_int16(const std::int16_t* a, const PackedBInt16& b, const OutSink& sink,
+                   std::size_t m, const Int16Kernel& kernel);
+#ifdef ONESA_GEMM_INT16_AMX
+void blocked_int16_amx(const std::int16_t* a, const PackedBInt16& b, const OutSink& sink,
+                       std::size_t m, const Int16Kernel& kernel);
+#endif
+
+/// A kernel tier: the tiles it offers, the sliver width and k-group of the
+/// B panels they read, its tile store and its loop nest. blocked_int16 runs
+/// `tall` over full row blocks and `rest` over a remainder of at most
+/// rest.mr rows, so a short m never pays for a tall tile's idle rows. The
+/// AMX tier has no register tiles (its nest drives the tile unit itself);
+/// its rest.mr is the tile height, which sets the row-slice step.
 struct Int16Kernel {
   Int16Tile tall;
   Int16Tile rest;
   std::size_t nr;
+  std::size_t group;
   StoreFnInt16 store;
+  NestFnInt16 nest;
   const char* name;
 };
 
 /// `tier`'s kernel, or nullopt when this CPU cannot run it.
 std::optional<Int16Kernel> int16_kernel(detail::Int16Tier tier) {
   using detail::Int16Tier;
+  constexpr std::size_t kPairs = PackedBInt16::kGroup;
   switch (tier) {
+#ifdef ONESA_GEMM_INT16_AMX
+    case Int16Tier::kAmx:
+      if (!amx_usable()) break;
+      return Int16Kernel{{nullptr, kAmxRows}, {nullptr, kAmxRows}, kMaxNr, kByteSplitGroup,
+                         store_tile_int16_avx512, blocked_int16_amx, "amx"};
+#endif
 #ifdef ONESA_GEMM_INT16_X86
     case Int16Tier::kAvx512Vnni:
       if (!__builtin_cpu_supports("avx512bw") || !__builtin_cpu_supports("avx512vnni")) break;
       return Int16Kernel{{tile_int16_avx512<DpwssdStep, 16>, 16},
                          {tile_int16_avx512<DpwssdStep, 8>, 8},
-                         16, store_tile_int16_avx512, "avx512vnni"};
+                         16, kPairs, store_tile_int16_avx512, blocked_int16, "avx512vnni"};
     case Int16Tier::kAvx512bw:
       if (!__builtin_cpu_supports("avx512bw")) break;
       return Int16Kernel{{tile_int16_avx512<MaddAddStep, 16>, 16},
                          {tile_int16_avx512<MaddAddStep, 8>, 8},
-                         16, store_tile_int16_avx512, "avx512bw"};
+                         16, kPairs, store_tile_int16_avx512, blocked_int16, "avx512bw"};
     case Int16Tier::kAvx2:
       if (!__builtin_cpu_supports("avx2")) break;
-      return Int16Kernel{{tile_int16_avx2, 4}, {tile_int16_avx2, 4}, 8,
-                         store_tile_int16_scalar, "avx2"};
+      return Int16Kernel{{tile_int16_avx2, 4}, {tile_int16_avx2, 4}, 8, kPairs,
+                         store_tile_int16_scalar, blocked_int16, "avx2"};
 #endif
     case Int16Tier::kPortable:
-      return Int16Kernel{{tile_int16_generic, 4}, {tile_int16_generic, 4}, 8,
-                         store_tile_int16_scalar, "portable"};
+      return Int16Kernel{{tile_int16_generic, 4}, {tile_int16_generic, 4}, 8, kPairs,
+                         store_tile_int16_scalar, blocked_int16, "portable"};
     default:
       break;
   }
@@ -327,18 +511,33 @@ std::optional<Int16Kernel> int16_kernel(detail::Int16Tier tier) {
 }
 
 /// The fastest tier this CPU runs, picked once by CPUID.
-Int16Kernel select_int16_kernel() {
+detail::Int16Tier select_int16_tier() {
   using detail::Int16Tier;
-  for (Int16Tier tier : {Int16Tier::kAvx512Vnni, Int16Tier::kAvx512bw, Int16Tier::kAvx2})
-    if (const auto kernel = int16_kernel(tier)) return *kernel;
-  return *int16_kernel(Int16Tier::kPortable);
+  for (Int16Tier tier :
+       {Int16Tier::kAmx, Int16Tier::kAvx512Vnni, Int16Tier::kAvx512bw, Int16Tier::kAvx2})
+    if (int16_kernel(tier)) return tier;
+  return Int16Tier::kPortable;
 }
 
-const Int16Kernel g_int16 = select_int16_kernel();
+const detail::Int16Tier g_int16_tier = select_int16_tier();
+const Int16Kernel g_int16 = *int16_kernel(g_int16_tier);
 
 /// Pairs in a kc panel of height kcb (odd tails round up — the pack padded
 /// them with zero).
 std::size_t panel_pairs(std::size_t kcb) { return (kcb + 1) / 2; }
+
+/// Deferred kBiasTable activation over one finished jc panel, one call per
+/// row: the requantized row segments are complete here, and ncb-wide spans
+/// keep the table evaluator on its vector path (identical values to
+/// per-sliver application — the activation is elementwise).
+void table_pass(const OutSink& sink, std::size_t m, std::size_t jc, std::size_t ncb) {
+  if (sink.c16 == nullptr || sink.epi->kind != EpilogueInt16::Kind::kBiasTable) return;
+  const EpilogueInt16& e = *sink.epi;
+  for (std::size_t r = 0; r < m; ++r) {
+    std::int16_t* crow = sink.c16 + r * sink.ldc + jc;
+    e.table_eval(e.table, crow, crow, ncb);
+  }
+}
 
 /// The blocked loop nest, sliver-major: per jc panel, per nr sliver, per row
 /// block, register accumulators crossing every kc panel (no int32 C
@@ -384,25 +583,82 @@ void blocked_int16(const std::int16_t* a, const PackedBInt16& b, const OutSink& 
         kernel.store(sink, acc, i0, std::min(tile.mr, m - i0), jc + jr, width);
       }
     }
-    // Deferred kBiasTable activation, one call per (row, jc panel): the
-    // requantized row segments are complete here, and ncb-wide spans keep
-    // the table evaluator on its vector path (identical values to
-    // per-sliver application — the activation is elementwise).
-    if (sink.c16 != nullptr && sink.epi->kind == EpilogueInt16::Kind::kBiasTable) {
-      const EpilogueInt16& e = *sink.epi;
-      for (std::size_t r = 0; r < m; ++r) {
-        std::int16_t* crow = sink.c16 + r * sink.ldc + jc;
-        e.table_eval(e.table, crow, crow, ncb);
-      }
-    }
+    table_pass(sink, m, jc, ncb);
   }
 }
 
-/// `b`'s sliver width must be the selected tier's.
-void check_width(const PackedBInt16& b, const char* entry) {
-  ONESA_CHECK(b.nr() == g_int16.nr, entry << ": PackedBInt16 sliver width " << b.nr()
-                                          << " does not match the selected micro-kernel ("
-                                          << g_int16.nr << ")");
+#ifdef ONESA_GEMM_INT16_AMX
+/// The AMX tier's loop nest: per jc panel, per 16-column sliver, per row
+/// block of up to 16 rows, the three accumulator tiles cross every
+/// kByteSplitGroup block of k; then the recombined 16 x 16 block goes
+/// through the tier's store like any register tile's. A is split into its
+/// byte planes once per call (per row slice) into the pack scratch. For
+/// m > 16 every row block is 16 tall, a remainder zero-padded, so one tile
+/// configuration serves the whole nest. The next k block's B tile pair is
+/// prefetched while the tile unit runs on this one: without it, m = 1 ran
+/// 0.72-0.77x as fast (gemm_int16.hpp).
+[[gnu::target("avx512f,avx512bw")]] void blocked_int16_amx(const std::int16_t* a,
+                                                           const PackedBInt16& b,
+                                                           const OutSink& sink, std::size_t m,
+                                                           const Int16Kernel& kernel) {
+  const std::size_t k = b.k();
+  const std::size_t n = b.n();
+  const std::size_t nr = b.nr();
+  const std::size_t kc_panels = b.kc_panels();
+  const std::size_t kp = detail::round_up(k, kAmxK);
+  const std::size_t rows = std::min(m, kAmxRows);
+  const std::size_t padded_m = detail::round_up(m, rows);
+
+  detail::PackScratch scratch;
+  auto* a_hi = scratch.take<unsigned char>(2 * padded_m * kp);
+  unsigned char* a_lo = a_hi + padded_m * kp;
+  split_a_bytes(a, m, k, padded_m, kp, a_hi, a_lo);
+
+  const AmxTileScope tiles(rows);
+  alignas(64) std::uint32_t acc[kMaxMrInt16 * kMaxNr];
+  alignas(64) std::int32_t hh[kAmxRows * kMaxNr];
+  alignas(64) std::int32_t cross[kAmxRows * kMaxNr];
+  for (std::size_t jc_idx = 0, jc = 0; jc < n; ++jc_idx, jc += kNC) {
+    const std::size_t ncb = std::min(kNC, n - jc);
+    for (std::size_t jr = 0; jr < ncb; jr += nr) {
+      const std::size_t width = std::min(nr, ncb - jr);
+      for (std::size_t i0 = 0; i0 < m; i0 += rows) {
+        tile_zero<0>();
+        tile_zero<1>();
+        tile_zero<2>();
+        const unsigned char* ah = a_hi + i0 * kp;
+        const unsigned char* al = a_lo + i0 * kp;
+        for (std::size_t kc_idx = 0, kc = 0; kc_idx < kc_panels; ++kc_idx, kc += kKC) {
+          const std::size_t kcp = detail::round_up(std::min(kKC, k - kc), kAmxK);
+          const auto* bp =
+              reinterpret_cast<const unsigned char*>(b.panel(jc_idx, kc_idx) + jr * kcp);
+          for (std::size_t kk = kc; kk < kc + kcp; kk += kAmxK, bp += kAmxBPairBytes) {
+#pragma GCC unroll 32
+            for (std::size_t line = 0; line < kAmxBPairBytes; line += 64)
+              _mm_prefetch(reinterpret_cast<const char*>(bp + kAmxBPairBytes + line),
+                           _MM_HINT_T0);
+            byte_split_step(ah + kk, al + kk, kp, bp);
+          }
+        }
+        tile_store<0>(hh, kAmxRowBytes);
+        tile_store<1>(cross, kAmxRowBytes);
+        tile_store<2>(acc, kAmxRowBytes);
+        const std::size_t live = std::min(rows, m - i0);
+        recombine_byte_split(acc, hh, cross, live);
+        kernel.store(sink, acc, i0, live, jc + jr, width);
+      }
+    }
+    table_pass(sink, m, jc, ncb);
+  }
+}
+#endif  // ONESA_GEMM_INT16_AMX
+
+/// `b`'s sliver width and k-group must be the selected tier's.
+void check_layout(const PackedBInt16& b, const char* entry) {
+  ONESA_CHECK(b.nr() == g_int16.nr && b.group() == g_int16.group,
+              entry << ": PackedBInt16 sliver width " << b.nr() << ", k-group " << b.group()
+                    << " does not match the selected micro-kernel (" << g_int16.nr << ", "
+                    << g_int16.group << ")");
 }
 
 constexpr char kGemmInt16Span[] = "gemm_int16";
@@ -410,6 +666,8 @@ constexpr char kGemmInt16Span[] = "gemm_int16";
 }  // namespace
 
 std::size_t sliver_width_int16() { return g_int16.nr; }
+
+std::size_t k_group_int16() { return g_int16.group; }
 
 const char* int16_kernel_name() { return g_int16.name; }
 
@@ -434,8 +692,8 @@ void gemm_int16_reference(const std::int16_t* a, const std::int16_t* b,
 void gemm_packed_int16_acc(const std::int16_t* a, const PackedBInt16& b,
                            std::int32_t* c, std::size_t m) {
   if (m == 0 || b.n() == 0) return;
-  check_width(b, "gemm_packed_int16_acc");
-  blocked_int16(a, b, OutSink{nullptr, c, b.n(), nullptr}, m, g_int16);
+  check_layout(b, "gemm_packed_int16_acc");
+  g_int16.nest(a, b, OutSink{nullptr, c, b.n(), nullptr}, m, g_int16);
 }
 
 void gemm_packed_int16(const std::int16_t* a, const PackedBInt16& b, std::int16_t* c,
@@ -443,12 +701,12 @@ void gemm_packed_int16(const std::int16_t* a, const PackedBInt16& b, std::int16_
   const std::size_t k = b.k();
   const std::size_t n = b.n();
   if (m == 0 || n == 0) return;
-  check_width(b, "gemm_packed_int16");
+  check_layout(b, "gemm_packed_int16");
   detail::profiled<kGemmInt16Span>(sizeof(std::int16_t), m, k, n, [&] {
     detail::slice_rows(m, gemm_threads(m, k, n, sizeof(std::int16_t)), g_int16.rest.mr,
                        [&](std::size_t lo, std::size_t hi) {
-                         blocked_int16(a + lo * k, b, OutSink{c + lo * n, nullptr, n, &epi},
-                                       hi - lo, g_int16);
+                         g_int16.nest(a + lo * k, b, OutSink{c + lo * n, nullptr, n, &epi},
+                                      hi - lo, g_int16);
                        });
   });
 }
@@ -456,6 +714,8 @@ void gemm_packed_int16(const std::int16_t* a, const PackedBInt16& b, std::int16_
 namespace detail {
 
 std::size_t int16_slice_rows() { return g_int16.rest.mr; }
+
+Int16Tier selected_int16_tier() { return g_int16_tier; }
 
 bool int16_tier_supported(Int16Tier tier) { return int16_kernel(tier).has_value(); }
 
@@ -471,7 +731,7 @@ void run_on_tier(Int16Tier tier, const std::int16_t* a, const std::int16_t* b,
   ONESA_CHECK(kernel.has_value(),
               "int16 tier " << static_cast<int>(tier) << " does not run on this CPU");
   if (m == 0 || n == 0) return;
-  blocked_int16(a, PanelPacker::owned(b, k, n, kernel->nr), sink, m, *kernel);
+  kernel->nest(a, PanelPacker::owned(b, k, n, kernel->nr, kernel->group), sink, m, *kernel);
 }
 
 void gemm_int16_acc_on_tier(Int16Tier tier, const std::int16_t* a, const std::int16_t* b,

@@ -12,13 +12,22 @@
 // steps across a full sliver of output columns.
 //
 // Kernel tiers, picked once by CPUID (int16_kernel_name() reports the name):
+//  - "amx": the AMX tile unit, a systolic array of its own, which only
+//    multiplies bytes. Each operand splits as 256 * hi + lo (hi signed, lo
+//    unsigned); per 64 k steps tdpbssd, tdpbsud + tdpbusd and tdpbuud fill
+//    three int32 tiles (hh, both cross terms, ll), recombined as
+//    (hh << 16) + (cross << 8) + ll in wrapping int32 — raw for raw the
+//    vpdpwssd sum. B is packed in the byte-split k-group (pack.hpp), A is
+//    split per call; 16x16 output blocks through the AVX-512 store. Needs
+//    AMX-TILE, AMX-INT8 and the kernel's grant of the tile state
+//    (arch_prctl(ARCH_REQ_XCOMP_PERM), asked once, for this process only).
 //  - "avx512vnni": one vpdpwssd per step (_mm512_dpwssd_epi32 semantics),
 //    with the A pair broadcast straight from memory; 16x16 and 8x16 tiles.
 //  - "avx512bw": vpmaddwd + vpaddd per step; the same 16x16 / 8x16 tiles
 //    (one template over the step).
 //  - "avx2": vpmaddwd + vpaddd on ymm, 4x8 tile.
 //  - "portable": scalar 4x8 tile.
-// Loop order (one loop nest for every tier): A is packed once per call into
+// Loop order (one loop nest for every vector tier): A is packed once per call into
 // the tiles' pair-major row blocks; then per (jc panel, nr sliver, row
 // block), the register accumulators cross every kc panel and one fused
 // store ends the tile. Slivers are the outer loop, so each B sliver is read
@@ -30,7 +39,26 @@
 // and profiling are shared with the double lane (lane.hpp). The loop orders
 // stay apart because each is measurably faster on its own lane: the double
 // lane's order cost this lane 0.94-0.97x at m = 16-64 and 0.89x at m = 128
-// (this lane's order cost the double lane 0.96-0.97x).
+// (this lane's order cost the double lane 0.96-0.97x). The amx tier keeps
+// the same order (sliver, row block of 16, k) in a nest of its own.
+//
+// The amx tier against avx512vnni, single lane, best of 200 calls with a
+// bias epilogue, 10 rounds alternating the two builds on one core of a
+// 4-vCPU Xeon (AMX-INT8), operands in [-2048, 2047]; median GFLOP/s
+// vnni -> amx, and the median [range] of the per-round ratios:
+//                       m = 1          m = 16            m = 32            m = 64
+//  up   768 x 3072    23 -> 20        236 -> 227        242 -> 342        243 -> 289
+//                     0.91x           1.14x [0.76-2.4]  1.53x [0.99-2.1]  1.41x [1.13-1.9]
+//  down 3072 x 768    21 -> 21        200 -> 245        210 -> 281        247 -> 393
+//                     1.01x           1.29x [1.17-1.6]  1.42x [1.27-2.1]  1.68x [1.23-2.0]
+// The spread is the host's: the tile unit's rate moves by up to 2x between
+// rounds, and also with the operand values (A planes left unsplit, so
+// mostly stale bytes, ran ~1.2x faster than real data — benchmark on real
+// ranges). m = 1 streams B at memory speed and is a tie or a small loss; it
+// keeps the amx nest rather than a short-m path of its own. Rejected, same
+// protocol: no B prefetch, 0.72-0.77x at m = 1 and 0.92-1.10x at
+// m = 16-64; prefetching 2 or 4 k blocks ahead instead of 1, 0.90-0.97x;
+// four accumulator tiles (the two cross terms apart), ~0.82x.
 //
 // Numerics contract (asserted in tests/test_kernels.cpp):
 //  - Integer addition is associative, so every tier produces BIT-IDENTICAL
@@ -60,8 +88,8 @@
 
 namespace onesa::tensor::kernels {
 
-/// Name of the selected int16 kernel tier ("avx512vnni", "avx512bw", "avx2",
-/// "portable").
+/// Name of the selected int16 kernel tier ("amx", "avx512vnni", "avx512bw",
+/// "avx2", "portable").
 const char* int16_kernel_name();
 
 /// Requantize an int32 accumulator down to int16: round-half-up at the
@@ -120,7 +148,10 @@ namespace detail {
 /// The int16 kernel tiers, slowest first. CPUID selects the fastest one the
 /// host runs; the entries below replay any runnable tier so bit-exactness
 /// tests can pit every tile against every other on identical inputs.
-enum class Int16Tier : std::uint8_t { kPortable, kAvx2, kAvx512bw, kAvx512Vnni };
+enum class Int16Tier : std::uint8_t { kPortable, kAvx2, kAvx512bw, kAvx512Vnni, kAmx };
+
+/// The tier CPUID selected (the one int16_kernel_name() names).
+Int16Tier selected_int16_tier();
 
 /// Whether this CPU can execute `tier` (kPortable always can).
 bool int16_tier_supported(Int16Tier tier);

@@ -69,24 +69,26 @@ class PackScratch {
 };
 
 /// Write one panel: b points at B[kc][jc] (row stride ldb), kcb x ncb of it
-/// go into dst in the sliver layout of pack.hpp at width nr. Counted by the
-/// pack counter.
+/// go into dst in the sliver layout of pack.hpp at width nr and k-group
+/// `group`. Counted by the pack counter.
 template <typename T>
 void pack_panel(const T* b, std::size_t ldb, std::size_t kcb, std::size_t ncb,
-                std::size_t nr, T* dst);
+                std::size_t nr, std::size_t group, T* dst);
 
-/// Builds PackedPanels at an explicit sliver width: the tier test entries
-/// (a tile set other than the selected one) and gemm()'s per-call pack.
+/// Builds PackedPanels at an explicit sliver width and k-group: the tier
+/// test entries (a tile set other than the selected one) and gemm()'s
+/// per-call pack.
 struct PanelPacker {
   template <typename T>
-  static PackedPanels<T> owned(const T* b, std::size_t k, std::size_t n, std::size_t nr) {
-    return PackedPanels<T>(b, k, n, nr, nullptr);
+  static PackedPanels<T> owned(const T* b, std::size_t k, std::size_t n, std::size_t nr,
+                               std::size_t group = PackedPanels<T>::kGroup) {
+    return PackedPanels<T>(b, k, n, nr, group, nullptr);
   }
   /// Panels in this thread's pack scratch, valid for the scope `s`.
   template <typename T>
   static PackedPanels<T> scratch(const T* b, std::size_t k, std::size_t n, std::size_t nr,
                                  PackScratch& /*s*/) {
-    return PackedPanels<T>(b, k, n, nr, &PackScratch::arena());
+    return PackedPanels<T>(b, k, n, nr, PackedPanels<T>::kGroup, &PackScratch::arena());
   }
 };
 

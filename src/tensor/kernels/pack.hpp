@@ -10,16 +10,24 @@
 // packing per request (BLIS's pack-once contract; Van Zee & van de Geijn,
 // TOMS 2015).
 //
-// One panel format for both lanes; the only per-type difference is the
-// k-group G, the number of consecutive k steps stored side by side per
-// column so that one vector load feeds one multiply step:
+// One panel format for both lanes; the only difference is the k-group G,
+// the number of consecutive k steps stored as one unit per sliver so that
+// one load feeds one multiply step:
 //  - double, G = 1: k-step-major slivers (one FMA row of nr columns);
 //  - int16, G = 2: pair-interleaved slivers, (b[2q][j], b[2q+1][j]) per
-//    column j — exactly what one vpmaddwd / vpdpwssd consumes.
-// Element (p, j) of a sliver sits at (p / G) * G * nr + j * G + p % G. A
-// panel's k extent is rounded up to whole groups and its width to whole
+//    column j — exactly what one vpmaddwd / vpdpwssd consumes. For G = 1
+//    and 2, element (p, j) of a sliver sits at
+//    (p / G) * G * nr + j * G + p % G;
+//  - int16, G = 64 (kByteSplitGroup, the AMX tier; nr = 16): each 64-step
+//    group of a sliver is a pair of 1 KB int8 tiles, 16 rows x 64 bytes,
+//    hi first, then lo. Byte (r, c, e) of the hi tile is the signed high
+//    byte b >> 8 of b[4r + e][c], of the lo tile its unsigned low byte
+//    b & 0xFF: the B operand layout of tdpb[su][su]d. The two planes take
+//    the bytes the pair layout takes, so the switch costs no memory.
+// A panel's k extent is rounded up to whole groups and its width to whole
 // slivers, zero-padded (a zero b adds nothing to any accumulator). Panels
-// are stored jc-major, kc inner, each starting on a 64-byte boundary.
+// are stored jc-major, kc inner, each starting on a 64-byte boundary. The
+// INT16 lane's G is its selected tier's, fixed when the panels are packed.
 //
 // The Epilogue rides along because the same hot path ends every Linear
 // layer with a bias broadcast and (usually) an activation: fusing both into
@@ -44,12 +52,15 @@ namespace onesa::tensor::kernels {
 inline constexpr std::size_t kKC = 256;
 inline constexpr std::size_t kNC = 512;     // a multiple of every sliver width
 inline constexpr std::size_t kMaxNr = 16;   // widest sliver of any tile set
+inline constexpr std::size_t kByteSplitGroup = 64;  // k steps per AMX tile pair
 
 /// B sliver width of each lane's tile set, picked once by CPUID: 16 on the
 /// AVX-512 tiers, 8 on AVX2/portable. The lanes are independent — a CPU can
 /// have avx512f (double) without avx512bw (int16).
 std::size_t sliver_width();        // double lane, defined in gemm.cpp
 std::size_t sliver_width_int16();  // INT16 lane, defined in gemm_int16.cpp
+/// k-group of the INT16 lane's selected tier: 2, or kByteSplitGroup on AMX.
+std::size_t k_group_int16();       // defined in gemm_int16.cpp
 
 namespace detail {
 struct PanelPacker;  // packs at an explicit width or into pack scratch (lane.hpp)
@@ -61,24 +72,26 @@ struct PanelPacker;  // packs at an explicit width or into pack scratch (lane.hp
 template <typename T>
 class PackedPanels {
  public:
-  /// k steps stored side by side per column (see the header comment).
+  /// k steps stored side by side per column by the vector tiles (see the
+  /// header comment); the INT16 lane's AMX tier packs kByteSplitGroup.
   static constexpr std::size_t kGroup = std::is_same_v<T, std::int16_t> ? 2 : 1;
 
   PackedPanels() = default;
 
-  /// Pack `b` (k x n, row-major) at the sliver width of this lane's
-  /// selected tile set.
+  /// Pack `b` (k x n, row-major) at the sliver width and k-group of this
+  /// lane's selected tile set.
   static PackedPanels pack(const T* b, std::size_t k, std::size_t n);
 
   std::size_t k() const { return k_; }
   std::size_t n() const { return n_; }
   std::size_t nr() const { return nr_; }
+  std::size_t group() const { return group_; }
   bool empty() const { return k_ == 0 || n_ == 0; }
   std::size_t kc_panels() const { return (k_ + kKC - 1) / kKC; }
   std::size_t nc_panels() const { return (n_ + kNC - 1) / kNC; }
 
   /// Base of panel (jc_idx, kc_idx). In a panel of kcb k steps, sliver jr
-  /// (a multiple of nr) starts at base + jr * round_up(kcb, kGroup).
+  /// (a multiple of nr) starts at base + jr * round_up(kcb, group()).
   const T* panel(std::size_t jc_idx, std::size_t kc_idx) const {
     return data_ + jc_idx * column_ +
            kc_idx * (jc_idx + 1 < nc_panels() ? panel_ : last_panel_);
@@ -95,14 +108,16 @@ class PackedPanels {
  private:
   friend struct detail::PanelPacker;
 
-  /// Pack at sliver width `nr`, into `scratch` when given (the panels then
-  /// live until the scratch is rewound) or into a buffer of its own.
-  PackedPanels(const T* b, std::size_t k, std::size_t n, std::size_t nr,
+  /// Pack at sliver width `nr` and k-group `group`, into `scratch` when
+  /// given (the panels then live until the scratch is rewound) or into a
+  /// buffer of its own.
+  PackedPanels(const T* b, std::size_t k, std::size_t n, std::size_t nr, std::size_t group,
                MemoryStack* scratch);
 
   std::size_t k_ = 0;
   std::size_t n_ = 0;
   std::size_t nr_ = 0;
+  std::size_t group_ = kGroup;
   std::size_t panel_ = 0;       // elements per kKC-tall panel, full-width column
   std::size_t last_panel_ = 0;  // the same in the last (narrower) column
   std::size_t column_ = 0;      // elements per full-width column of panels

@@ -115,7 +115,7 @@ void ThreadPool::drain_current_job() {
   }
 }
 
-void ThreadPool::run(std::size_t parts, const std::function<void(std::size_t)>& fn) {
+void ThreadPool::run(std::size_t parts, FunctionRef<void(std::size_t)> fn) {
   if (parts == 0) return;
   if (parts == 1 || workers_.empty() || tl_in_pool_job) {
     for (std::size_t p = 0; p < parts; ++p) fn(p);
@@ -153,7 +153,7 @@ void ThreadPool::run(std::size_t parts, const std::function<void(std::size_t)>& 
 }
 
 void ThreadPool::parallel_for(std::size_t begin, std::size_t end, std::size_t grain,
-                              const std::function<void(std::size_t, std::size_t)>& body) {
+                              FunctionRef<void(std::size_t, std::size_t)> body) {
   if (end <= begin) return;
   if (grain == 0) grain = 1;
   const std::size_t total = end - begin;

@@ -14,12 +14,41 @@
 #include <condition_variable>
 #include <cstddef>
 #include <exception>
-#include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace onesa::tensor::kernels {
+
+template <typename Sig>
+class FunctionRef;
+
+/// Non-owning reference to a callable: a pointer to it and a thunk. A pool
+/// job runs and finishes inside the call that submits it, so the pool never
+/// needs to own — or heap-allocate — the callable, whatever it captures.
+/// The referenced callable must outlive every call through the reference.
+template <typename R, typename... Args>
+class FunctionRef<R(Args...)> {
+ public:
+  template <typename F, typename = std::enable_if_t<
+                            !std::is_same_v<std::remove_cvref_t<F>, FunctionRef> &&
+                            std::is_invocable_r_v<R, F&, Args...>>>
+  FunctionRef(F&& fn) noexcept  // NOLINT(google-explicit-constructor): a parameter type
+      : obj_(const_cast<void*>(static_cast<const void*>(std::addressof(fn)))),
+        call_([](void* obj, Args... args) -> R {
+          return (*static_cast<std::add_pointer_t<std::remove_reference_t<F>>>(obj))(
+              std::forward<Args>(args)...);
+        }) {}
+
+  R operator()(Args... args) const { return call_(obj_, std::forward<Args>(args)...); }
+
+ private:
+  void* obj_;
+  R (*call_)(void*, Args...);
+};
 
 class ThreadPool {
  public:
@@ -73,13 +102,14 @@ class ThreadPool {
 
   /// Run fn(part) for part in [0, parts), spread over the pool lanes; blocks
   /// until every part finished. The first exception thrown by any part is
-  /// rethrown on the caller. Reentrant calls run inline on the caller.
-  void run(std::size_t parts, const std::function<void(std::size_t)>& fn);
+  /// rethrown on the caller. Reentrant calls run inline on the caller. No
+  /// call allocates: `fn` is referenced, never copied.
+  void run(std::size_t parts, FunctionRef<void(std::size_t)> fn);
 
   /// Split [begin, end) into at most `threads()` contiguous chunks of at
   /// least `grain` elements and run body(lo, hi) for each in parallel.
   void parallel_for(std::size_t begin, std::size_t end, std::size_t grain,
-                    const std::function<void(std::size_t, std::size_t)>& body);
+                    FunctionRef<void(std::size_t, std::size_t)> body);
 
  private:
   void worker_loop();
@@ -91,7 +121,7 @@ class ThreadPool {
   std::mutex mutex_;
   std::condition_variable job_cv_;   // workers wait here for a job
   std::condition_variable done_cv_;  // submitter waits here for completion
-  const std::function<void(std::size_t)>* job_ = nullptr;
+  const FunctionRef<void(std::size_t)>* job_ = nullptr;
   std::size_t job_parts_ = 0;
   std::size_t next_part_ = 0;
   std::size_t parts_left_ = 0;

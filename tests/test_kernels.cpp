@@ -8,14 +8,17 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <fstream>
 #include <mutex>
 #include <set>
+#include <sstream>
 #include <span>
 #include <string>
 #include <thread>
 #include <tuple>
 #include <vector>
 
+#include "common/alloc_count.hpp"
 #include "common/error.hpp"
 
 #include "common/rng.hpp"
@@ -183,11 +186,13 @@ TEST(GemmKernel, LaneCountAllowsOneLanePerShortTileHeight) {
   const auto expect = [&](std::size_t height) {
     return kernels::deterministic() ? std::size_t{1} : std::min(lanes, 16 / height);
   };
-  const std::string int16 = kernels::int16_kernel_name();
+  // The AMX tier's row slices are whole 16-row tile blocks.
+  using kernels::detail::Int16Tier;
+  const Int16Tier int16 = kernels::detail::selected_int16_tier();
   EXPECT_EQ(kernels::gemm_threads(16, 4096, 4096),
             expect(kernels::sliver_width() == 16 ? 8 : 4));
   EXPECT_EQ(kernels::gemm_threads(16, 4096, 4096, sizeof(std::int16_t)),
-            expect(int16 == "avx512vnni" || int16 == "avx512bw" ? 8 : 4));
+            expect(int16 == Int16Tier::kAmx ? 16 : int16 >= Int16Tier::kAvx512bw ? 8 : 4));
 }
 
 TEST(GemmKernel, PackScratchTrimsToTheRetentionCapWhenTheOutermostScopeCloses) {
@@ -634,9 +639,28 @@ using tensor::kernels::detail::Int16Tier;
 std::vector<Int16Tier> runnable_int16_tiers() {
   std::vector<Int16Tier> tiers;
   for (Int16Tier t : {Int16Tier::kPortable, Int16Tier::kAvx2, Int16Tier::kAvx512bw,
-                      Int16Tier::kAvx512Vnni})
+                      Int16Tier::kAvx512Vnni, Int16Tier::kAmx})
     if (tensor::kernels::detail::int16_tier_supported(t)) tiers.push_back(t);
   return tiers;
+}
+
+/// Whether the OS reports the AMX tile unit with int8 products to this
+/// host's processes (/proc/cpuinfo lists a flag only once the kernel has
+/// enabled its state).
+bool host_reports_amx_int8() {
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(cpuinfo, line)) {
+    if (line.rfind("flags", 0) != 0) continue;
+    std::istringstream flags(line);
+    bool tile = false, int8 = false;
+    for (std::string flag; flags >> flag;) {
+      tile = tile || flag == "amx_tile";
+      int8 = int8 || flag == "amx_int8";
+    }
+    return tile && int8;
+  }
+  return false;
 }
 
 /// The epilogue's scalar rule on one accumulator: bias add at int64 width,
@@ -673,17 +697,49 @@ const std::vector<std::tuple<std::size_t, std::size_t, std::size_t>> kInt16Shape
 };
 
 TEST(PackedBInt16, RoundTripsEveryElementAcrossShapes) {
+  // The selected tier's layout, and the AMX tier's byte-split layout on
+  // every host (packing it needs no AMX instruction).
+  using tensor::kernels::detail::PanelPacker;
   Rng rng(77);
   for (const auto& [m, k, n] : kInt16Shapes) {
     (void)m;
     const auto b = random_i16(k * n, rng, -32768, 32767);
-    const auto packed = tensor::kernels::PackedBInt16::pack(b.data(), k, n);
-    ASSERT_EQ(packed.k(), k);
-    ASSERT_EQ(packed.n(), n);
-    for (std::size_t kk = 0; kk < k; ++kk)
-      for (std::size_t j = 0; j < n; ++j)
-        ASSERT_EQ(packed.at(kk, j), b[kk * n + j]) << "k=" << kk << " j=" << j;
+    for (const auto& packed :
+         {tensor::kernels::PackedBInt16::pack(b.data(), k, n),
+          PanelPacker::owned(b.data(), k, n, 16, tensor::kernels::kByteSplitGroup)}) {
+      ASSERT_EQ(packed.k(), k);
+      ASSERT_EQ(packed.n(), n);
+      for (std::size_t kk = 0; kk < k; ++kk)
+        for (std::size_t j = 0; j < n; ++j)
+          ASSERT_EQ(packed.at(kk, j), b[kk * n + j])
+              << "group=" << packed.group() << " k=" << kk << " j=" << j;
+    }
   }
+}
+
+TEST(PackedBInt16, ByteSplitPanelsHoldTheTileOperandLayout) {
+  // tdpb*d's B operand: per 64-step k block of a 16-column sliver a hi tile,
+  // then a lo tile, 16 rows x 64 bytes; byte (r, c, e) of block kb in
+  // sliver j is the high (low) byte of B[64 kb + 4 r + e][16 j + c].
+  constexpr std::size_t k = 200, n = 40;
+  Rng rng(86);
+  const auto b = random_i16(k * n, rng, -32768, 32767);
+  const auto packed = tensor::kernels::detail::PanelPacker::owned(
+      b.data(), k, n, 16, tensor::kernels::kByteSplitGroup);
+  ASSERT_LE(k, tensor::kernels::kKC);  // one kc panel: a sliver's blocks are contiguous
+  const auto* bytes = reinterpret_cast<const unsigned char*>(packed.panel(0, 0));
+  const std::size_t kcp = 256;  // k rounded up to whole 64-step blocks
+  for (std::size_t j = 0; j < 3; ++j)
+    for (std::size_t kb = 0; kb < kcp / 64; ++kb)
+      for (std::size_t r = 0; r < 16; ++r)
+        for (std::size_t c = 0; c < 16; ++c)
+          for (std::size_t e = 0; e < 4; ++e) {
+            const std::size_t kk = 64 * kb + 4 * r + e, col = 16 * j + c;
+            const auto v = kk < k && col < n ? static_cast<std::uint16_t>(b[kk * n + col]) : 0;
+            const unsigned char* hi = bytes + j * kcp * 16 * 2 + kb * 2048 + r * 64 + c * 4 + e;
+            ASSERT_EQ(hi[0], v >> 8) << "kk=" << kk << " col=" << col;
+            ASSERT_EQ(hi[1024], v & 0xFF) << "kk=" << kk << " col=" << col;
+          }
 }
 
 TEST(GemmInt16, PackedAccumulatorsMatchReferenceAcrossShapes) {
@@ -727,8 +783,69 @@ TEST(GemmInt16, SelectedTierIsTheFastestRunnable) {
   const auto tiers = runnable_int16_tiers();
   EXPECT_STREQ(tensor::kernels::int16_kernel_name(),
                tensor::kernels::detail::int16_tier_name(tiers.back()));
+  EXPECT_EQ(tensor::kernels::detail::selected_int16_tier(), tiers.back());
   EXPECT_EQ(tensor::kernels::sliver_width_int16(),
             tiers.back() >= Int16Tier::kAvx512bw ? 16u : 8u);
+  EXPECT_EQ(tensor::kernels::k_group_int16(),
+            tiers.back() == Int16Tier::kAmx ? tensor::kernels::kByteSplitGroup : 2u);
+  EXPECT_EQ(tensor::kernels::PackedBInt16::pack(nullptr, 0, 0).group(),
+            tensor::kernels::k_group_int16());
+  // A host whose kernel exposes AMX-INT8 grants the tile state on request,
+  // so the tier must be there to test.
+  if (host_reports_amx_int8()) {
+    EXPECT_EQ(tiers.back(), Int16Tier::kAmx) << "AMX host, AMX tier not runnable";
+  }
+}
+
+/// The AMX tier's arithmetic on scalars: each int16 operand split as
+/// 256 * hi + lo (hi = x >> 8 signed, lo = x & 0xFF unsigned), three
+/// wrapping uint32 accumulators for hi*hi, hi*lo + lo*hi and lo*lo, then
+/// (hh << 16) + (cross << 8) + ll. Runs on every host, so the rule the tile
+/// unit executes is checked where the tile unit is missing.
+std::vector<std::int32_t> byte_split_gemm(const std::vector<std::int16_t>& a,
+                                          const std::vector<std::int16_t>& b, std::size_t m,
+                                          std::size_t k, std::size_t n) {
+  const auto hi = [](std::int16_t x) { return static_cast<std::int32_t>(x >> 8); };
+  const auto lo = [](std::int16_t x) { return static_cast<std::int32_t>(x & 0xFF); };
+  std::vector<std::int32_t> c(m * n);
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      std::uint32_t hh = 0, cross = 0, ll = 0;
+      for (std::size_t kk = 0; kk < k; ++kk) {
+        const std::int16_t x = a[i * k + kk];
+        const std::int16_t y = b[kk * n + j];
+        hh += static_cast<std::uint32_t>(hi(x) * hi(y));
+        cross += static_cast<std::uint32_t>(hi(x) * lo(y));
+        cross += static_cast<std::uint32_t>(lo(x) * hi(y));
+        ll += static_cast<std::uint32_t>(lo(x) * lo(y));
+      }
+      c[i * n + j] = static_cast<std::int32_t>((hh << 16) + (cross << 8) + ll);
+    }
+  }
+  return c;
+}
+
+TEST(GemmInt16, ByteSplitRuleMatchesTheReferenceOnEveryHost) {
+  Rng rng(84);
+  for (const auto& [m, k, n] : kInt16Shapes) {
+    const auto a = random_i16(m * k, rng, -32768, 32767);
+    const auto b = random_i16(k * n, rng, -32768, 32767);
+    std::vector<std::int32_t> ref(m * n);
+    tensor::kernels::gemm_int16_reference(a.data(), b.data(), ref.data(), m, k, n);
+    ASSERT_EQ(byte_split_gemm(a, b, m, k, n), ref) << "m=" << m << " k=" << k << " n=" << n;
+  }
+  // Every pairing of the byte edges: the rails, -1 (hi -1, lo 255), 255 and
+  // 256 (a carry into hi), summed over k = 2 so (-32768)^2 * 2 = 2^31 wraps.
+  const std::vector<std::int16_t> edges = {-32768, -32767, -257, -256, -1, 0,
+                                           1,      127,    128,  255,  256, 32767};
+  const std::size_t e = edges.size();
+  std::vector<std::int16_t> a(e * 2), b(2 * e);
+  for (std::size_t i = 0; i < e; ++i) a[2 * i] = a[2 * i + 1] = edges[i];
+  for (std::size_t j = 0; j < e; ++j) b[j] = b[e + j] = edges[j];
+  std::vector<std::int32_t> ref(e * e);
+  tensor::kernels::gemm_int16_reference(a.data(), b.data(), ref.data(), e, 2, e);
+  EXPECT_EQ(ref[0], std::numeric_limits<std::int32_t>::min());  // the 2^31 pair
+  EXPECT_EQ(byte_split_gemm(a, b, e, 2, e), ref);
 }
 
 TEST(GemmInt16, AccumulatorWrapsMod32AtTheBoundary) {
@@ -946,6 +1063,44 @@ TEST(GemmInt16, RowSlicedAcrossThreadsMatchesTheReference) {
   std::vector<std::int16_t> got(m * n);
   tensor::kernels::gemm_packed_int16(a.data(), packed, got.data(), m, epi);
   EXPECT_EQ(got, expect) << "threads=" << tensor::kernels::gemm_threads(m, k, n, sizeof(std::int16_t));
+}
+
+TEST(ThreadPool, FanningOutGemmsAllocateNothingOnTheCaller) {
+  // A GEMM that fans out hands the shared pool slice_rows' lambda, which
+  // captures three references — past std::function's inline buffer. The
+  // pool references the callable instead of owning it, so after warm-up
+  // neither lane's GEMM allocates on the calling thread, at any lane count
+  // (CI runs this suite with ONESA_KERNEL_THREADS=4).
+  namespace kernels = tensor::kernels;
+  constexpr std::size_t m = 64, k = 768, n = 768;
+  if (kernels::ThreadPool::instance().effective_threads() > 1 && !kernels::deterministic()) {
+    ASSERT_GT(kernels::gemm_threads(m, k, n), 1u);
+    ASSERT_GT(kernels::gemm_threads(m, k, n, sizeof(std::int16_t)), 1u);
+  }
+  Rng rng(85);
+  const Matrix a = random_matrix(m, k, rng);
+  const Matrix b = random_matrix(k, n, rng);
+  const auto packed = kernels::PackedB::pack(b.data().data(), k, n);
+  Matrix c(m, n);
+  const auto a16 = random_i16(m * k, rng);
+  const auto b16 = random_i16(k * n, rng);
+  const auto packed16 = kernels::PackedBInt16::pack(b16.data(), k, n);
+  std::vector<std::int16_t> c16(m * n);
+  const auto calls = [&] {
+    kernels::gemm_packed(a.data().data(), packed, c.data().data(), m);
+    kernels::gemm_packed_int16(a16.data(), packed16, c16.data(), m);
+  };
+  {
+    // Warm this thread's pack scratch for a whole call: which row slices the
+    // caller ends up running varies from call to call, and any of them fits.
+    auto& pool = kernels::ThreadPool::instance();
+    const kernels::ThreadPool::ScopedReserve one_lane(pool, pool.threads() - 1);
+    calls();
+  }
+  calls();
+  const std::uint64_t before = alloccount::thread_allocations();
+  for (int i = 0; i < 10; ++i) calls();
+  EXPECT_EQ(alloccount::thread_allocations() - before, 0u);
 }
 
 TEST(GemmInt16, ResultsAreRowStableUnderStacking) {

@@ -826,6 +826,47 @@ TEST(NetServer, HttpGetMetricsOnTheSamePort) {
   stack.server.stop();
 }
 
+TEST(NetServer, WarmCompletionPostFromTheWorkerAllocatesNothing) {
+  // Every reply reaches the event loop through the completion bus, posted
+  // on the fleet worker's thread. drain_bus swaps the bus's vector against
+  // one it keeps and clears, so once both have held an item a post reuses
+  // their capacity. Requests go one at a time, so each batch posts once.
+  // The worker's ServeStats still append one latency per request
+  // (unbounded, an open item of their own): 40 warm-up requests leave those
+  // vectors at capacity 64, and the 16 measured ones stay below it.
+  TestStack stack({}, tiny_fleet());
+  Rng rng(37);
+  BlockingClient client;
+  client.connect("127.0.0.1", stack.server.port());
+  const InferRequest req = make_infer(rng, 2);
+  std::uint64_t id = 1200;
+  const auto serve = [&](int count) {
+    for (int i = 0; i < count; ++i) {
+      auto reply = client.infer(++id, req);
+      ASSERT_TRUE(reply.has_value());
+      ASSERT_EQ(reply->type, FrameType::kInferOk) << frame_type_name(reply->type);
+    }
+  };
+  // The worker publishes its count after each batch, just after the post:
+  // read it once it has stopped moving.
+  const auto settled_allocs = [&] {
+    std::uint64_t prev = stack.fleet.shard(0).worker_heap_allocations();
+    for (int i = 0; i < 100; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      const std::uint64_t cur = stack.fleet.shard(0).worker_heap_allocations();
+      if (cur == prev) break;
+      prev = cur;
+    }
+    return prev;
+  };
+  serve(40);
+  const std::uint64_t warm = settled_allocs();
+  serve(16);
+  EXPECT_EQ(settled_allocs() - warm, 0u) << "worker allocations across 16 warm requests";
+  client.close();
+  stack.server.stop();
+}
+
 TEST(NetServer, StopIsIdempotentAndRestartUnsupportedCleanly) {
   TestStack stack({}, tiny_fleet());
   BlockingClient client;
