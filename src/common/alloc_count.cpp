@@ -34,6 +34,12 @@ void counted_free(void* p) noexcept {
 }
 }  // namespace
 
+void record_mapping(std::size_t bytes) noexcept {
+  ++t_allocs;
+  t_bytes += bytes;
+}
+void record_unmapping() noexcept { ++t_frees; }
+
 std::uint64_t thread_allocations() noexcept { return t_allocs; }
 std::uint64_t thread_bytes() noexcept { return t_bytes; }
 std::uint64_t thread_deallocations() noexcept { return t_frees; }

@@ -15,23 +15,36 @@
 // exactly the queue→batch→infer→deliver path and is never polluted by the
 // submitter building inputs or the client destroying results.
 //
+// Memory that bypasses operator new reports itself: the buffer pool maps
+// every block above its largest class (tensor/buffer_pool.hpp) and records
+// each mapping here as one allocation, so a request-path buffer that grows
+// past that size still shows up in every allocation gate.
+//
 // Linker note: the replacement operators live in alloc_count.o of the
 // static library, so they are active precisely in binaries that reference
-// some symbol from this header (the serve tier does). Binaries that never
-// ask for counts keep the default operators — same malloc/free underneath,
-// so the two can never mix within one binary.
+// some symbol from this header (the buffer pool does, so every binary that
+// builds a Matrix). Binaries that never do keep the default operators —
+// same malloc/free underneath, so the two can never mix within one binary.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 namespace onesa::alloccount {
 
-/// operator-new calls made by the calling thread so far (monotone).
+/// Count an allocation that did not go through operator new (an anonymous
+/// mapping of `bytes`) against the calling thread, and its release.
+void record_mapping(std::size_t bytes) noexcept;
+void record_unmapping() noexcept;
+
+/// Allocations (operator-new calls and recorded mappings) made by the
+/// calling thread so far (monotone).
 std::uint64_t thread_allocations() noexcept;
 /// Bytes requested by those calls (monotone; oversized by class rounding
 /// only where callers round, which the counter does not do).
 std::uint64_t thread_bytes() noexcept;
-/// operator-delete calls made by the calling thread so far (monotone).
+/// Deallocations (operator-delete calls and recorded unmappings) made by the
+/// calling thread so far (monotone).
 std::uint64_t thread_deallocations() noexcept;
 
 }  // namespace onesa::alloccount

@@ -88,6 +88,10 @@ ModelHandle ModelRegistry::publish(std::string name, std::unique_ptr<nn::Sequent
   // direct model->infer still packs them lazily. An unsupported model throws
   // HERE — registration fails loudly; the request path never discovers a
   // precision problem.
+  //
+  // backward() can never run on the const published model, so its
+  // gradients (one weight-sized buffer per parameter) go before packing.
+  for (nn::Param* p : model->params()) p->grad = tensor::Matrix();
   entry->precision = options.precision;
   if (options.precision == Precision::kInt16)
     entry->quantized = std::make_shared<const nn::QuantizedModel>(*model);
@@ -95,6 +99,10 @@ ModelHandle ModelRegistry::publish(std::string name, std::unique_ptr<nn::Sequent
     model->prepack();
   entry->model = std::shared_ptr<const nn::Sequential>(std::move(model));
 
+  // Declared before the lock, so a replaced version with no other handle is
+  // destroyed after the lock is released: unmapping its weights takes
+  // milliseconds, and every submit resolves names under this lock.
+  ModelHandle retired;
   std::lock_guard<std::mutex> lock(mutex_);
   const auto it = models_.find(name);
   if (replace) {
@@ -102,7 +110,8 @@ ModelHandle ModelRegistry::publish(std::string name, std::unique_ptr<nn::Sequent
                 "ModelRegistry::swap: unknown model '" << name << "'");
     entry->version = it->second->version + 1;
     entry->requests_metric = &version_requests_counter(entry->name, entry->version);
-    it->second = std::move(entry);  // atomic publish: in-flight handles keep the old
+    // Atomic publish: in-flight handles keep the old version.
+    retired = std::exchange(it->second, std::move(entry));
     return it->second;
   }
   ONESA_CHECK(it == models_.end(),

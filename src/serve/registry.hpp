@@ -10,7 +10,10 @@
 // and the attention projections; for a Precision::kInt16 entry only the
 // quantized twin's PackedBInt16 panels, the ones it serves from), so worker
 // threads serve from immutable packed GEMM panels with zero packing and
-// zero pack-cache contention on the request path. Workers run inference
+// zero pack-cache contention on the request path. A published version
+// holds no gradients: registration drops every parameter's grad, since
+// backward() can never run on the const model (a double FFN version then
+// holds its weights and their panels, nothing else). Workers run inference
 // through nn::Sequential::infer(), the const thread-safe forward path (with
 // Linear+activation pairs fused into packed-GEMM epilogues), so concurrent
 // batches against the same entry never race.

@@ -9,8 +9,14 @@
 //
 // Design (a two-level size-class pool, tcmalloc in miniature):
 //  - sizes round up to power-of-two classes from 64 B to 4 MiB; larger
-//    requests go straight to the aligned heap (they are registry-time, not
-//    request-time, in this codebase);
+//    requests are registry-time, not request-time, in this codebase (model
+//    weights and their packed panels), so each gets an anonymous mapping of
+//    its own: freeing it unmaps it, and a hot-swapped model's memory goes
+//    back to the OS instead of staying in the heap's arenas. A mapping
+//    counts as one allocation of the calling thread (alloc_count.hpp), so
+//    the allocation gates would still catch one on the request path; live
+//    mapped bytes are in stats().mapped_bytes; under ASan the page tail
+//    past the requested size is poisoned, standing in for a redzone;
 //  - every block is allocated once with 64-byte alignment and its CLASS
 //    size, so any later reuse fits any request of the same class and every
 //    Matrix buffer is cache-line/AVX-512 aligned for free;
@@ -20,7 +26,9 @@
 //    TSan-clean (results allocate on a worker, free on the client);
 //  - thread exit flushes the thread cache to the global shelves, and the
 //    global pool is reachable for the whole process lifetime, so
-//    LeakSanitizer (detect_leaks=1 in CI) sees every cached block.
+//    LeakSanitizer (detect_leaks=1 in CI) sees every cached block. It does
+//    not see mappings; a leaked one shows as mapped_bytes that never falls
+//    back (test_fleet's hot-swap footprint test checks exactly that).
 //
 // ONESA_BUFFER_POOL=0 in the environment (or set_enabled(false)) bypasses
 // the shelves — every allocation then goes to the heap, which is the knob
@@ -32,8 +40,8 @@
 
 namespace onesa::tensor::pool {
 
-/// Smallest / largest pooled block. Requests above kMaxBlockBytes are
-/// served by the aligned heap directly (counted in stats().oversize).
+/// Smallest / largest pooled block. Requests above kMaxBlockBytes get an
+/// anonymous mapping each (counted in stats().mapped_bytes).
 inline constexpr std::size_t kMinBlockBytes = 64;
 inline constexpr std::size_t kMaxBlockBytes = std::size_t{1} << 22;  // 4 MiB
 /// Every pooled block's alignment.
@@ -51,13 +59,14 @@ struct PoolStats {
   std::uint64_t hits = 0;      // served from a thread cache or global shelf
   std::uint64_t misses = 0;    // pooled size, but had to touch the heap
   std::uint64_t returns = 0;   // blocks recycled back into the pool
-  std::uint64_t oversize = 0;  // above kMaxBlockBytes: straight heap
   std::size_t shelved_bytes = 0;  // bytes parked on the global shelves now
+  std::size_t mapped_bytes = 0;   // above kMaxBlockBytes: live mappings, page-rounded
 };
 PoolStats stats() noexcept;
 
-/// 64B-aligned storage for `bytes` (rounded up to its size class). Never
-/// returns nullptr; throws std::bad_alloc on heap exhaustion.
+/// 64B-aligned storage for `bytes` (rounded up to its size class, or to
+/// whole pages above kMaxBlockBytes). Never returns nullptr; throws
+/// std::bad_alloc on exhaustion.
 void* allocate(std::size_t bytes);
 /// Return storage from allocate(); `bytes` must be the requested size.
 void deallocate(void* p, std::size_t bytes) noexcept;
@@ -69,9 +78,5 @@ void prewarm(std::size_t max_bytes, std::size_t blocks_per_class);
 /// Push this thread's cached blocks to the global shelves (also runs
 /// automatically at thread exit).
 void flush_thread_cache() noexcept;
-
-/// Release every globally shelved block to the heap; returns bytes freed.
-/// The calling thread's cache is flushed first. Other threads' caches stay.
-std::size_t trim() noexcept;
 
 }  // namespace onesa::tensor::pool

@@ -2,8 +2,8 @@
 // arenas (alignment, stride-padded views, reset/reuse, boundary-guard
 // corruption detection) and the recycling buffer pool (size-class rounding,
 // cross-thread recycling — the TSan job runs this binary to pin the
-// handoff), plus the operator-new counting hook the allocation bench
-// measures with.
+// handoff; oversize blocks as counted, poisoned mappings), plus the
+// operator-new counting hook the allocation bench measures with.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -18,6 +18,12 @@
 #include "tensor/arena.hpp"
 #include "tensor/buffer_pool.hpp"
 #include "tensor/matrix.hpp"
+
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+
+#include "tensor/kernels/pack.hpp"
+#endif
 
 namespace onesa::tensor {
 namespace {
@@ -215,6 +221,43 @@ TEST(BufferPool, DisableTakesEffectAndRoundTripsSafely) {
   pool::set_enabled(true);
   pool::deallocate(heaped, 256);
 }
+
+TEST(BufferPool, OversizeMatrixIsOneCountedMappingReturnedOnFree) {
+  constexpr std::size_t kRows = 640, kCols = 1024;  // 5 MiB of doubles
+  static_assert(kRows * kCols * sizeof(double) > pool::kMaxBlockBytes);
+  const std::size_t mapped_before = pool::stats().mapped_bytes;
+  const std::uint64_t allocs_before = alloccount::thread_allocations();
+  const std::uint64_t frees_before = alloccount::thread_deallocations();
+  {
+    Matrix big(kRows, kCols, 1.0);
+    // Exactly one allocation, as when the block came from the heap: the
+    // gates that count operator new keep seeing oversize buffers.
+    EXPECT_EQ(alloccount::thread_allocations() - allocs_before, 1u);
+    EXPECT_TRUE(aligned64(big.data().data()));
+    EXPECT_EQ(pool::stats().mapped_bytes - mapped_before, kRows * kCols * sizeof(double));
+    EXPECT_EQ(big(kRows - 1, kCols - 1), 1.0);
+  }
+  EXPECT_EQ(alloccount::thread_deallocations() - frees_before, 1u);
+  EXPECT_EQ(pool::stats().mapped_bytes, mapped_before);
+}
+
+#if defined(__SANITIZE_ADDRESS__)
+// A mapping is page-rounded and has no heap redzone: the pool poisons the
+// tail past the requested size, so an over-read (a SIMD tail past a weight
+// or its panels) still trips ASan.
+TEST(BufferPool, OversizeMappingPoisonsItsTailUnderAsan) {
+  const Matrix w(641, 1000, 0.5);  // neither it nor its panels fill whole pages
+  const auto* end = reinterpret_cast<const char*>(w.data().data() + w.size());
+  EXPECT_FALSE(__asan_address_is_poisoned(end - 1));
+  EXPECT_TRUE(__asan_address_is_poisoned(end));
+
+  const kernels::PackedB panels = kernels::PackedB::pack(w.data().data(), w.rows(), w.cols());
+  ASSERT_GT(panels.packed_bytes(), pool::kMaxBlockBytes);
+  const auto* base = reinterpret_cast<const char*>(panels.panel(0, 0));
+  EXPECT_FALSE(__asan_address_is_poisoned(base + panels.packed_bytes() - 1));
+  EXPECT_TRUE(__asan_address_is_poisoned(base + panels.packed_bytes()));
+}
+#endif
 
 TEST(AllocCount, ThreadLocalCountersTrackOperatorNew) {
   const std::uint64_t allocs_before = alloccount::thread_allocations();

@@ -23,6 +23,7 @@
 #include "nn/norm.hpp"
 #include "serve/fleet.hpp"
 #include "serve/request_queue.hpp"
+#include "tensor/buffer_pool.hpp"
 #include "tensor/kernels/pack.hpp"
 #include "tensor/ops.hpp"
 #include "tiny_models.hpp"
@@ -238,6 +239,75 @@ TEST(HotSwap, RegistryPublishesVersionsAtomicallyAndKeepsOldHandlesAlive) {
 
   EXPECT_THROW(registry.swap("nope", make_mlp(4, 8, 2, rng)), Error);
   EXPECT_THROW(registry.swap("m", nullptr), Error);
+}
+
+TEST(HotSwap, SwappedOutVersionsReturnTheirMemoryAndHoldNoGradients) {
+  // 768 x 768 doubles is 4.5 MiB: over the pool's largest class, so the
+  // weights and their panels are mappings, and mapped_bytes is the exact
+  // live footprint of every version (LeakSanitizer does not see mappings).
+  Rng rng(85);
+  const auto make_big = [&rng] {
+    auto model = std::make_unique<nn::Sequential>();
+    model->add(std::make_unique<nn::Linear>(768, 768, rng));
+    return model;
+  };
+  const std::size_t mapped_at_start = tensor::pool::stats().mapped_bytes;
+  {
+    Fleet fleet(small_fleet(2, 1));
+    fleet.register_model("big", make_big(), batchable_options());
+    fleet.swap_model("big", make_big());
+    const std::size_t mapped_after_first_swap = tensor::pool::stats().mapped_bytes;
+    EXPECT_GT(mapped_after_first_swap, mapped_at_start);
+    for (int swap = 2; swap <= 30; ++swap) fleet.swap_model("big", make_big());
+    EXPECT_EQ(tensor::pool::stats().mapped_bytes, mapped_after_first_swap);
+
+    auto model = make_big();
+    nn::Sequential* published = model.get();  // kept alive by the handle below
+    const ModelHandle handle = fleet.swap_model("big", std::move(model));
+    for (nn::Param* p : published->params()) EXPECT_TRUE(p->grad.empty());
+  }
+  EXPECT_EQ(tensor::pool::stats().mapped_bytes, mapped_at_start);
+}
+
+/// Identity layer that, when destroyed, resolves "m" from another thread
+/// and records whether that lookup got through the registry lock in time.
+class LookupOnDestroy : public nn::Layer {
+ public:
+  LookupOnDestroy(const ModelRegistry& registry, std::future<bool>& lookup, bool& in_time)
+      : registry_(registry), lookup_(lookup), in_time_(in_time) {}
+  ~LookupOnDestroy() override {
+    lookup_ = std::async(std::launch::async, [&r = registry_] { return r.find("m") != nullptr; });
+    in_time_ = lookup_.wait_for(std::chrono::seconds(2)) == std::future_status::ready;
+  }
+  std::string name() const override { return "lookup_on_destroy"; }
+  Matrix forward(const Matrix& x) override { return x; }
+  Matrix backward(const Matrix& g) override { return g; }
+  Matrix infer(const Matrix& x) const override { return x; }
+  tensor::FixMatrix forward_accel(OneSaAccelerator&, const tensor::FixMatrix& x) override {
+    return x;
+  }
+  void count_ops(nn::OpCensus&, std::size_t) const override {}
+
+ private:
+  const ModelRegistry& registry_;
+  std::future<bool>& lookup_;
+  bool& in_time_;
+};
+
+TEST(HotSwap, ReplacedVersionIsReleasedOutsideTheRegistryLock) {
+  // Releasing a version unmaps its weights, which takes milliseconds; name
+  // lookups on the submit path must not wait behind it.
+  ModelRegistry registry;
+  std::future<bool> lookup;
+  bool in_time = false;
+  auto model = std::make_unique<nn::Sequential>();
+  model->add(std::make_unique<LookupOnDestroy>(registry, lookup, in_time));
+  registry.add("m", std::move(model), tiny_options());
+  // The explicit-options swap: the option-preserving one pins the old
+  // version through its own options read until after publishing.
+  registry.swap("m", test_models::tiny_model(), tiny_options());  // drops v1's last handle
+  EXPECT_TRUE(in_time);
+  EXPECT_TRUE(lookup.get());
 }
 
 TEST(HotSwap, SwapUnderSaturatingLoadNeverMixesVersions) {
