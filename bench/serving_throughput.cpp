@@ -256,150 +256,6 @@ struct PrecisionLaneResult {
   bool pass() const { return ratio_ok && accuracy_ok; }
 };
 
-/// Part 12: the chaos scenario (written to its own BENCH_faults.json).
-/// One workload is served twice through identical fleets — once fault-free,
-/// once under 5% transient errors + one worker crash + one slow shard — and
-/// the acceptance demands every future completes exactly once, interactive
-/// p99 stays within 2x of fault-free, the watchdog restarts the killed
-/// worker, and the circuit breaker opens on a poisoned shard and re-closes
-/// after it heals.
-struct ChaosPhase {
-  std::size_t submitted = 0;
-  std::size_t completed = 0;
-  std::size_t failed = 0;  // futures that surfaced an error (chaos bar: 0)
-  double host_ms = 0.0;
-  double goodput_rps = 0.0;  // completed futures per host wall second
-  double interactive_p99_ms = 0.0;
-  double sim_aggregate_rps = 0.0;  // completed / simulated makespan (gated)
-};
-
-struct ChaosResult {
-  ChaosPhase clean;
-  ChaosPhase chaos;
-  std::uint64_t retries = 0;
-  std::uint64_t worker_restarts = 0;
-  std::uint64_t transients_injected = 0;
-  double recovery_ms = 0.0;  // worker kill -> watchdog respawn observed
-  std::uint64_t breaker_opens = 0;
-  bool breaker_reclosed = false;
-  double p99_ratio = 0.0;
-  bool exactly_once = false;
-  bool p99_ok = false;
-  bool pass = false;
-};
-
-void write_faults_json(const std::string& path, const ChaosResult& r) {
-  std::ofstream out(path);
-  out << "{\n";
-  out << "  \"bench\": \"serving_faults\",\n";
-  out << "  \"fleet\": {\"shards\": 3, \"workers_per_shard\": 2},\n";
-  out << "  \"clean\": {\"requests\": " << r.clean.submitted
-      << ", \"completed\": " << r.clean.completed << ", \"failed\": " << r.clean.failed
-      << ", \"goodput_rps\": " << r.clean.goodput_rps
-      << ", \"interactive_p99_host_ms\": " << r.clean.interactive_p99_ms
-      << ", \"aggregate_rps\": " << r.clean.sim_aggregate_rps
-      << ", \"host_ms\": " << r.clean.host_ms << "},\n";
-  out << "  \"chaos\": {\"requests\": " << r.chaos.submitted
-      << ", \"completed\": " << r.chaos.completed << ", \"failed\": " << r.chaos.failed
-      << ", \"transient_rate\": 0.05, \"worker_crashes\": 1"
-      << ", \"slow_shard_latency_multiplier\": 3.0"
-      << ", \"goodput_rps\": " << r.chaos.goodput_rps
-      << ", \"interactive_p99_host_ms\": " << r.chaos.interactive_p99_ms
-      // Named so compare_bench does NOT gate it: batch composition under
-      // faults is timing-dependent, so this swings well past the 20%
-      // regression threshold run to run. The clean twin's aggregate_rps
-      // above is the stable, gated field.
-      << ", \"aggregate_rps_indicative\": " << r.chaos.sim_aggregate_rps
-      << ", \"host_ms\": " << r.chaos.host_ms << ", \"retries\": " << r.retries
-      << ", \"transients_injected\": " << r.transients_injected
-      << ", \"worker_restarts\": " << r.worker_restarts
-      << ", \"recovery_ms\": " << r.recovery_ms << "},\n";
-  out << "  \"breaker\": {\"opens\": " << r.breaker_opens
-      << ", \"reclosed\": " << (r.breaker_reclosed ? "true" : "false") << "},\n";
-  out << "  \"accept\": {\"every_future_exactly_once\": "
-      << (r.exactly_once ? "true" : "false") << ", \"p99_ratio\": " << r.p99_ratio
-      << ", \"p99_bar\": 2.0, \"worker_restarts_ok\": "
-      << (r.worker_restarts >= 1 ? "true" : "false")
-      << ", \"breaker_cycled\": "
-      << (r.breaker_opens >= 1 && r.breaker_reclosed ? "true" : "false")
-      << ", \"pass\": " << (r.pass ? "true" : "false") << "}\n";
-  out << "}\n";
-}
-
-serve::FleetConfig chaos_fleet_config() {
-  serve::FleetConfig cfg;
-  cfg.shards = 3;
-  cfg.workers_per_shard = 2;
-  cfg.accelerator.mode = g_mode;
-  // Small batches bound a single fault's blast radius (a crash or transient
-  // touches at most 4 requests' worth of in-flight work).
-  cfg.batcher.max_batch_requests = 4;
-  cfg.watchdog.enabled = true;
-  cfg.watchdog.check_interval_ms = 1.0;
-  cfg.resilience.max_retries = 4;
-  cfg.resilience.retry_backoff_ms = 0.3;
-  cfg.breaker.enabled = true;
-  cfg.breaker.min_samples = 6;
-  cfg.breaker.ewma_alpha = 0.3;
-  cfg.breaker.error_threshold = 0.5;
-  cfg.breaker.open_cooldown_ms = 30.0;
-  cfg.breaker.half_open_probes = 2;
-  return cfg;
-}
-
-/// One burst of 150 mixed-priority requests to the one-layer GELU model
-/// `gelu` through `fleet`; returns
-/// goodput + the interactive p99 (from the fleet's per-class accounting).
-/// `recovery_ms` (optional) is stamped with the time from first submit to
-/// the first observed watchdog respawn.
-ChaosPhase run_chaos_workload(serve::Fleet& fleet, const serve::ModelHandle& gelu,
-                              double* recovery_ms) {
-  constexpr std::size_t kChaosRequests = 150;
-  Rng rng(99);
-  const auto x = tensor::random_uniform(8, 256, rng, -3.0, 3.0);
-  const serve::Priority kClasses[] = {serve::Priority::kInteractive,
-                                      serve::Priority::kNormal, serve::Priority::kBulk};
-
-  ChaosPhase phase;
-  phase.submitted = kChaosRequests;
-  const auto start = std::chrono::steady_clock::now();
-  std::vector<std::future<serve::ServeResult>> futures;
-  futures.reserve(kChaosRequests);
-  for (std::size_t i = 0; i < kChaosRequests; ++i) {
-    serve::SubmitOptions options;
-    options.priority = kClasses[i % 3];
-    futures.push_back(fleet.submit_model(gelu, x, options));
-  }
-  if (recovery_ms != nullptr) {
-    // The poisoned worker crashes on its first batch; watch for the watchdog
-    // respawn while the burst drains.
-    const auto deadline = start + std::chrono::seconds(10);
-    while (fleet.worker_restarts() == 0 && std::chrono::steady_clock::now() < deadline) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    *recovery_ms = wall_ms_since(start);
-  }
-  for (auto& f : futures) {
-    try {
-      f.get();
-      ++phase.completed;
-    } catch (const std::exception&) {
-      ++phase.failed;
-    }
-  }
-  phase.host_ms = wall_ms_since(start);
-  phase.goodput_rps = static_cast<double>(phase.completed) / (phase.host_ms * 1e-3);
-  const serve::ServeStats stats = fleet.stats();
-  phase.interactive_p99_ms =
-      stats.class_percentile_latency_ms(serve::Priority::kInteractive, 99.0);
-  const double clock_mhz = fleet.config().accelerator.array.clock_mhz;
-  const double makespan_s =
-      static_cast<double>(fleet.makespan_cycles()) / (clock_mhz * 1e6);
-  phase.sim_aggregate_rps =
-      makespan_s > 0.0 ? static_cast<double>(phase.completed) / makespan_s : 0.0;
-  return phase;
-}
-
 /// A one-layer model: `fn` evaluated through `table` (the double functional
 /// model of the array's CPWL pass). With `mac_ops_per_row` = 2 x the row
 /// width it is charged what an elementwise array pass over its rows costs;
@@ -424,103 +280,6 @@ serve::ModelOptions one_layer_options(std::uint64_t mac_ops_per_row, bool batcha
 const cpwl::SegmentTable& gelu_table() {
   static const cpwl::SegmentTable table = cpwl::SegmentTable::build(cpwl::FunctionKind::kGelu);
   return table;
-}
-
-/// Register the chaos workload's model: 256-wide GELU rows, batchable.
-serve::ModelHandle register_chaos_model(serve::Fleet& fleet) {
-  return fleet.register_model("gelu-256",
-                              one_layer_model(cpwl::FunctionKind::kGelu, &gelu_table()),
-                              one_layer_options(2 * 256, true));
-}
-
-ChaosResult run_chaos() {
-  ChaosResult result;
-
-  {  // Fault-free twin: same fleet shape, no faults armed. Host-time p99
-     // on a loaded single-core runner swings by whole scheduler quanta run
-     // to run, so take the median-p99 run of three as the baseline.
-    std::vector<ChaosPhase> clean_runs;
-    for (int i = 0; i < 3; ++i) {
-      serve::Fleet fleet(chaos_fleet_config());
-      const serve::ModelHandle gelu = register_chaos_model(fleet);
-      clean_runs.push_back(run_chaos_workload(fleet, gelu, nullptr));
-      fleet.shutdown();
-    }
-    std::sort(clean_runs.begin(), clean_runs.end(),
-              [](const ChaosPhase& a, const ChaosPhase& b) {
-                return a.interactive_p99_ms < b.interactive_p99_ms;
-              });
-    result.clean = clean_runs[1];
-  }
-
-  serve::Fleet fleet(chaos_fleet_config());
-  const serve::ModelHandle gelu = register_chaos_model(fleet);
-  // The chaos plan: 5% transient request errors everywhere, one worker
-  // crash on shard 1, shard 2 serving 3x slow.
-  serve::FaultPlan everywhere;
-  everywhere.transient_error_rate = 0.05;
-  everywhere.seed = 2024;
-  serve::FaultPlan crashy = everywhere;
-  crashy.crash_rate = 1.0;
-  crashy.max_crashes = 1;
-  serve::FaultPlan slow = everywhere;
-  slow.latency_multiplier = 3.0;
-  fleet.shard(0).fault_injector().arm(everywhere);
-  fleet.shard(1).fault_injector().arm(crashy);
-  fleet.shard(2).fault_injector().arm(slow);
-
-  result.chaos = run_chaos_workload(fleet, gelu, &result.recovery_ms);
-  result.retries = fleet.retries();
-  result.worker_restarts = fleet.worker_restarts();
-  for (std::size_t s = 0; s < fleet.shards(); ++s) {
-    result.transients_injected += fleet.shard(s).fault_injector().transients_injected();
-  }
-
-  // Breaker leg on the SAME fleet (after the p99 snapshot): poison shard 0
-  // completely until its breaker opens, heal it, and trickle traffic until
-  // the half-open probes close it again.
-  {
-    serve::FaultPlan poisoned;
-    poisoned.transient_error_rate = 1.0;
-    fleet.shard(0).fault_injector().arm(poisoned);
-    Rng rng(17);
-    const auto probe = tensor::random_uniform(2, 64, rng, -2.0, 2.0);
-    auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(15);
-    while (fleet.health(0).opens() == 0 && std::chrono::steady_clock::now() < deadline) {
-      fleet.submit_model(gelu, probe).get();
-    }
-    result.breaker_opens = fleet.health(0).opens();
-    fleet.shard(0).fault_injector().disarm();
-    deadline = std::chrono::steady_clock::now() + std::chrono::seconds(15);
-    while (fleet.health(0).state() != serve::ShardHealth::Breaker::kClosed &&
-           std::chrono::steady_clock::now() < deadline) {
-      fleet.submit_model(gelu, probe).get();
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    result.breaker_reclosed =
-        fleet.health(0).state() == serve::ShardHealth::Breaker::kClosed;
-  }
-  fleet.shutdown();
-
-  result.exactly_once = result.chaos.completed == result.chaos.submitted &&
-                        result.chaos.failed == 0 &&
-                        result.clean.completed == result.clean.submitted;
-  result.p99_ratio = result.clean.interactive_p99_ms > 0.0
-                         ? result.chaos.interactive_p99_ms / result.clean.interactive_p99_ms
-                         : 0.0;
-  // 2x multiplicative bar with a small absolute floor: on a single-core CI
-  // runner the fault-free p99 can land in the single-digit milliseconds,
-  // where one scheduler hiccup is itself a 2x — the floor absorbs exactly
-  // that noise without weakening the bar at realistic latencies.
-  // 2x multiplicative bar plus an absolute floor: both p99s are host-time
-  // on (possibly) a shared single-core runner, where a couple of 4-10 ms
-  // scheduler quanta of jitter land on individual requests regardless of
-  // faults. The floor keeps the gate about fault handling, not the OS.
-  result.p99_ok = result.chaos.interactive_p99_ms <=
-                  2.0 * result.clean.interactive_p99_ms + 10.0;
-  result.pass = result.exactly_once && result.p99_ok && result.worker_restarts >= 1 &&
-                result.breaker_opens >= 1 && result.breaker_reclosed;
-  return result;
 }
 
 std::unique_ptr<nn::Sequential> make_serving_mlp(Rng& rng) {
@@ -683,17 +442,14 @@ void write_json(const std::string& path, const std::vector<SweepRow>& traces,
 
 int main(int argc, char** argv) {
   std::string json_path = "BENCH_serving.json";
-  std::string faults_json_path = "BENCH_faults.json";
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--faults-json") == 0 && i + 1 < argc) {
-      faults_json_path = argv[++i];
     } else if (std::strcmp(argv[i], "--cycle-accurate") == 0) {
       g_mode = ExecutionMode::kCycleAccurate;
     } else {
       std::cerr << "usage: " << argv[0]
-                << " [--json PATH] [--faults-json PATH] [--cycle-accurate]\n";
+                << " [--json PATH] [--cycle-accurate]\n";
       return 2;
     }
   }
@@ -1574,34 +1330,6 @@ int main(int argc, char** argv) {
               << ")\n\n";
   }
 
-  std::cout << "=== Chaos: 5% transients + worker crash + slow shard, 3x2 fleet ===\n\n";
-  const ChaosResult chaos = run_chaos();
-  {
-    TablePrinter chaos_table({"Phase", "Completed", "Failed", "Goodput req/s",
-                              "Interactive p99 ms", "Host ms"});
-    chaos_table.add_row({"fault-free", std::to_string(chaos.clean.completed),
-                         std::to_string(chaos.clean.failed),
-                         TablePrinter::num(chaos.clean.goodput_rps, 0),
-                         TablePrinter::num(chaos.clean.interactive_p99_ms, 2),
-                         TablePrinter::num(chaos.clean.host_ms, 1)});
-    chaos_table.add_row({"chaos", std::to_string(chaos.chaos.completed),
-                         std::to_string(chaos.chaos.failed),
-                         TablePrinter::num(chaos.chaos.goodput_rps, 0),
-                         TablePrinter::num(chaos.chaos.interactive_p99_ms, 2),
-                         TablePrinter::num(chaos.chaos.host_ms, 1)});
-    chaos_table.render(std::cout);
-    std::cout << "\n(" << chaos.retries << " retries absorbed "
-              << chaos.transients_injected << " injected transients; "
-              << chaos.worker_restarts << " worker restart(s), first after "
-              << TablePrinter::num(chaos.recovery_ms, 1) << " ms; breaker opened "
-              << chaos.breaker_opens << "x and "
-              << (chaos.breaker_reclosed ? "re-closed" : "DID NOT re-close")
-              << "; interactive p99 ratio "
-              << TablePrinter::num(chaos.p99_ratio, 2) << "x vs the 2x bar)\n\n";
-  }
-  write_faults_json(faults_json_path, chaos);
-  std::cout << "wrote " << faults_json_path << "\n";
-
   const bool hot_swap_clean = hot_swap.failed == 0 && hot_swap.corrupted == 0;
   const bool metrics_overhead_ok = obs_overhead.speedup_metrics_on() >= 0.99;
   const bool pass = trace_speedup_at_8 >= 4.0 && model_speedup_at_8 >= 4.0 &&
@@ -1662,15 +1390,6 @@ int main(int argc, char** argv) {
     std::cout << "FAIL: int16 lane " << TablePrinter::num(precision.ratio, 2)
               << "x of double-lane RPS, below the 2x bar (kernel "
               << precision.kernel << ")\n";
-    return 1;
-  }
-  if (!chaos.pass) {
-    std::cout << "FAIL: chaos scenario (exactly_once="
-              << (chaos.exactly_once ? "true" : "false")
-              << ", p99_ratio=" << TablePrinter::num(chaos.p99_ratio, 2)
-              << "x vs 2x bar, worker_restarts=" << chaos.worker_restarts
-              << ", breaker_opens=" << chaos.breaker_opens << ", breaker_reclosed="
-              << (chaos.breaker_reclosed ? "true" : "false") << ")\n";
     return 1;
   }
   std::cout << "OK: 8-worker aggregate speedup trace " << TablePrinter::num(trace_speedup_at_8, 2)

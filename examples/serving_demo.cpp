@@ -27,9 +27,11 @@
 // a graceful drain. Drive it with bench_loadgen or any OSA1 client.
 #include <cstdlib>
 #include <cstring>
+#include <future>
 #include <iostream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/table.hpp"
@@ -53,6 +55,28 @@ std::unique_ptr<onesa::nn::Sequential> make_demo_mlp(onesa::Rng& rng) {
   model->add(std::make_unique<nn::Linear>(64, 8, rng));
   return model;
 }
+
+/// Identity layer whose forward waits until `released` is ready: it pins a
+/// worker so the overload demo's backlog cannot drain between submits.
+class HoldLayer : public onesa::nn::Layer {
+ public:
+  explicit HoldLayer(std::shared_future<void> released) : released_(std::move(released)) {}
+  std::string name() const override { return "hold"; }
+  onesa::tensor::Matrix forward(const onesa::tensor::Matrix& x) override { return x; }
+  onesa::tensor::Matrix backward(const onesa::tensor::Matrix& g) override { return g; }
+  onesa::tensor::Matrix infer(const onesa::tensor::Matrix& x) const override {
+    released_.wait();
+    return x;
+  }
+  onesa::tensor::FixMatrix forward_accel(onesa::OneSaAccelerator&,
+                                         const onesa::tensor::FixMatrix& x) override {
+    return x;
+  }
+  void count_ops(onesa::nn::OpCensus&, std::size_t) const override {}
+
+ private:
+  std::shared_future<void> released_;
+};
 
 // --listen mode: the fleet behind the network front door, serving until a
 // drain signal arrives. block_drain_signals() already ran (first thing in
@@ -309,9 +333,9 @@ int main(int argc, char** argv) {
             << " cycles, " << totals.mac_ops << " MACs\n";
 
   // --- structured failure: flood a deliberately tiny fleet past its
-  // admission cap (worker pinned by an injected stall so the backlog cannot
-  // drain) and show that a shed is not an anonymous broken promise but a
-  // typed OverloadError carrying the full serving context.
+  // admission cap (worker pinned inside a held forward so the backlog
+  // cannot drain) and show that a shed is not an anonymous broken promise
+  // but a typed OverloadError carrying the full serving context.
   std::cout << "\n--- structured overload errors ---\n";
   {
     serve::FleetConfig tiny = cfg;
@@ -321,10 +345,14 @@ int main(int argc, char** argv) {
     serve::Fleet small(tiny);
     const serve::ModelHandle h =
         small.register_model("mlp-classifier", make_demo_mlp(rng));
-    serve::FaultPlan stall;
-    stall.stall_rate = 1.0;
-    stall.stall_ms = 20.0;
-    small.shard(0).fault_injector().arm(stall);
+    std::promise<void> release;
+    auto hold = std::make_unique<nn::Sequential>();
+    hold->add(std::make_unique<HoldLayer>(release.get_future().share()));
+    serve::ModelOptions hold_options;
+    hold_options.mac_ops_per_row = 1;
+    auto held = small.submit_model(small.register_model("hold", std::move(hold), hold_options),
+                                   tensor::random_uniform(1, 32, rng, -1.0, 1.0));
+    while (small.pending() != 0) std::this_thread::yield();  // the worker took it
 
     std::vector<tensor::Matrix> xs;
     std::vector<std::future<serve::ServeResult>> fs;
@@ -332,6 +360,8 @@ int main(int argc, char** argv) {
       xs.push_back(tensor::random_uniform(2, 32, rng, -1.0, 1.0));
       fs.push_back(small.submit_model(h, xs.back()));
     }
+    release.set_value();
+    held.get();
     std::size_t served = 0;
     std::size_t shed = 0;
     for (auto& f : fs) {

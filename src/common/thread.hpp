@@ -4,12 +4,11 @@
 // A process-directed signal goes to any thread that does not block it. The
 // front door's graceful drain (net::NetServer::install_signal_drain) relies
 // on exactly one thread taking SIGTERM/SIGINT: its sigtimedwait watcher.
-// Every other library thread — kernel pool workers, serve-pool workers and
-// watchdog, the fleet supervisor, the reactor — starts through
-// spawn_thread(), so it is born with both signals blocked whatever the
-// caller's mask was at the time. The caller's own mask is left as it was:
-// a program that never installs the drain keeps the default SIGTERM
-// behaviour on its main thread.
+// Every other library thread — kernel pool workers, serve-pool workers,
+// the reactor — starts through spawn_thread(), so it is born with both
+// signals blocked whatever the caller's mask was at the time. The caller's
+// own mask is left as it was: a program that never installs the drain
+// keeps the default SIGTERM behaviour on its main thread.
 #pragma once
 
 #include <csignal>

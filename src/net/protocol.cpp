@@ -108,8 +108,6 @@ std::string_view frame_type_name(FrameType type) {
     case FrameType::kErrProtocol: return "err_protocol";
     case FrameType::kErrOverload: return "err_overload";
     case FrameType::kErrModel: return "err_model";
-    case FrameType::kErrTimeout: return "err_timeout";
-    case FrameType::kErrFault: return "err_fault";
     case FrameType::kErrDraining: return "err_draining";
     case FrameType::kErrInternal: return "err_internal";
   }
@@ -133,8 +131,6 @@ bool known_type(std::uint8_t t) {
     case FrameType::kErrProtocol:
     case FrameType::kErrOverload:
     case FrameType::kErrModel:
-    case FrameType::kErrTimeout:
-    case FrameType::kErrFault:
     case FrameType::kErrDraining:
     case FrameType::kErrInternal:
       return true;

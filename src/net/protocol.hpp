@@ -26,13 +26,16 @@
 // shard/worker that failed, the model+version, and a human-readable message.
 // The frame TYPE is the error code:
 //
-//   kErrProtocol — malformed frame or payload (the peer's fault)
-//   kErrOverload — admission control / brownout shed (serve::OverloadError)
-//   kErrModel    — unknown model or worker-side model failure (ModelError)
-//   kErrTimeout  — fleet per-request timeout (TimeoutError)
-//   kErrFault    — injected fault surfaced un-retried (InjectedFault)
-//   kErrDraining — server is draining; request not accepted
-//   kErrInternal — anything else (still structured, never a hangup)
+//   0xE0 kErrProtocol — malformed frame or payload (the peer's fault)
+//   0xE1 kErrOverload — admission control shed (serve::OverloadError)
+//   0xE2 kErrModel    — unknown model or worker-side model failure (ModelError)
+//   0xE3              — reserved: older peers read it as a fleet timeout
+//   0xE4              — reserved: older peers read it as an injected fault
+//   0xE5 kErrDraining — server is draining; request not accepted
+//   0xE6 kErrInternal — anything else (still structured, never a hangup)
+//
+// A reserved code is an unknown frame type: the decoder rejects it as a
+// framing violation, like any other value outside the enum.
 //
 // The FrameDecoder is the robustness kernel: it consumes an arbitrary byte
 // stream incrementally (partial frames across any number of reads), yields
@@ -73,8 +76,7 @@ enum class FrameType : std::uint8_t {
   kErrProtocol = 0xE0,
   kErrOverload = 0xE1,
   kErrModel = 0xE2,
-  kErrTimeout = 0xE3,
-  kErrFault = 0xE4,
+  // 0xE3 and 0xE4 are reserved (see the table above).
   kErrDraining = 0xE5,
   kErrInternal = 0xE6,
 };

@@ -195,14 +195,6 @@ struct NetServer::InferCompletion final : serve::CompletionHook {
       code = FrameType::kErrOverload;
       fill_context(e.context(), out);
       out.message = e.what();
-    } catch (const serve::TimeoutError& e) {
-      code = FrameType::kErrTimeout;
-      fill_context(e.context(), out);
-      out.message = e.what();
-    } catch (const serve::InjectedFault& e) {
-      code = FrameType::kErrFault;
-      fill_context(e.context(), out);
-      out.message = e.what();
     } catch (const serve::ModelError& e) {
       code = FrameType::kErrModel;
       fill_context(e.context(), out);

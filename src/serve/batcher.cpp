@@ -249,8 +249,8 @@ BatchRecord DynamicBatcher::execute(std::vector<ServeRequest>& batch,
   } catch (const std::exception& cause) {
     // Wrap the raw failure in a ModelError carrying WHERE it happened
     // (shard/worker), WHAT was running (model name + version), and the
-    // batch size at failure — so a resilience layer or an operator reading
-    // a future never has to parse a bare message.
+    // batch size at failure — so a caller or an operator reading a future
+    // never has to parse a bare message.
     ErrorContext ctx;
     ctx.shard = shard;
     ctx.worker = worker;

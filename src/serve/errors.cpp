@@ -21,15 +21,4 @@ std::string ErrorContext::describe() const {
   return out;
 }
 
-bool is_retryable(const std::exception_ptr& error) {
-  if (error == nullptr) return false;
-  try {
-    std::rethrow_exception(error);
-  } catch (const InjectedFault&) {
-    return true;
-  } catch (...) {
-    return false;
-  }
-}
-
 }  // namespace onesa::serve

@@ -5,23 +5,15 @@
 // running against (model name + version), and HOW loaded the failing
 // component was (queue depth / backlog cost at the moment of failure).
 // Catch sites that only want a message keep working — what() embeds the
-// context — while resilience layers and operators branch on the type and
-// read the fields instead of parsing strings.
+// context — while callers (the network front door's error codes) and
+// operators branch on the type and read the fields instead of parsing
+// strings.
 //
-//   OverloadError   — admission control (queue, fleet, or brownout) or a
-//                     shutdown shed the request (serve::shed_request builds
-//                     every one). Never retried by the fleet's retry layer:
-//                     retrying shed load amplifies the overload that caused
-//                     the shed.
+//   OverloadError   — admission control (queue or fleet) or a shutdown shed
+//                     the request (serve::shed_request builds every one).
 //   ModelError      — a worker-side model execution failed (shape mismatch,
-//                     layer without an infer path, ...). Deterministic, so
-//                     not retryable; carries the underlying cause's message.
-//   InjectedFault   — the FaultInjector (serve/faults.hpp) failed this
-//                     request on purpose. Transient by construction, so the
-//                     retry layer treats it as retryable.
-//   TimeoutError    — the fleet's per-request timeout fired before any
-//                     attempt completed. The losing attempt may still finish
-//                     later; first-completion dedup drops its result.
+//                     layer without an infer path, ...). Deterministic;
+//                     carries the underlying cause's message.
 #pragma once
 
 #include <cstdint>
@@ -56,8 +48,6 @@ class ServeError : public Error {
  public:
   ServeError(const std::string& message, ErrorContext context)
       : Error(message + context.describe()), context_(std::move(context)) {}
-  /// Context-free fallback (legacy call sites).
-  explicit ServeError(const std::string& message) : Error(message) {}
 
   const ErrorContext& context() const { return context_; }
 
@@ -71,36 +61,10 @@ class OverloadError : public ServeError {
   using ServeError::ServeError;
 };
 
-/// Worker-side model execution failure (deterministic — not retryable).
+/// Worker-side model execution failure (deterministic).
 class ModelError : public ServeError {
  public:
   using ServeError::ServeError;
 };
-
-/// A fault injected on purpose by serve/faults.hpp. Retryable.
-class InjectedFault : public ServeError {
- public:
-  enum class Kind { kTransient, kPoisonedBatch };
-
-  InjectedFault(Kind kind, const std::string& message, ErrorContext context)
-      : ServeError(message, std::move(context)), kind_(kind) {}
-
-  Kind kind() const { return kind_; }
-
- private:
-  Kind kind_ = Kind::kTransient;
-};
-
-/// The fleet's per-request timeout fired before any attempt completed.
-class TimeoutError : public ServeError {
- public:
-  using ServeError::ServeError;
-};
-
-/// Is `error` worth re-submitting? Transient injected faults and poisoned
-/// batches are (a fresh attempt draws fresh luck and may land elsewhere);
-/// overloads, timeouts, deterministic model errors, and unknown exceptions
-/// are not.
-bool is_retryable(const std::exception_ptr& error);
 
 }  // namespace onesa::serve

@@ -76,14 +76,12 @@ struct ServeResult {
 
 struct ServeRequest;
 
-/// Completion interception point for the fleet's resilience layer. When a
-/// request carries a hook, deliver()/deliver_error() route the outcome to
-/// the hook INSTEAD of the request's promise — the hook owns the
-/// client-facing promise and decides whether this attempt's outcome settles
-/// it (first completion wins), schedules a retry, or is a late hedge
-/// duplicate to drop. Implemented by fleet.cpp; everything below it
-/// (queue, batcher, pool) stays hook-agnostic by completing requests
-/// through the two helpers.
+/// Completion interception point. When a request carries a hook,
+/// deliver()/deliver_error() route the outcome to the hook INSTEAD of the
+/// request's promise. The network front door attaches one per request to
+/// settle its wire reply exactly once (net/server.cpp); everything that
+/// completes requests (queue, batcher, pool, fleet) stays hook-agnostic by
+/// going through the two helpers.
 class CompletionHook {
  public:
   virtual ~CompletionHook() = default;
@@ -122,13 +120,8 @@ struct ServeRequest {
   /// registry entry under the queue lock.
   std::uint64_t cost = 0;
 
-  /// Resilience state: the fleet's retry/hedge layer attaches a hook (see
-  /// CompletionHook) and stamps the shard the attempt was routed to, so
-  /// completions and failures can be attributed to a shard's health without
-  /// parsing errors. Requests submitted outside a resilient fleet leave
-  /// both untouched.
+  /// Completion hook (see CompletionHook); null delivers into `promise`.
   std::shared_ptr<CompletionHook> hook;
-  std::size_t routed_shard = static_cast<std::size_t>(-1);
 
   std::size_t rows() const { return input.rows(); }
 
@@ -147,7 +140,7 @@ struct TaggedRequest {
   std::future<ServeResult> result;
 };
 
-/// Fulfil `req` with `result`: through the resilience hook when one is
+/// Fulfil `req` with `result`: through the completion hook when one is
 /// attached, directly into the promise otherwise. Every layer that
 /// completes requests (batcher, queue shed paths, fleet admission) goes
 /// through these two, so attaching a hook re-routes EVERY outcome.
@@ -162,7 +155,7 @@ ErrorContext request_context(RequestId id, const ModelHandle& model);
 /// Shed `req`: end its request span with outcome "shed", then deliver an
 /// OverloadError carrying `message` and the shedding component's backlog.
 /// The one shed path of the serve tier — queue admission and a closed
-/// queue, fleet admission, brownout and fleet shutdown all fail through it.
+/// queue, fleet admission and fleet shutdown all fail through it.
 void shed_request(ServeRequest& req, const std::string& message, std::size_t queue_depth,
                   std::uint64_t backlog_cost);
 

@@ -1,7 +1,6 @@
 #include "serve/request_queue.hpp"
 
 #include <algorithm>
-#include <iterator>
 #include <string>
 
 #include "obs/metrics.hpp"
@@ -80,27 +79,6 @@ bool RequestQueue::push(ServeRequest req) {
   return true;
 }
 
-void RequestQueue::requeue(std::vector<ServeRequest> requests) {
-  if (requests.empty()) return;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    // Front of the line, original order preserved: these requests were at
-    // the head when their worker died, and their original seq stamps keep
-    // EDF/FIFO ordering honest against newer arrivals.
-    for (const auto& req : requests) {
-      count_.fetch_add(1, std::memory_order_relaxed);
-      backlog_cost_.fetch_add(req.cost, std::memory_order_relaxed);
-      queue_metrics().depth.add(1);
-      queue_metrics().backlog.add(static_cast<std::int64_t>(req.cost));
-    }
-    pending_.insert(pending_.begin(), std::make_move_iterator(requests.begin()),
-                    std::make_move_iterator(requests.end()));
-    parked_scratch_.reserve(pending_.capacity());
-    ++sched_epoch_;
-  }
-  cv_.notify_all();
-}
-
 bool RequestQueue::is_turn(std::size_t worker) const {
   // Smallest cumulative assigned cost wins, lowest index on ties —
   // deterministic regardless of which worker threads are awake.
@@ -134,13 +112,11 @@ double RequestQueue::window_ms(const ServeRequest& head) const {
   // Interactive work always launches immediately — the class exists so a
   // latency-sensitive request is never parked behind a fill optimization.
   // Non-batchable models cannot grow their batch, so waiting would be pure
-  // added latency. Otherwise: the registry entry's per-model window, scaled
-  // by the brownout shrink (the fleet sets 0 under degradation so partial
-  // batches drain instead of parking while the backlog grows).
+  // added latency. Otherwise: the registry entry's per-model window.
   if (head.priority == Priority::kInteractive || head.model == nullptr ||
       !head.model->batchable)
     return 0.0;
-  return head.model->batch_window_ms * window_scale_.load(std::memory_order_relaxed);
+  return head.model->batch_window_ms;
 }
 
 bool RequestQueue::batch_is_full(std::size_t head) const {
@@ -182,7 +158,7 @@ void RequestQueue::pop_batch(std::size_t worker, std::vector<ServeRequest>& out)
     bool expired = false;
     auto earliest = ServeClock::time_point::max();
     // Member scratch: assigned fresh each evaluation, never read across a
-    // wait. push() and requeue() already grew its capacity to pending_'s.
+    // wait. push() already grew its capacity to pending_'s.
     parked_scratch_.assign(pending_.size(), 0);
     std::vector<char>& parked = parked_scratch_;
     // A request's FIRST park is an observable event: it stamps the
@@ -238,7 +214,7 @@ void RequestQueue::pop_batch(std::size_t worker, std::vector<ServeRequest>& out)
       break;
     }
     // Sleep until the earliest window deadline — or until the scheduler
-    // state moves underneath us (the epoch): a new arrival or requeue, a
+    // state moves underneath us (the epoch): a new arrival, a
     // pop by another worker (the turn may now be ours for work that was
     // previously someone else's), or close. A timeout re-enters the loop
     // and takes the expiry path.

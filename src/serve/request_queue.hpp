@@ -15,7 +15,7 @@
 // LATENCY-AWARE BATCHING WINDOWS. A head whose batch is only partially
 // filled may WAIT for more compatible riders instead of launching
 // immediately: up to its registry entry's batch_window_ms (default 0 = the
-// immediate-launch behaviour), scaled by the brownout window scale.
+// immediate-launch behaviour).
 // The wait ends — and the batch launches — when any of these happens first:
 //   - the window expires (counted in window_expiries(), exported to
 //     ServeStats) — the partial batch launches instead of waiting for full;
@@ -112,23 +112,6 @@ class RequestQueue {
   /// submitter can lose the race against shutdown without special-casing.
   bool push(ServeRequest req);
 
-  /// Put recovered in-flight requests BACK at the front of the queue,
-  /// bypassing admission (they were already admitted once) and preserving
-  /// their original enqueue stamps, deadlines, and sequence numbers — the
-  /// watchdog's path for a crashed worker's batch. Unlike push(), works on
-  /// a closed queue as long as it is not yet drained-and-stopped, so a
-  /// crash during shutdown still completes every accepted future.
-  void requeue(std::vector<ServeRequest> requests);
-
-  /// Scale every per-model batching window by `scale` (applied at
-  /// head-scheduling time). The fleet's
-  /// brownout mode sets 0.0 — launch everything immediately, trading batch
-  /// fill for queue drain — and restores 1.0 on exit.
-  void set_window_scale(double scale) {
-    window_scale_.store(scale, std::memory_order_relaxed);
-  }
-  double window_scale() const { return window_scale_.load(std::memory_order_relaxed); }
-
   /// Block until it is `worker`'s turn and a batch is available, then pop
   /// the scheduled batch (EDF-within-priority head plus compatible riders)
   /// into `out` (cleared first; its capacity is reused — the worker loop
@@ -201,7 +184,6 @@ class RequestQueue {
   std::atomic<std::size_t> count_{0};             // pending_.size()
   std::atomic<std::uint64_t> backlog_cost_{0};    // summed cost of pending_
   std::atomic<std::uint64_t> sheds_{0};           // admission-control counter
-  std::atomic<double> window_scale_{1.0};         // brownout window shrink
 
   mutable std::mutex mutex_;
   std::condition_variable cv_;
@@ -209,9 +191,9 @@ class RequestQueue {
   std::uint64_t next_seq_ = 0;                // arrival stamp
   bool closed_ = false;
   std::uint64_t window_expiries_ = 0;         // batching-window counter
-  std::uint64_t sched_epoch_ = 0;             // bumped on push/pop/requeue/close
+  std::uint64_t sched_epoch_ = 0;             // bumped on push/pop/close
   std::vector<std::uint64_t> assigned_cost_;  // per-worker dispatch load
-  // Pop-time park flags. push() and requeue() keep its capacity at
+  // Pop-time park flags. push() keeps its capacity at
   // pending_'s, so a worker's pop never allocates when the backlog grows.
   std::vector<char> parked_scratch_;
 };

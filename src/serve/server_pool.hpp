@@ -29,31 +29,14 @@
 // simulated wall time of the fleet (max per-worker busy cycles — N workers
 // model N arrays running in parallel).
 //
-// FAULT TOLERANCE. Every pool carries a FaultInjector (serve/faults.hpp —
-// zero-cost until armed) whose draw sites sit in the worker loop: transient
-// request errors and poisoned batches fail futures with typed errors before
-// service; stalls sleep mid-service; crashes make the worker thread exit
-// with its batch still recoverable. Recovery machinery:
-//
-//  - WATCHDOG (ServerPoolConfig::watchdog): a monitor thread samples
-//    per-worker heartbeats. A dead worker (crashed thread) is joined, its
-//    in-flight batch re-queued at the FRONT of the queue (original arrival
-//    stamps kept), and a replacement thread spawned on the same worker slot
-//    — counted in serve_worker_restarts_total. A worker that is busy but
-//    silent past stall_timeout_ms is ABANDONED: an injected stall honours
-//    the abandon flag by exiting like a crash (so the same recover+respawn
-//    path runs); a genuinely hung computation cannot be interrupted and is
-//    only counted (serve_worker_stalls_detected_total).
-//
-//  - BOUNDED SHUTDOWN (ServerPoolConfig::join_timeout_ms): shutdown() waits
-//    at most this long for workers to drain; stragglers are loudly detached
-//    (serve_forced_detaches_total + error log) instead of hanging the
-//    destructor forever. Detached zombies stay memory-safe because every
-//    worker thread holds a shared_ptr to the pool's Core (queue, batcher,
-//    workers) — the Core outlives the pool object until the last zombie
-//    finishes its batch, fulfils its futures, and exits. A hurry flag makes
-//    abandoned zombies skip any remaining injected stall so their futures
-//    complete promptly after the detach.
+// BOUNDED SHUTDOWN (ServerPoolConfig::join_timeout_ms): shutdown() waits at
+// most this long for the workers to drain; a worker still inside a batch
+// after that (a model that hangs) is loudly detached
+// (serve_forced_detaches_total + error log) instead of hanging the
+// destructor forever. A detached worker stays memory-safe because every
+// worker thread holds a shared_ptr to the pool's Core (queue, batcher,
+// workers): the Core outlives the pool object until the last detached
+// worker finishes its batch, fulfils its futures, and exits.
 #pragma once
 
 #include <atomic>
@@ -65,24 +48,11 @@
 #include "obs/metrics.hpp"
 #include "onesa/accelerator.hpp"
 #include "serve/batcher.hpp"
-#include "serve/faults.hpp"
 #include "serve/registry.hpp"
 #include "serve/request_queue.hpp"
 #include "serve/stats.hpp"
 
 namespace onesa::serve {
-
-/// Worker-health monitoring knobs. Disabled by default: standalone pools in
-/// unit tests should not spin a monitor thread unless asked; fleets enable
-/// it via FleetConfig.
-struct WatchdogConfig {
-  bool enabled = false;
-  /// Monitor sampling period.
-  double check_interval_ms = 2.0;
-  /// A busy worker silent for longer than this is declared stalled and
-  /// abandoned (see header comment).
-  double stall_timeout_ms = 200.0;
-};
 
 struct ServerPoolConfig {
   std::size_t workers = 4;
@@ -95,12 +65,10 @@ struct ServerPoolConfig {
   /// Shard id stamped into every result/record this pool serves (set by the
   /// fleet; 0 for a standalone pool).
   std::size_t shard = 0;
-  /// Worker watchdog (crash respawn + stall detection).
-  WatchdogConfig watchdog;
   /// Bound on how long shutdown() waits for the workers to drain before
   /// forcibly detaching stragglers. Generous by default — a legitimate
-  /// backlog drain must never be cut short — but finite, so a stalled
-  /// worker can never hang the destructor forever. <= 0 waits forever.
+  /// backlog drain must never be cut short — but finite, so a hung worker
+  /// can never hang the destructor forever. <= 0 waits forever.
   double join_timeout_ms = 30000.0;
 };
 
@@ -161,25 +129,8 @@ class ServerPool {
   /// Submit a request built elsewhere (serve::make_model_request).
   std::future<ServeResult> submit(TaggedRequest req);
 
-  // ----------------------------------------------------------------- faults
-
-  /// This pool's fault injector (zero-cost until armed — see faults.hpp).
-  FaultInjector& fault_injector() { return core_->faults; }
-  const FaultInjector& fault_injector() const { return core_->faults; }
-
-  /// Worker threads respawned by the watchdog after a crash/abandoned stall.
-  std::uint64_t worker_restarts() const {
-    return core_->restarts.load(std::memory_order_relaxed);
-  }
-  /// Stalled-worker detections (abandons) by the watchdog.
-  std::uint64_t stalls_detected() const {
-    return core_->stalls_detected.load(std::memory_order_relaxed);
-  }
   /// Workers forcibly detached by a bounded shutdown.
   std::uint64_t forced_detaches() const { return forced_detaches_; }
-
-  /// Shrink/restore the shard's batching windows (fleet brownout control).
-  void set_window_scale(double scale) { core_->queue.set_window_scale(scale); }
 
   // --------------------------------------------------------------- lifecycle
 
@@ -239,40 +190,17 @@ class ServerPool {
     /// bench reads the delta across a measurement window to prove the
     /// steady-state request path never touches the heap.
     std::atomic<std::uint64_t> heap_allocations{0};
-
-    // ------------------------------------------------- health & recovery
-    /// False once the worker thread has exited (drained queue or crash).
+    /// False once the worker thread has drained the queue and exited; a
+    /// bounded shutdown polls it to decide between join and detach.
     std::atomic<bool> alive{true};
-    /// True only while the thread is out of pop_batch with work in hand —
-    /// the watchdog never flags an idle worker as stalled.
-    std::atomic<bool> busy{false};
-    /// Watchdog verdict: give up on this worker. An injected stall honours
-    /// it by exiting like a crash (batch stays recoverable).
-    std::atomic<bool> abandon{false};
-    /// Last sign of life (trace_now_us-style steady microseconds).
-    std::atomic<std::int64_t> heartbeat_us{0};
-    /// The batch currently being served, stashed here from pop to
-    /// completion so the watchdog can recover it from a dead worker.
-    std::mutex inflight_mutex;
-    std::vector<ServeRequest> inflight;
-    /// Why the thread exited (watchdog respawns only crashes).
-    enum class Exit { kRunning, kDrained, kCrashed };
-    std::atomic<Exit> exit_reason{Exit::kRunning};
   };
 
   /// Everything a worker thread touches, held by shared_ptr so a forcibly
-  /// detached zombie can never use-after-free the pool (see header).
+  /// detached worker can never use-after-free the pool (see header).
   struct Core {
     Core(ServerPoolConfig cfg);
 
     void worker_loop(std::size_t index);
-    /// Watchdog monitor loop (runs only when config.watchdog.enabled).
-    void watchdog_loop();
-    /// Join dead workers, recover + re-queue their in-flight batches, and
-    /// (from the watchdog) respawn them. Returns batches that could not be
-    /// re-queued to any live worker (shutdown with everyone dead).
-    std::vector<ServeRequest> recover_dead_workers(bool respawn,
-                                                   std::shared_ptr<Core> self);
 
     ServerPoolConfig config;
     DynamicBatcher batcher;
@@ -280,24 +208,12 @@ class ServerPool {
     /// serve_shard_inflight_cost{shard="N"}: estimated cost currently
     /// executing on this pool's workers (delta-updated around each batch).
     obs::Gauge& inflight_gauge;
-    FaultInjector faults;
     std::vector<std::unique_ptr<Worker>> workers;
-    /// Set after a forced detach: zombies skip any remaining injected
-    /// stall/slow-down so their futures complete promptly.
-    std::atomic<bool> hurry{false};
-    std::atomic<bool> watchdog_stop{false};
-    std::atomic<std::uint64_t> restarts{0};
-    std::atomic<std::uint64_t> stalls_detected{0};
-    /// Back-reference to the owning shared_ptr, set once at construction, so
-    /// the watchdog (which runs inside a Core-owning lambda) can hand
-    /// respawned worker threads their own owning reference.
-    std::weak_ptr<Core> self_;
   };
 
   std::shared_ptr<Core> core_;
   std::shared_ptr<ModelRegistry> registry_;
   std::shared_ptr<const cpwl::TableSet> tables_;
-  std::thread watchdog_;
   std::uint64_t forced_detaches_ = 0;
   bool shut_down_ = false;
   bool threads_reserved_ = false;  // kernel-pool reservation released once

@@ -31,6 +31,8 @@
 namespace onesa::serve {
 namespace {
 
+using test_models::Gate;
+using test_models::register_gate;
 using test_models::register_tiny;
 using test_models::tiny_input;
 using test_models::tiny_options;
@@ -119,19 +121,13 @@ TEST(Fleet, RouterPrefersTheShardWithLessOutstandingCost) {
   const ModelHandle light_model = register_tiny(fleet, "light");         // 8 MACs/row
   const ModelHandle heavy_model = register_tiny(fleet, "heavy", tiny_options(8192));
 
-  // Hold shard 0's only worker in an injected stall, then park a heavy
-  // request (one row at 8192 MACs) in its backlog. Both submits go to the
-  // shard directly, past the router.
-  FaultPlan stall;
-  stall.stall_rate = 1.0;
-  stall.stall_ms = 300.0;
-  fleet.shard(0).fault_injector().arm(stall);
-  auto held = fleet.shard(0).submit_model(light_model, tiny_input(1, rng));
-  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (fleet.shard(0).fault_injector().stalls_injected() == 0 &&
-         std::chrono::steady_clock::now() < deadline)
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  ASSERT_EQ(fleet.shard(0).fault_injector().stalls_injected(), 1u);
+  // Hold shard 0's only worker inside a gate model's forward, then park a
+  // heavy request (one row at 8192 MACs) in its backlog. Both submits go to
+  // the shard directly, past the router.
+  const auto gate = std::make_shared<Gate>();
+  const ModelHandle gate_model = register_gate(fleet, gate);
+  auto held = fleet.shard(0).submit_model(gate_model, tiny_input(1, rng));
+  ASSERT_TRUE(gate->wait_entered());
   auto heavy = fleet.shard(0).submit_model(heavy_model, tiny_input(1, rng));
   ASSERT_GE(fleet.shard(0).outstanding_cost(), 8192u);
 
@@ -141,12 +137,12 @@ TEST(Fleet, RouterPrefersTheShardWithLessOutstandingCost) {
   std::vector<std::future<ServeResult>> light;
   for (int i = 0; i < 8; ++i)
     light.push_back(fleet.submit_model(light_model, tiny_input(1, rng)));
-  // The premise held while they were routed: shard 0 has completed nothing,
-  // so its worker was still stalled and the heavy request still queued.
-  ASSERT_EQ(fleet.shard(0).stats().completed(), 0u);
+  // The premise held while they were routed: shard 0's worker is still
+  // inside the gate, so the heavy request is still queued. (stats() would
+  // wait on the gated worker: it holds its stats lock across the forward.)
+  ASSERT_EQ(fleet.shard(0).pending(), 1u);
+  gate->open();  // routing is decided: a misrouted request now fails, not hangs
   for (auto& f : light) EXPECT_EQ(f.get().shard, 1u);
-
-  fleet.shard(0).fault_injector().disarm();
   EXPECT_EQ(held.get().shard, 0u);
   EXPECT_EQ(heavy.get().shard, 0u);
   fleet.shutdown();
@@ -202,6 +198,43 @@ TEST(Fleet, FleetAdmissionShedsBySummedBacklogAndAccountsEverything) {
   EXPECT_EQ(fleet.stats().completed(), served);
   EXPECT_EQ(fleet.sheds(), shed);
   EXPECT_EQ(fleet.stats().sheds(), shed);  // fleet-level sheds land in stats
+}
+
+TEST(Fleet, FleetAdmissionShedCarriesBacklogContext) {
+  FleetConfig cfg = small_fleet(1, 1);
+  cfg.admission.max_pending_requests = 1;
+  Fleet fleet(cfg);
+  Rng rng(9);
+  // Hold the only worker inside a gate model so the backlog cannot drain
+  // between submits: the first tiny request fills the one-deep backlog and
+  // the five after it are shed.
+  const auto gate = std::make_shared<Gate>();
+  const ModelHandle gate_model = register_gate(fleet, gate);
+  const ModelHandle tiny = register_tiny(fleet, "tiny");
+  auto held = fleet.submit_model(gate_model, tiny_input(1, rng));
+  ASSERT_TRUE(gate->wait_entered());
+
+  std::vector<std::future<ServeResult>> futures;
+  for (int i = 0; i < 6; ++i) futures.push_back(fleet.submit_model(tiny, tiny_input(2, rng)));
+  std::size_t shed = 0;
+  for (std::size_t i = 1; i < futures.size(); ++i) {
+    ASSERT_EQ(futures[i].wait_for(std::chrono::seconds(0)), std::future_status::ready);
+    try {
+      futures[i].get();
+    } catch (const OverloadError& overload) {
+      // A shed names the backlog it was refused against.
+      EXPECT_EQ(overload.context().queue_depth, 1u);
+      EXPECT_EQ(overload.context().backlog_cost, 2 * test_models::kTinyMacsPerRow);
+      EXPECT_NE(std::string(overload.what()).find("depth=1"), std::string::npos);
+      EXPECT_NE(std::string(overload.what()).find("model=tiny v1"), std::string::npos);
+      ++shed;
+    }
+  }
+  EXPECT_EQ(shed, 5u);
+  gate->open();
+  EXPECT_NO_THROW(held.get());
+  EXPECT_NO_THROW(futures[0].get());
+  EXPECT_EQ(fleet.sheds(), shed);
 }
 
 // ---------------------------------------------------------------- hot swap

@@ -106,6 +106,11 @@ TEST(FrameDecoder, FramingViolationsAreTerminal) {
     cases.push_back({"nonzero reserved", bad});
   }
   {
+    std::vector<unsigned char> bad = ping_frame(1);
+    bad[4] = 0xE3;  // a reserved error code is an unknown frame type
+    cases.push_back({"unknown frame type", bad});
+  }
+  {
     // Oversized claimed payload: must fail on the HEADER, before any
     // allocation of the claimed size.
     std::vector<unsigned char> bad = ping_frame(1);

@@ -8,7 +8,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <fstream>
+#include <future>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -35,6 +37,8 @@
 namespace onesa::serve {
 namespace {
 
+using test_models::Gate;
+using test_models::register_gate;
 using test_models::register_tiny;
 using test_models::tiny_input;
 using test_models::tiny_options;
@@ -205,6 +209,37 @@ TEST(ServerPool, DrainsCleanlyOnShutdown) {
   auto rejected = pool.submit_model(tiny, tiny_input(2, rng));
   EXPECT_THROW(rejected.get(), OverloadError);
   pool.shutdown();  // idempotent
+}
+
+TEST(ServerPool, ShutdownIsBoundedWhenAWorkerStalls) {
+  ServerPoolConfig cfg;
+  cfg.workers = 1;
+  cfg.accelerator = small_config(ExecutionMode::kAnalytic);
+  cfg.join_timeout_ms = 100.0;
+  auto pool = std::make_unique<ServerPool>(cfg);
+
+  Rng rng(12);
+  const auto gate = std::make_shared<Gate>();
+  const ModelHandle gate_model = register_gate(*pool, gate);
+  auto future = pool->submit_model(gate_model, tiny_input(2, rng));
+  ASSERT_TRUE(gate->wait_entered());
+
+  const auto started = std::chrono::steady_clock::now();
+  pool->shutdown();
+  const double shutdown_ms =
+      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - started)
+          .count();
+  // Bounded: the join gave up after ~join_timeout_ms although the worker
+  // is still inside the forward, and detached it.
+  EXPECT_GE(shutdown_ms, 100.0);
+  EXPECT_LT(shutdown_ms, 5000.0);
+  EXPECT_EQ(pool->forced_detaches(), 1u);
+  EXPECT_EQ(future.wait_for(std::chrono::seconds(0)), std::future_status::timeout);
+  // The detached worker owns the pool's core: destroying the pool first is
+  // safe, and once the forward returns the worker still settles its future.
+  pool.reset();
+  gate->open();
+  EXPECT_EQ(future.get().logits.rows(), 2u);
 }
 
 TEST(ServerPool, CostTraceEntryMatchesDirectEstimate) {
@@ -941,6 +976,55 @@ TEST(Admission, PoolAccountsShedsAndServesTheRest) {
   EXPECT_EQ(pool.sheds(), shed);
 }
 
+TEST(Admission, RejectAdmissionAndDeadlineMissesUnderStalls) {
+  ServerPoolConfig cfg;
+  cfg.workers = 1;
+  cfg.accelerator = small_config(ExecutionMode::kAnalytic);
+  cfg.admission.max_pending_requests = 3;
+  ServerPool pool(cfg);
+
+  Rng rng(19);
+  // Hold the only worker inside a gate model, so the burst below meets a
+  // backlog that cannot drain. Non-batchable: every request is its own pass.
+  const auto gate = std::make_shared<Gate>();
+  const ModelHandle gate_model = register_gate(pool, gate);
+  const ModelHandle solo =
+      register_tiny(pool, "solo", tiny_options(test_models::kTinyMacsPerRow, /*batchable=*/false));
+  auto held = pool.submit_model(gate_model, tiny_input(1, rng));
+  ASSERT_TRUE(gate->wait_entered());
+
+  SubmitOptions tight;
+  tight.deadline_ms = 1.0;  // every admitted request waits out the gate
+  std::vector<std::future<ServeResult>> futures;
+  for (int i = 0; i < 12; ++i)
+    futures.push_back(pool.submit_model(solo, tiny_input(2, rng), tight));
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  gate->open();
+
+  std::size_t shed = 0;
+  std::size_t completed = 0;
+  std::size_t missed = 0;
+  for (auto& f : futures) {
+    try {
+      ServeResult result = f.get();
+      ++completed;
+      if (result.deadline_missed) ++missed;
+    } catch (const OverloadError&) {
+      ++shed;
+    }
+  }
+  // The burst overflows the 3-deep backlog: the newcomers over the cap are
+  // shed typed, and the admitted requests complete — late, so they count
+  // as deadline misses.
+  EXPECT_EQ(shed, 9u);
+  EXPECT_EQ(completed, 3u);
+  EXPECT_EQ(missed, 3u);
+  EXPECT_NO_THROW(held.get());
+  pool.shutdown();
+  EXPECT_EQ(pool.stats().sheds(), shed);
+  EXPECT_EQ(pool.stats().deadline_misses(), missed);
+}
+
 // ------------------------------------------------- thread-budget regression
 
 /// Live thread count of this process (Linux: Threads: line of
@@ -1000,7 +1084,15 @@ TEST(ServerPool, ModelErrorsFailTheFutureNotTheProcess) {
   // Wrong input width: the worker-side infer throws; the exception must
   // land in THIS request's future, and the pool must keep serving.
   auto bad = pool.submit_model("mlp", tensor::random_uniform(2, 5, rng));
-  EXPECT_THROW(bad.get(), Error);
+  try {
+    bad.get();
+    FAIL() << "expected ModelError";
+  } catch (const ModelError& error) {
+    // Typed, with the worker and model it failed on.
+    EXPECT_NE(error.context().worker, ErrorContext::kNone);
+    EXPECT_EQ(error.context().model, "mlp");
+    EXPECT_NE(std::string(error.what()).find("worker="), std::string::npos);
+  }
 
   auto good = pool.submit_model("mlp", tensor::random_uniform(2, 6, rng));
   EXPECT_EQ(good.get().logits.cols(), 3u);

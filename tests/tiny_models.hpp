@@ -1,10 +1,15 @@
 // Tiny registered models shared by the serve-tier suites (test_serve,
-// test_fleet, test_faults, test_obs): cheap, deterministic request payloads
-// with a fixed simulated cost, so scheduling, admission, routing and fault
-// tests can reason about exact per-request MAC budgets.
+// test_fleet, test_obs): cheap, deterministic request payloads with a fixed
+// simulated cost, so scheduling, admission and routing tests can reason
+// about exact per-request MAC budgets. A gate model holds a worker inside
+// its forward for exactly as long as a test needs, so backlog, admission
+// and shutdown tests never depend on host timing.
 #pragma once
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <future>
 #include <memory>
 #include <string>
 #include <utility>
@@ -66,6 +71,54 @@ inline ModelHandle register_tiny(ModelRegistry& registry, std::string name,
                                  ModelOptions options = tiny_options(),
                                  cpwl::FunctionKind fn = cpwl::FunctionKind::kRelu) {
   return registry.add(std::move(name), tiny_model(fn), std::move(options));
+}
+
+/// Blocks the worker that runs a gate model's forward: `entered` fires when
+/// the first forward starts, and every forward returns once open() is
+/// called.
+struct Gate {
+  std::promise<void> enter;
+  std::shared_future<void> entered = enter.get_future().share();
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  std::atomic<bool> fired{false};
+
+  /// Wait until a worker is inside the gate; false after ten seconds.
+  bool wait_entered() const {
+    return entered.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  }
+  void open() { release.set_value(); }
+};
+
+/// Identity layer whose inference waits on a Gate.
+class GateLayer : public nn::Layer {
+ public:
+  explicit GateLayer(std::shared_ptr<Gate> gate) : gate_(std::move(gate)) {}
+  std::string name() const override { return "gate"; }
+  tensor::Matrix forward(const tensor::Matrix& x) override { return x; }
+  tensor::Matrix backward(const tensor::Matrix& grad_out) override { return grad_out; }
+  tensor::Matrix infer(const tensor::Matrix& x) const override {
+    if (!gate_->fired.exchange(true)) gate_->enter.set_value();
+    gate_->released.wait();
+    return x;
+  }
+  tensor::FixMatrix forward_accel(OneSaAccelerator&, const tensor::FixMatrix& x) override {
+    return x;
+  }
+  void count_ops(nn::OpCensus&, std::size_t) const override {}
+
+ private:
+  std::shared_ptr<Gate> gate_;
+};
+
+/// Register a gate model (tiny cost, own name so nothing batches with it)
+/// on anything with register_model (ServerPool, Fleet).
+template <typename Host>
+ModelHandle register_gate(Host& host, const std::shared_ptr<Gate>& gate,
+                          std::string name = "gate") {
+  auto model = std::make_unique<nn::Sequential>();
+  model->add(std::make_unique<GateLayer>(gate));
+  return host.register_model(std::move(name), std::move(model), tiny_options());
 }
 
 /// A rows x cols request input in [-2, 2).
