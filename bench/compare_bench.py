@@ -5,10 +5,9 @@ Usage:
     compare_bench.py BASELINE.json FRESH.json [--threshold 0.2]
 
 Walks both files in parallel and compares every numeric field whose name
-contains "speedup" or equals "aggregate_rps" / "fleet_aggregate_rps" /
-"knee_offered_rps" / "overload_goodput_ratio" — the figures of merit
-(simulated-throughput ratios, measured speedup ratios, and the traffic
-bench's overload-survival figures). A fresh value more than THRESHOLD
+contains "speedup" or equals "knee_offered_rps" / "overload_goodput_ratio"
+— the figures of merit (measured speedup ratios and the traffic bench's
+overload-survival figures). A fresh value more than THRESHOLD
 (default 20%) below its baseline fails the run with exit code 1.
 
 "flash_interactive_p99_ratio" (interactive p99 after a 10x flash crowd over
@@ -79,8 +78,7 @@ import sys
 
 
 def is_watched(key: str) -> bool:
-    return (key in ("aggregate_rps", "fleet_aggregate_rps", "allocs_per_request",
-                    "contention_scaling", "knee_offered_rps",
+    return (key in ("allocs_per_request", "contention_scaling", "knee_offered_rps",
                     "overload_goodput_ratio", "flash_interactive_p99_ratio",
                     "int16_vs_double_rps_ratio")
             or "speedup" in key)
@@ -333,7 +331,7 @@ def main():
         print("compare_bench: every size-independent figure is informational on "
               "this pair of runs; nothing gated")
     elif not results["compared"]:
-        print("FAIL: no comparable speedup/aggregate_rps fields found — was a bench "
+        print("FAIL: no comparable speedup fields found — was a bench "
               "section renamed or dropped? Regenerate the committed baseline alongside "
               "the bench change.", file=sys.stderr)
         return 1

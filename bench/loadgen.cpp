@@ -126,10 +126,6 @@ struct Harness {
           serve::FleetConfig cfg;
           cfg.shards = 2;
           cfg.workers_per_shard = 2;
-          cfg.accelerator.array.rows = 8;
-          cfg.accelerator.array.cols = 8;
-          cfg.accelerator.array.macs_per_pe = 4;
-          cfg.accelerator.mode = ExecutionMode::kAnalytic;
           // A bounded queue is what turns a flood into structured sheds
           // ("429 with depth") instead of an unbounded latency collapse.
           cfg.admission.max_pending_requests = 64;

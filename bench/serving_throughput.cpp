@@ -1,16 +1,14 @@
-// Serving-tier throughput sweep: workers x batch size, cost-model traffic
-// AND real nn::Sequential inference, with the SLO counters.
+// Serving-tier bench: the paper's simulated array figures, then real
+// nn::Sequential inference through the serve tier, with the SLO counters.
 //
 //   bench_serving_throughput [--json PATH]     (default BENCH_serving.json)
 //
-// Part 1 sweeps the worker count serving BERT-base/seq128 requests: a
-// registry entry whose simulated cost is the BERT-base trace (a one-layer
-// model registered with ModelOptions::cost_trace, never batched). Each
-// worker models an independent ONE-SA array, so the figure of merit is
-// *simulated* aggregate throughput: requests / fleet makespan, where the
-// makespan is the largest per-worker busy-cycle total (the N modeled arrays
-// run in parallel; host wall time only measures this single-host simulator
-// and is reported as an informational column).
+// Part 1 prints the paper's trace sweep: 64 BERT-base/seq128 inferences
+// list-scheduled over 1/2/4/8 modelled ONE-SA arrays by nn::list_schedule,
+// a pure function of the cycle model (no pool, no threads). Its figures are
+// simulated, are not serving performance, and are pinned to the digit by
+// test_workload's ListSchedule tests, so this bench neither gates them nor
+// writes them to the JSON.
 //
 // Part 2 sweeps the row budget of one array pass over small GELU requests,
 // stacking them and calling OneSaAccelerator::elementwise directly: packing
@@ -18,12 +16,9 @@
 // §V-C small-matrix cliff).
 //
 // Part 3 is the real-inference sweep: an MLP registered with the pool's
-// ModelRegistry serves batched forward passes through the kernel layer on
-// the worker threads — real logits flow end-to-end (verified bit-exact
-// against the direct forward) while the simulated cycle charge drives the
-// same aggregate-throughput accounting. The run exits nonzero if 8 workers
-// do not reach >= 4x the 1-worker aggregate on BOTH the trace and the
-// real-model sweep, or if any served logit mismatches.
+// ModelRegistry serves forward passes through the kernel layer on 1/2/4/8
+// worker threads — real logits flow end-to-end, and the run exits nonzero
+// if any served logit differs from the direct forward.
 //
 // Part 4 overloads one worker behind a tight admission budget and hopeless
 // deadlines, so the deadline-miss and shed counters appear with real values
@@ -31,8 +26,8 @@
 //
 // Part 5 is the FLEET sweep: shards x workers serving real-model requests
 // through serve::Fleet (least-outstanding-cost routing, one shared
-// registry), with aggregate simulated RPS scaling against the 1-shard
-// baseline (`fleet_aggregate_rps`).
+// registry); logits are checked bit-exact and shard stats must sum to the
+// fleet totals.
 //
 // Part 6 sweeps the latency-aware batching window on a trickled request
 // stream: larger windows pack fuller batches at the cost of head latency,
@@ -55,9 +50,6 @@
 // identical measurement pass must make ZERO worker-thread heap allocations
 // (counted by the operator-new hook in common/alloc_count.hpp). A pool-off
 // twin of the same workload shows how many allocations the pool absorbs.
-// The zero gate is enforced in analytic mode (the committed-baseline mode);
-// the cycle-accurate simulator allocates per-pass state and is reported
-// without the gate.
 //
 // Part 10 is the submit-contention sweep: a fixed budget of small one-layer
 // GELU model requests is pushed through one pool by 1/2/4/8 submitter
@@ -66,9 +58,10 @@
 // the JSON for trajectory tracking (informational — wall clock on shared
 // runners is too noisy for a hard in-bench gate).
 //
-// `--cycle-accurate` switches every part from the analytic cost model to
-// the cycle-accurate simulator (the nightly workflow's configuration); the
-// committed BENCH_serving.json is generated in the default analytic mode.
+// `--cycle-accurate` runs part 2's array passes on the cycle-accurate
+// simulator instead of the analytic cost model (the nightly workflow's
+// configuration); no other part runs the simulator. The committed
+// BENCH_serving.json is generated in the default analytic mode.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -101,7 +94,7 @@ namespace {
 
 using namespace onesa;
 
-/// Execution mode for every accelerator in the bench: analytic by default,
+/// Execution mode of part 2's accelerator: analytic by default,
 /// cycle-accurate under --cycle-accurate (the nightly configuration).
 ExecutionMode g_mode = ExecutionMode::kAnalytic;
 
@@ -110,12 +103,8 @@ double wall_ms_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-struct SweepRow {
+struct ModelRow {
   std::size_t workers = 0;
-  double makespan_mcycles = 0.0;
-  double rps = 0.0;
-  double gops = 0.0;
-  double speedup = 0.0;
   double host_ms = 0.0;
   std::uint64_t deadline_misses = 0;
   std::uint64_t sheds = 0;
@@ -149,9 +138,6 @@ struct ClassRow {
 struct FleetRow {
   std::size_t shards = 0;
   std::size_t workers_per_shard = 0;
-  double makespan_mcycles = 0.0;
-  double fleet_rps = 0.0;
-  double speedup = 0.0;
   double host_ms = 0.0;
 };
 
@@ -204,7 +190,7 @@ struct AllocSweepResult {
   std::size_t requests = 0;     // per phase
   std::size_t workers = 0;
   double warmup_allocs_per_request = 0.0;   // pool cold: fills the shelves
-  double steady_allocs_per_request = 0.0;   // gated: 0 in analytic mode
+  double steady_allocs_per_request = 0.0;   // gated: must be 0
   std::uint64_t steady_worker_allocs = 0;   // raw count behind the ratio
   double pool_off_allocs_per_request = 0.0; // same workload, pool bypassed
   std::uint64_t pool_hits = 0;    // pool traffic during the steady phase
@@ -258,8 +244,7 @@ struct PrecisionLaneResult {
 
 /// A one-layer model: `fn` evaluated through `table` (the double functional
 /// model of the array's CPWL pass). With `mac_ops_per_row` = 2 x the row
-/// width it is charged what an elementwise array pass over its rows costs;
-/// a `cost_trace` instead makes it the serving entry of a whole network.
+/// width its dispatch cost is an elementwise array pass over its rows.
 std::unique_ptr<nn::Sequential> one_layer_model(cpwl::FunctionKind fn,
                                                 const cpwl::SegmentTable* table) {
   auto model = std::make_unique<nn::Sequential>();
@@ -291,16 +276,14 @@ std::unique_ptr<nn::Sequential> make_serving_mlp(Rng& rng) {
   return model;
 }
 
-void write_json(const std::string& path, const std::vector<SweepRow>& traces,
-                const std::vector<BatchRow>& batches, const std::vector<SweepRow>& models,
+void write_json(const std::string& path, const std::vector<BatchRow>& batches,
+                const std::vector<ModelRow>& models,
                 const std::vector<ClassRow>& classes, const OverloadResult& overload,
                 const std::vector<FleetRow>& fleet_rows,
                 const std::vector<WindowRow>& window_rows, const HotSwapResult& hot_swap,
                 const ObsOverheadResult& obs_overhead, const AllocSweepResult& allocs,
                 const std::vector<ContentionRow>& contention_rows,
-                const PrecisionLaneResult& precision,
-                double trace_speedup_at_8, double model_speedup_at_8,
-                double fleet_speedup_at_4, bool window_interactive_improves,
+                const PrecisionLaneResult& precision, bool window_interactive_improves,
                 bool metrics_overhead_ok, bool logits_exact, bool pass) {
   std::ofstream out(path);
   out << "{\n";
@@ -308,15 +291,6 @@ void write_json(const std::string& path, const std::vector<SweepRow>& traces,
   out << "  \"execution_mode\": \""
       << (g_mode == ExecutionMode::kCycleAccurate ? "cycle_accurate" : "analytic")
       << "\",\n";
-  out << "  \"trace_sweep\": [\n";
-  for (std::size_t i = 0; i < traces.size(); ++i) {
-    const SweepRow& r = traces[i];
-    out << "    {\"workers\": " << r.workers << ", \"makespan_mcycles\": " << r.makespan_mcycles
-        << ", \"aggregate_rps\": " << r.rps << ", \"aggregate_gops\": " << r.gops
-        << ", \"speedup\": " << r.speedup << ", \"host_ms\": " << r.host_ms << "}"
-        << (i + 1 < traces.size() ? "," : "") << "\n";
-  }
-  out << "  ],\n";
   out << "  \"batch_sweep\": [\n";
   for (std::size_t i = 0; i < batches.size(); ++i) {
     const BatchRow& r = batches[i];
@@ -329,10 +303,9 @@ void write_json(const std::string& path, const std::vector<SweepRow>& traces,
   out << "  ],\n";
   out << "  \"model_sweep\": [\n";
   for (std::size_t i = 0; i < models.size(); ++i) {
-    const SweepRow& r = models[i];
-    out << "    {\"workers\": " << r.workers << ", \"makespan_mcycles\": " << r.makespan_mcycles
-        << ", \"aggregate_rps\": " << r.rps << ", \"speedup\": " << r.speedup
-        << ", \"host_ms\": " << r.host_ms << ", \"deadline_misses\": " << r.deadline_misses
+    const ModelRow& r = models[i];
+    out << "    {\"workers\": " << r.workers << ", \"host_ms\": " << r.host_ms
+        << ", \"deadline_misses\": " << r.deadline_misses
         << ", \"sheds\": " << r.sheds << "}" << (i + 1 < models.size() ? "," : "") << "\n";
   }
   out << "  ],\n";
@@ -353,9 +326,8 @@ void write_json(const std::string& path, const std::vector<SweepRow>& traces,
   for (std::size_t i = 0; i < fleet_rows.size(); ++i) {
     const FleetRow& r = fleet_rows[i];
     out << "    {\"shards\": " << r.shards << ", \"workers_per_shard\": "
-        << r.workers_per_shard << ", \"makespan_mcycles\": " << r.makespan_mcycles
-        << ", \"fleet_aggregate_rps\": " << r.fleet_rps << ", \"speedup\": " << r.speedup
-        << ", \"host_ms\": " << r.host_ms << "}" << (i + 1 < fleet_rows.size() ? "," : "")
+        << r.workers_per_shard << ", \"host_ms\": " << r.host_ms << "}"
+        << (i + 1 < fleet_rows.size() ? "," : "")
         << "\n";
   }
   out << "  ],\n";
@@ -422,11 +394,7 @@ void write_json(const std::string& path, const std::vector<SweepRow>& traces,
       << ", \"error_bound\": " << precision.error_bound
       << ", \"accuracy_ok\": " << (precision.accuracy_ok ? "true" : "false")
       << "},\n";
-  out << "  \"accept\": {\"trace_speedup_at_8\": " << trace_speedup_at_8
-      << ", \"model_speedup_at_8\": " << model_speedup_at_8
-      << ", \"fleet_speedup_at_4\": " << fleet_speedup_at_4
-      << ", \"fleet_bar\": 2.0"
-      << ", \"window_interactive_improves\": "
+  out << "  \"accept\": {\"window_interactive_improves\": "
       << (window_interactive_improves ? "true" : "false")
       << ", \"hot_swap_clean\": "
       << (hot_swap.failed == 0 && hot_swap.corrupted == 0 ? "true" : "false")
@@ -434,7 +402,7 @@ void write_json(const std::string& path, const std::vector<SweepRow>& traces,
       << ", \"logits_bit_exact\": " << (logits_exact ? "true" : "false")
       << ", \"zero_alloc_steady\": " << (allocs.zero_alloc_steady ? "true" : "false")
       << ", \"int16_lane_ok\": " << (precision.pass() ? "true" : "false")
-      << ", \"bar\": 4.0, \"pass\": " << (pass ? "true" : "false") << "}\n";
+      << ", \"pass\": " << (pass ? "true" : "false") << "}\n";
   out << "}\n";
 }
 
@@ -454,65 +422,38 @@ int main(int argc, char** argv) {
     }
   }
   if (g_mode == ExecutionMode::kCycleAccurate) {
-    std::cout << "(cycle-accurate mode: every modeled array runs the full simulator)\n\n";
+    std::cout << "(cycle-accurate mode: part 2's array passes run the full simulator)\n\n";
   }
 
-  std::cout << "=== Serving throughput: BERT-base/seq128 cost-trace requests ===\n\n";
-
-  const auto trace = std::make_shared<const nn::WorkloadTrace>(nn::bert_base_trace(128));
-  constexpr std::size_t kRequests = 64;
-  // The trace's end-to-end latency on one worker's array: every request of
-  // the entry is charged exactly this estimate.
-  const double trace_latency_ms =
-      nn::estimate_trace(*trace, sim::TimingModel(OneSaConfig{}.array)).latency_ms;
-  const tensor::Matrix trace_input(1, 1);  // the entry's one-layer model is a placeholder
-
-  std::vector<SweepRow> trace_rows;
-  double baseline_rps = 0.0;
-  double trace_speedup_at_8 = 0.0;
-  TablePrinter table({"Workers", "Makespan Mcycles", "Latency/req ms", "Aggregate req/s",
-                      "Aggregate GOPS", "Speedup", "Host ms"});
-  for (std::size_t workers : {1u, 2u, 4u, 8u}) {
-    serve::ServerPoolConfig cfg;
-    cfg.workers = workers;
-    cfg.accelerator.mode = g_mode;
-    serve::ServerPool pool(cfg);
-    serve::ModelOptions entry;
-    entry.cost_trace = trace;
-    entry.batchable = false;
-    const serve::ModelHandle bert = pool.register_model(
-        "bert-base-128", one_layer_model(cpwl::FunctionKind::kRelu, nullptr), entry);
-
-    const auto start = std::chrono::steady_clock::now();
-    std::vector<std::future<serve::ServeResult>> futures;
-    futures.reserve(kRequests);
-    for (std::size_t i = 0; i < kRequests; ++i)
-      futures.push_back(pool.submit_model(bert, trace_input));
-    for (auto& f : futures) f.get();
-    pool.shutdown();
-    const double host_ms = wall_ms_since(start);
-
-    const double clock_mhz = cfg.accelerator.array.clock_mhz;
-    const double makespan_s =
-        static_cast<double>(pool.makespan_cycles()) / (clock_mhz * 1e6);
-    const double rps = static_cast<double>(kRequests) / makespan_s;
-    const double aggregate_gops =
-        trace->total_ops() / 2.0 * static_cast<double>(kRequests) / makespan_s / 1e9;
-    if (workers == 1) baseline_rps = rps;
-    const double speedup = rps / baseline_rps;
-    if (workers == 8) trace_speedup_at_8 = speedup;
-    trace_rows.push_back({workers,
-                          static_cast<double>(pool.makespan_cycles()) / 1e6, rps,
-                          aggregate_gops, speedup, host_ms, 0, 0});
-    table.add_row({std::to_string(workers),
-                   TablePrinter::num(static_cast<double>(pool.makespan_cycles()) / 1e6, 1),
-                   TablePrinter::num(trace_latency_ms, 2), TablePrinter::num(rps, 1),
-                   TablePrinter::num(aggregate_gops, 1), TablePrinter::num(speedup, 2) + "x",
-                   TablePrinter::num(host_ms, 1)});
+  std::cout << "=== Paper figures: BERT-base/seq128 list-scheduled on N modelled arrays ===\n\n";
+  {
+    const nn::WorkloadTrace trace = nn::bert_base_trace(128);
+    const OneSaConfig array_config;  // the paper's reference design point
+    const sim::TimingModel timing(array_config.array);
+    constexpr std::size_t kRequests = 64;
+    const double clock_hz = array_config.array.clock_mhz * 1e6;
+    const double latency_ms = nn::estimate_trace(trace, timing).latency_ms;
+    TablePrinter table({"Arrays", "Makespan Mcycles", "Latency/req ms", "Req/s", "GOPS",
+                        "Speedup"});
+    double rps_on_one = 0.0;
+    for (std::size_t arrays : {1u, 2u, 4u, 8u}) {
+      const nn::ListSchedule schedule = nn::list_schedule(trace, kRequests, arrays, timing);
+      const double makespan_s = static_cast<double>(schedule.makespan_cycles) / clock_hz;
+      const double rps = static_cast<double>(kRequests) / makespan_s;
+      if (arrays == 1) rps_on_one = rps;
+      table.add_row({std::to_string(arrays),
+                     TablePrinter::num(static_cast<double>(schedule.makespan_cycles) / 1e6, 1),
+                     TablePrinter::num(latency_ms, 2), TablePrinter::num(rps, 1),
+                     TablePrinter::num(trace.total_ops() / 2.0 * kRequests / makespan_s / 1e9,
+                                       1),
+                     TablePrinter::num(rps / rps_on_one, 2) + "x"});
+    }
+    table.render(std::cout);
+    std::cout << "\n(simulated: " << kRequests
+              << " requests list-scheduled by nn::list_schedule, each costing the\n"
+                 " trace's closed-form cycle estimate; throughput = requests / makespan at\n"
+                 " the array clock. Paper-reproduction output, not serving performance.)\n\n";
   }
-  table.render(std::cout);
-  std::cout << "\n(one modeled ONE-SA array per worker; aggregate throughput = requests /\n"
-               " fleet makespan in simulated time. Host ms is this simulator process.)\n\n";
 
   std::cout << "=== Batch-size sweep: 2x768 GELU requests, one array ===\n\n";
   std::vector<BatchRow> batch_rows;
@@ -568,23 +509,18 @@ int main(int argc, char** argv) {
   }
 
   std::cout << "=== Real-model serving: 64->128->10 MLP, batched forward on workers ===\n\n";
-  std::vector<SweepRow> model_rows;
+  std::vector<ModelRow> model_rows;
   std::vector<ClassRow> class_rows;
-  double model_baseline_rps = 0.0;
-  double model_speedup_at_8 = 0.0;
   bool logits_exact = true;
   {
     constexpr std::size_t kModelRequests = 48;
     constexpr std::size_t kRowsPerRequest = 4;
-    TablePrinter model_table({"Workers", "Makespan Mcycles", "Sim req/s", "Speedup",
-                              "Host ms", "Misses", "Sheds"});
+    TablePrinter model_table({"Workers", "Host ms", "Misses", "Sheds"});
     for (std::size_t workers : {1u, 2u, 4u, 8u}) {
       serve::ServerPoolConfig cfg;
       cfg.workers = workers;
-      cfg.accelerator.mode = g_mode;
-      // One request per pass: every request carries an identical simulated
-      // charge, so the sweep isolates dispatch scaling (batch amortization
-      // is part 2's story).
+      // One request per pass, so the sweep isolates dispatch (batch
+      // amortization is part 2's story).
       cfg.batcher.max_batch_requests = 1;
       serve::ServerPool pool(cfg);
 
@@ -615,14 +551,6 @@ int main(int argc, char** argv) {
         if (!(results[i].logits == mlp->infer(inputs[i]))) logits_exact = false;
       }
 
-      const double clock_mhz = cfg.accelerator.array.clock_mhz;
-      const double makespan_s =
-          static_cast<double>(pool.makespan_cycles()) / (clock_mhz * 1e6);
-      const double rps = static_cast<double>(kModelRequests) / makespan_s;
-      if (workers == 1) model_baseline_rps = rps;
-      const double speedup = rps / model_baseline_rps;
-      if (workers == 8) model_speedup_at_8 = speedup;
-
       const serve::ServeStats stats = pool.stats();
       if (workers == 8) {
         for (serve::Priority c : kClasses) {
@@ -631,21 +559,15 @@ int main(int argc, char** argv) {
                                 stats.class_mean_latency_ms(c)});
         }
       }
-      model_rows.push_back({workers, static_cast<double>(pool.makespan_cycles()) / 1e6,
-                            rps, 0.0, speedup, host_ms, stats.deadline_misses(),
-                            stats.sheds()});
-      model_table.add_row({std::to_string(workers),
-                           TablePrinter::num(static_cast<double>(pool.makespan_cycles()) / 1e6, 2),
-                           TablePrinter::num(rps, 1), TablePrinter::num(speedup, 2) + "x",
-                           TablePrinter::num(host_ms, 1),
+      model_rows.push_back({workers, host_ms, stats.deadline_misses(), stats.sheds()});
+      model_table.add_row({std::to_string(workers), TablePrinter::num(host_ms, 1),
                            std::to_string(stats.deadline_misses()),
                            std::to_string(stats.sheds())});
     }
     model_table.render(std::cout);
     std::cout << "\n(real logits computed by nn::Sequential::infer on the worker threads\n"
                  " — pre-packed weights, fused bias+activation GEMM epilogue — verified\n"
-                 " bit-exact against the direct forward; cycle charge via the registry's\n"
-                 " MAC-volume cost model)\n\n";
+                 " bit-exact against the direct forward)\n\n";
 
     TablePrinter class_table({"Class", "Completed", "p95 host ms", "Mean host ms"});
     for (const ClassRow& c : class_rows) {
@@ -663,7 +585,6 @@ int main(int argc, char** argv) {
   {
     serve::ServerPoolConfig cfg;
     cfg.workers = 1;
-    cfg.accelerator.mode = g_mode;
     cfg.batcher.max_batch_requests = 1;
     cfg.admission.max_pending_requests = 4;
     serve::ServerPool pool(cfg);
@@ -696,20 +617,15 @@ int main(int argc, char** argv) {
 
   std::cout << "=== Fleet sweep: shards x 2 workers, real-model requests ===\n\n";
   std::vector<FleetRow> fleet_rows;
-  double fleet_baseline_rps = 0.0;
-  double fleet_speedup_at_4 = 0.0;
   {
     constexpr std::size_t kFleetRequests = 48;
     constexpr std::size_t kWorkersPerShard = 2;
-    TablePrinter fleet_table({"Shards", "Workers", "Makespan Mcycles", "Fleet req/s",
-                              "Speedup", "Host ms"});
+    TablePrinter fleet_table({"Shards", "Workers", "Host ms"});
     for (std::size_t shards : {1u, 2u, 4u}) {
       serve::FleetConfig cfg;
       cfg.shards = shards;
       cfg.workers_per_shard = kWorkersPerShard;
-      cfg.accelerator.mode = g_mode;
-      // One request per pass, like the pool-level model sweep: identical
-      // simulated charges isolate routing/dispatch scaling.
+      // One request per pass, like the pool-level model sweep.
       cfg.batcher.max_batch_requests = 1;
       serve::Fleet fleet(cfg);
 
@@ -740,26 +656,13 @@ int main(int argc, char** argv) {
                   << " != fleet completed " << fleet.stats().completed() << "\n";
       }
 
-      const double clock_mhz = cfg.accelerator.array.clock_mhz;
-      const double makespan_s =
-          static_cast<double>(fleet.makespan_cycles()) / (clock_mhz * 1e6);
-      const double rps = static_cast<double>(kFleetRequests) / makespan_s;
-      if (shards == 1) fleet_baseline_rps = rps;
-      const double speedup = rps / fleet_baseline_rps;
-      if (shards == 4) fleet_speedup_at_4 = speedup;
-      fleet_rows.push_back({shards, kWorkersPerShard,
-                            static_cast<double>(fleet.makespan_cycles()) / 1e6, rps,
-                            speedup, host_ms});
-      fleet_table.add_row(
-          {std::to_string(shards), std::to_string(kWorkersPerShard),
-           TablePrinter::num(static_cast<double>(fleet.makespan_cycles()) / 1e6, 2),
-           TablePrinter::num(rps, 1), TablePrinter::num(speedup, 2) + "x",
-           TablePrinter::num(host_ms, 1)});
+      fleet_rows.push_back({shards, kWorkersPerShard, host_ms});
+      fleet_table.add_row({std::to_string(shards), std::to_string(kWorkersPerShard),
+                           TablePrinter::num(host_ms, 1)});
     }
     fleet_table.render(std::cout);
     std::cout << "\n(least-outstanding-cost routing over one shared registry — weights\n"
-                 " packed once per fleet; fleet makespan = max shard makespan since the\n"
-                 " S x W modeled arrays run in parallel)\n\n";
+                 " packed once per fleet; logits bit-exact, shard stats sum to the fleet)\n\n";
   }
 
   std::cout << "=== Batching-window sweep: trickled stream, 1 worker ===\n\n";
@@ -773,7 +676,6 @@ int main(int argc, char** argv) {
     auto run_windowed = [&](double window_ms, serve::Priority priority) {
       serve::ServerPoolConfig cfg;
       cfg.workers = 1;
-      cfg.accelerator.mode = g_mode;
       cfg.batcher.max_batch_requests = 16;
       cfg.batcher.max_batch_rows = 256;
       serve::ServerPool pool(cfg);
@@ -827,7 +729,6 @@ int main(int argc, char** argv) {
     serve::FleetConfig cfg;
     cfg.shards = 2;
     cfg.workers_per_shard = 2;
-    cfg.accelerator.mode = g_mode;
     serve::Fleet fleet(cfg);
     Rng rng(17);
     serve::ModelOptions options;
@@ -905,7 +806,6 @@ int main(int argc, char** argv) {
     // workload variance would drown the <1% signal outright.
     serve::ServerPoolConfig cfg;
     cfg.workers = 1;
-    cfg.accelerator.mode = g_mode;
     cfg.batcher.max_batch_requests = 1;
     serve::ServerPool pool(cfg);
     const serve::ModelHandle gelu = pool.register_model(
@@ -1035,7 +935,6 @@ int main(int argc, char** argv) {
 
     serve::ServerPoolConfig cfg;
     cfg.workers = kAllocWorkers;
-    cfg.accelerator.mode = g_mode;
     cfg.batcher.max_batch_requests = 4;
     serve::ServerPool pool(cfg);
     Rng rng(29);
@@ -1094,10 +993,7 @@ int main(int argc, char** argv) {
     alloc_sweep.pool_off_allocs_per_request = static_cast<double>(s3 - s2) / per;
     alloc_sweep.pool_hits = p2.hits - p1.hits;
     alloc_sweep.pool_misses = p2.misses - p1.misses;
-    // The zero gate holds for the analytic cost model; the cycle-accurate
-    // simulator allocates per-pass state and is reported ungated.
-    alloc_sweep.zero_alloc_steady = g_mode == ExecutionMode::kCycleAccurate ||
-                                    alloc_sweep.steady_worker_allocs == 0;
+    alloc_sweep.zero_alloc_steady = alloc_sweep.steady_worker_allocs == 0;
 
     TablePrinter alloc_table({"Phase", "Requests", "Worker allocs", "Allocs/req"});
     alloc_table.add_row({"warmup (pool cold)", std::to_string(kAllocRequests),
@@ -1130,7 +1026,6 @@ int main(int argc, char** argv) {
     for (std::size_t submitters : {1u, 2u, 4u, 8u}) {
       serve::ServerPoolConfig cfg;
       cfg.workers = 2;
-      cfg.accelerator.mode = g_mode;
       cfg.batcher.max_batch_requests = 64;
       cfg.batcher.max_batch_rows = 256;
       serve::ServerPool pool(cfg);
@@ -1247,7 +1142,6 @@ int main(int argc, char** argv) {
     // byte-identical between chunks, so the ratio isolates the lane itself.
     serve::ServerPoolConfig cfg;
     cfg.workers = 1;
-    cfg.accelerator.mode = g_mode;
     serve::ServerPool pool(cfg);
     serve::ModelOptions int16_options;
     int16_options.precision = serve::Precision::kInt16;
@@ -1332,30 +1226,15 @@ int main(int argc, char** argv) {
 
   const bool hot_swap_clean = hot_swap.failed == 0 && hot_swap.corrupted == 0;
   const bool metrics_overhead_ok = obs_overhead.speedup_metrics_on() >= 0.99;
-  const bool pass = trace_speedup_at_8 >= 4.0 && model_speedup_at_8 >= 4.0 &&
-                    fleet_speedup_at_4 >= 2.0 && window_interactive_improves &&
-                    hot_swap_clean && metrics_overhead_ok && logits_exact &&
-                    alloc_sweep.zero_alloc_steady && precision.pass();
-  write_json(json_path, trace_rows, batch_rows, model_rows, class_rows, overload,
-             fleet_rows, window_rows, hot_swap, obs_overhead, alloc_sweep,
-             contention_rows, precision, trace_speedup_at_8, model_speedup_at_8,
-             fleet_speedup_at_4, window_interactive_improves, metrics_overhead_ok,
-             logits_exact, pass);
+  const bool pass = window_interactive_improves && hot_swap_clean && metrics_overhead_ok &&
+                    logits_exact && alloc_sweep.zero_alloc_steady && precision.pass();
+  write_json(json_path, batch_rows, model_rows, class_rows, overload, fleet_rows,
+             window_rows, hot_swap, obs_overhead, alloc_sweep, contention_rows, precision,
+             window_interactive_improves, metrics_overhead_ok, logits_exact, pass);
   std::cout << "wrote " << json_path << "\n";
 
   if (!logits_exact) {
     std::cout << "FAIL: served logits diverged from the direct forward\n";
-    return 1;
-  }
-  if (trace_speedup_at_8 < 4.0 || model_speedup_at_8 < 4.0) {
-    std::cout << "FAIL: 8-worker aggregate speedup below the 4x acceptance bar (trace "
-              << TablePrinter::num(trace_speedup_at_8, 2) << "x, real-model "
-              << TablePrinter::num(model_speedup_at_8, 2) << "x)\n";
-    return 1;
-  }
-  if (fleet_speedup_at_4 < 2.0) {
-    std::cout << "FAIL: 4-shard fleet aggregate speedup "
-              << TablePrinter::num(fleet_speedup_at_4, 2) << "x below the 2x bar\n";
     return 1;
   }
   if (!window_interactive_improves) {
@@ -1392,11 +1271,7 @@ int main(int argc, char** argv) {
               << precision.kernel << ")\n";
     return 1;
   }
-  std::cout << "OK: 8-worker aggregate speedup trace " << TablePrinter::num(trace_speedup_at_8, 2)
-            << "x, real-model " << TablePrinter::num(model_speedup_at_8, 2)
-            << "x (>= 4x bar); 4-shard fleet " << TablePrinter::num(fleet_speedup_at_4, 2)
-            << "x (>= 2x bar); interactive p99 beats window waiting; hot swap clean; "
-               "metrics-on keeps "
+  std::cout << "OK: interactive p99 beats window waiting; hot swap clean; metrics-on keeps "
             << TablePrinter::num(obs_overhead.speedup_metrics_on() * 100.0, 1)
             << "% of obs-off throughput; steady-state serve path made "
             << alloc_sweep.steady_worker_allocs

@@ -1,19 +1,19 @@
-// Serving demo: a multi-pool FLEET serving mixed traffic — including REAL
-// model inference and a hot swap under load.
+// Serving demo: the paper's simulated array figures, then a multi-pool FLEET
+// serving real model inference with a hot swap under load.
 //
-// Spins up a serve::Fleet of 2 shards x 2 workers (each worker one
-// simulated ONE-SA array; one CPWL table set and one version-aware
-// ModelRegistry shared across the whole fleet) and throws mixed traffic at
-// it concurrently: BERT / ResNet-50 / GCN workload traces — each served as
-// a registry entry whose simulated cost is the network's trace — and real
-// forward passes through an nn::Sequential MLP registered with the fleet —
-// one immutable weight copy packed once for every shard, logits verified
-// bit-exact against the direct forward. Requests carry
-// priority classes and deadlines; the least-outstanding-cost router levels
-// the shards, and the run finishes by hot-swapping the MLP to a new
-// version while serving, proving version-consistent logits across the
-// flip. Per-shard statistics print next to the fleet aggregate (their sums
-// are equal by construction).
+// First it prints what ONE-SA itself would do with BERT / ResNet-50 / GCN
+// requests spread over as many modelled arrays as the fleet has workers:
+// the closed-form cycle estimate of each trace, list-scheduled by
+// nn::list_schedule (simulated figures, not serving performance). Then it
+// spins up a serve::Fleet of 2 shards x 2 host workers (one version-aware
+// ModelRegistry shared across the whole fleet) and serves real forward
+// passes through an nn::Sequential MLP registered with the fleet — one
+// immutable weight copy packed once for every shard, logits verified
+// bit-exact against the direct forward. Requests carry priority classes and
+// deadlines; the least-outstanding-cost router levels the shards, and the
+// run finishes by hot-swapping the MLP to a new version while serving,
+// proving version-consistent logits across the flip. Per-shard statistics
+// print next to the fleet aggregate (their sums are equal by construction).
 //
 // Pass `--trace-out FILE` to record every request's lifecycle spans
 // (queue wait, window park, service, batches, kernel calls) and write a
@@ -32,6 +32,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/table.hpp"
@@ -87,7 +88,6 @@ int run_listen(std::uint16_t port) {
   serve::FleetConfig cfg;
   cfg.shards = 2;
   cfg.workers_per_shard = 2;
-  cfg.accelerator.mode = ExecutionMode::kAnalytic;
   cfg.batcher.max_batch_rows = 64;
   serve::Fleet fleet(cfg);
 
@@ -163,49 +163,44 @@ int main(int argc, char** argv) {
   serve::FleetConfig cfg;
   cfg.shards = 2;
   cfg.workers_per_shard = 2;
-  cfg.accelerator.mode = ExecutionMode::kAnalytic;  // paper reference 8x8x16 array
   cfg.batcher.max_batch_rows = 64;
+
+  // --- paper figures: kPerModel inferences of each network list-scheduled
+  // over one modelled array per fleet worker (the paper's reference 8x8x16
+  // design). Pure cycle-model arithmetic; nothing here runs on the fleet.
+  {
+    const std::size_t arrays = cfg.shards * cfg.workers_per_shard;
+    constexpr std::size_t kPerModel = 6;
+    const OneSaConfig array_config;
+    const sim::TimingModel timing(array_config.array);
+    const std::pair<const char*, nn::WorkloadTrace> networks[] = {
+        {"BERT-base/seq128", nn::bert_base_trace(128)},
+        {"ResNet-50/224", nn::resnet50_trace(224)},
+        {"GCN/16384n", nn::gcn_trace()}};
+    TablePrinter paper({"Model", "Latency ms", "GOPS", "Mcycles/req", "MACs/req",
+                        "Makespan ms"});
+    for (const auto& [name, trace] : networks) {
+      const nn::TraceEstimate estimate = nn::estimate_trace(trace, timing);
+      const nn::ListSchedule schedule = nn::list_schedule(trace, kPerModel, arrays, timing);
+      paper.add_row(
+          {name, TablePrinter::num(estimate.latency_ms, 2), TablePrinter::num(estimate.gops, 1),
+           TablePrinter::num(static_cast<double>(estimate.cycles.total()) / 1e6, 1),
+           std::to_string(nn::trace_mac_ops(trace)),
+           TablePrinter::num(static_cast<double>(schedule.makespan_cycles) /
+                                 (array_config.array.clock_mhz * 1e3),
+                             2)});
+    }
+    std::cout << "paper figures (simulated): " << kPerModel << " requests per network on "
+              << arrays << " modelled " << array_config.array.rows << "x"
+              << array_config.array.cols << "x" << array_config.array.macs_per_pe
+              << " arrays, list-scheduled\n";
+    paper.render(std::cout);
+    std::cout << "\n";
+  }
+
   serve::Fleet fleet(cfg);
   std::cout << "fleet: " << fleet.shards() << " shards x " << cfg.workers_per_shard
-            << " workers, " << cfg.accelerator.array.rows << "x"
-            << cfg.accelerator.array.cols << " array x "
-            << cfg.accelerator.array.macs_per_pe << " MACs each, "
-            << "least-outstanding-cost routing, shared CPWL tables + model registry\n\n";
-
-  // --- model-trace traffic: three network families, several requests each.
-  // Each network is a registry entry: a one-layer placeholder model whose
-  // simulated cost is the network's workload trace (never batched — each
-  // request is one whole inference).
-  struct ModelJob {
-    std::string name;
-    std::shared_ptr<const nn::WorkloadTrace> trace;
-    std::vector<std::future<serve::ServeResult>> futures;
-  };
-  std::vector<ModelJob> jobs;
-  jobs.push_back({"BERT-base/seq128",
-                  std::make_shared<const nn::WorkloadTrace>(nn::bert_base_trace(128)),
-                  {}});
-  jobs.push_back({"ResNet-50/224",
-                  std::make_shared<const nn::WorkloadTrace>(nn::resnet50_trace(224)),
-                  {}});
-  jobs.push_back({"GCN/16384n",
-                  std::make_shared<const nn::WorkloadTrace>(nn::gcn_trace()),
-                  {}});
-
-  constexpr int kPerModel = 6;
-  std::vector<serve::ModelHandle> trace_entries;
-  for (auto& job : jobs) {
-    serve::ModelOptions options;
-    options.cost_trace = job.trace;
-    auto placeholder = std::make_unique<nn::Sequential>();
-    placeholder->add(nn::make_relu());
-    trace_entries.push_back(
-        fleet.register_model(job.name, std::move(placeholder), std::move(options)));
-  }
-  const tensor::Matrix trace_input(1, 1);
-  for (int i = 0; i < kPerModel; ++i)
-    for (std::size_t j = 0; j < jobs.size(); ++j)
-      jobs[j].futures.push_back(fleet.submit_model(trace_entries[j], trace_input));
+            << " host workers, least-outstanding-cost routing, shared model registry\n";
 
   // --- real-model traffic: a registered MLP served end-to-end. The
   // registry is shared by every shard, so the weights pack exactly once;
@@ -221,23 +216,9 @@ int main(int argc, char** argv) {
   interactive.deadline_ms = 50.0;
   std::vector<tensor::Matrix> mlp_inputs;
   std::vector<std::future<serve::ServeResult>> mlp_futures;
-  for (int i = 0; i < 10; ++i) {
+  for (int i = 0; i < 28; ++i) {
     mlp_inputs.push_back(tensor::random_uniform(2 + i % 3, 32, rng, -1.0, 1.0));
     mlp_futures.push_back(fleet.submit_model(mlp, mlp_inputs.back(), interactive));
-  }
-
-  // --- harvest. Latency and GOPS are the trace's closed-form estimate on
-  // one worker's array; the cycles column is what the serving worker was
-  // charged per request (the same estimate, by construction).
-  const sim::TimingModel timing(cfg.accelerator.array);
-  TablePrinter models({"Model", "Requests", "Latency ms", "GOPS", "Mcycles/req"});
-  for (auto& job : jobs) {
-    const nn::TraceEstimate estimate = nn::estimate_trace(*job.trace, timing);
-    double cycles = 0.0;
-    for (auto& f : job.futures) cycles = static_cast<double>(f.get().cycles.total()) / 1e6;
-    models.add_row({job.name, std::to_string(job.futures.size()),
-                    TablePrinter::num(estimate.latency_ms, 2),
-                    TablePrinter::num(estimate.gops, 1), TablePrinter::num(cycles, 1)});
   }
 
   // --- real-model results: every served logit must equal the direct const
@@ -251,7 +232,6 @@ int main(int argc, char** argv) {
     if (r.deadline_missed) ++misses;
     mlp_service_ms += r.service_ms;
   }
-  models.render(std::cout);
 
   std::cout << "\n--- real-model serving (" << mlp->name << " v" << mlp->version << ", "
             << serve::priority_name(serve::Priority::kInteractive)
@@ -284,11 +264,10 @@ int main(int argc, char** argv) {
 
   // --- fleet-wide statistics plus the per-shard breakdown they sum from.
   const serve::ServeStats stats = fleet.stats();
-  const double clock = cfg.accelerator.array.clock_mhz;
   std::cout << "\n--- fleet statistics ---\n";
   TablePrinter fleet_table({"Metric", "Value"});
   fleet_table.add_row({"requests served", std::to_string(stats.completed())});
-  fleet_table.add_row({"array passes (batches)", std::to_string(stats.batches())});
+  fleet_table.add_row({"batched passes", std::to_string(stats.batches())});
   fleet_table.add_row(
       {"mean requests/batch", TablePrinter::num(stats.mean_batch_requests(), 2)});
   fleet_table.add_row({"deadline misses", std::to_string(stats.deadline_misses())});
@@ -301,36 +280,17 @@ int main(int argc, char** argv) {
       {"host latency p95 ms", TablePrinter::num(stats.percentile_latency_ms(95.0), 2)});
   fleet_table.add_row(
       {"host latency p99 ms", TablePrinter::num(stats.percentile_latency_ms(99.0), 2)});
-  fleet_table.add_row(
-      {"simulated Gcycles (sum)",
-       TablePrinter::num(static_cast<double>(stats.total_cycles().total()) / 1e9, 2)});
-  fleet_table.add_row(
-      {"fleet makespan ms (simulated)",
-       TablePrinter::num(static_cast<double>(fleet.makespan_cycles()) / (clock * 1e3), 2)});
-  fleet_table.add_row(
-      {"aggregate req/s (simulated)",
-       TablePrinter::num(static_cast<double>(stats.completed()) /
-                             (static_cast<double>(fleet.makespan_cycles()) / (clock * 1e6)),
-                         1)});
   fleet_table.render(std::cout);
 
   std::cout << "\nper-shard breakdown (sums equal the fleet totals):\n";
-  TablePrinter shard_table({"Shard", "Completed", "Batches", "Busy Mcycles"});
+  TablePrinter shard_table({"Shard", "Completed", "Batches", "Rows"});
   const std::vector<serve::ServeStats> per_shard = fleet.shard_stats();
   for (std::size_t s = 0; s < per_shard.size(); ++s) {
-    shard_table.add_row(
-        {std::to_string(s), std::to_string(per_shard[s].completed()),
-         std::to_string(per_shard[s].batches()),
-         TablePrinter::num(
-             static_cast<double>(per_shard[s].total_cycles().total()) / 1e6, 1)});
+    shard_table.add_row({std::to_string(s), std::to_string(per_shard[s].completed()),
+                         std::to_string(per_shard[s].batches()),
+                         std::to_string(per_shard[s].rows())});
   }
   shard_table.render(std::cout);
-
-  // --- the merged lifetime counters the power model consumes.
-  const LifetimeTotals totals = fleet.fleet_lifetime();
-  std::cout << "\npower-model input (merged across " << fleet.shards() << " shards x "
-            << cfg.workers_per_shard << " accelerators): " << totals.cycles.total()
-            << " cycles, " << totals.mac_ops << " MACs\n";
 
   // --- structured failure: flood a deliberately tiny fleet past its
   // admission cap (worker pinned inside a held forward so the backlog
@@ -379,11 +339,10 @@ int main(int argc, char** argv) {
                  "queue depth and backlog cost it was rejected against\n";
   }
 
-  std::cout << "\nEvery request — whole-network cost traces and real nn::Sequential\n"
-               "forwards alike — was a registered model, flowed through ONE fleet submit API:\n"
-               "routed across shards by outstanding cost, served from one shared\n"
-               "registry whose weights packed once, and hot-swapped mid-stream with\n"
-               "zero dropped or torn requests.\n";
+  std::cout << "\nEvery request was a registered model and flowed through ONE fleet\n"
+               "submit API: routed across shards by outstanding cost, served from one\n"
+               "shared registry whose weights packed once, and hot-swapped mid-stream\n"
+               "with zero dropped or torn requests.\n";
 
   if (!trace_out.empty()) {
     obs::trace_stop();  // fleet is shut down: every span is already recorded

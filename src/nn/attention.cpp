@@ -131,7 +131,7 @@ tensor::Matrix MultiHeadSelfAttention::backward(const tensor::Matrix& grad_out) 
   const double scale = 1.0 / std::sqrt(static_cast<double>(d_head_));
 
   // Output projection.
-  tensor::add_inplace(wo_.grad,
+  tensor::add_inplace(wo_.grad_buffer(),
                       tensor::matmul(tensor::transpose(cached_concat_), grad_out));
   const tensor::Matrix grad_concat =
       tensor::matmul(grad_out, tensor::transpose(wo_.value));
@@ -159,11 +159,11 @@ tensor::Matrix MultiHeadSelfAttention::backward(const tensor::Matrix& grad_out) 
   }
 
   // Projection weights and input gradient.
-  tensor::add_inplace(wq_.grad,
+  tensor::add_inplace(wq_.grad_buffer(),
                       tensor::matmul(tensor::transpose(cached_input_), grad_q_full));
-  tensor::add_inplace(wk_.grad,
+  tensor::add_inplace(wk_.grad_buffer(),
                       tensor::matmul(tensor::transpose(cached_input_), grad_k_full));
-  tensor::add_inplace(wv_.grad,
+  tensor::add_inplace(wv_.grad_buffer(),
                       tensor::matmul(tensor::transpose(cached_input_), grad_v_full));
 
   tensor::Matrix grad_in = tensor::matmul(grad_q_full, tensor::transpose(wq_.value));

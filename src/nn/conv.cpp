@@ -69,11 +69,11 @@ tensor::Matrix Conv2d::backward(const tensor::Matrix& grad_out) {
         grad_result(p, c) = grad_out(n, c * pixels + p);
 
     // dW += patches^T * g ; db += column sums ; dpatches = g * W^T.
-    tensor::add_inplace(weight_.grad,
+    tensor::add_inplace(weight_.grad_buffer(),
                         tensor::matmul(tensor::transpose(patches), grad_result));
+    tensor::Matrix& db = bias_.grad_buffer();
     for (std::size_t p = 0; p < pixels; ++p)
-      for (std::size_t c = 0; c < out_channels_; ++c)
-        bias_.grad(0, c) += grad_result(p, c);
+      for (std::size_t c = 0; c < out_channels_; ++c) db(0, c) += grad_result(p, c);
 
     const tensor::Matrix grad_patches =
         tensor::matmul(grad_result, tensor::transpose(weight_.value));

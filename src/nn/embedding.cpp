@@ -46,9 +46,9 @@ tensor::Matrix Embedding::infer(const tensor::Matrix& ids) const {
 }
 
 tensor::Matrix Embedding::backward(const tensor::Matrix& grad_out) {
+  tensor::Matrix& dtable = table_.grad_buffer();
   for (std::size_t p = 0; p < cached_ids_.size(); ++p)
-    for (std::size_t j = 0; j < d_model_; ++j)
-      table_.grad(cached_ids_[p], j) += grad_out(p, j);
+    for (std::size_t j = 0; j < d_model_; ++j) dtable(cached_ids_[p], j) += grad_out(p, j);
   // Token ids are not differentiable; return an empty-shaped gradient.
   return tensor::Matrix(1, cached_ids_.size(), 0.0);
 }

@@ -57,11 +57,11 @@ tensor::Matrix GraphConv::infer(const tensor::Matrix& x) const {
 }
 
 tensor::Matrix GraphConv::backward(const tensor::Matrix& grad_out) {
-  weight_.grad = tensor::add(weight_.grad,
-                             tensor::matmul(tensor::transpose(cached_ax_), grad_out));
+  tensor::add_inplace(weight_.grad_buffer(),
+                      tensor::matmul(tensor::transpose(cached_ax_), grad_out));
+  tensor::Matrix& db = bias_.grad_buffer();
   for (std::size_t i = 0; i < grad_out.rows(); ++i)
-    for (std::size_t j = 0; j < grad_out.cols(); ++j)
-      bias_.grad(0, j) += grad_out(i, j);
+    for (std::size_t j = 0; j < grad_out.cols(); ++j) db(0, j) += grad_out(i, j);
   // dX = A_hat^T (g W^T); A_hat is symmetric but we transpose for generality.
   const tensor::Matrix gw = tensor::matmul(grad_out, tensor::transpose(weight_.value));
   return tensor::matmul(tensor::transpose(adjacency_), gw);

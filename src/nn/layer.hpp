@@ -22,7 +22,9 @@
 
 namespace onesa::nn {
 
-/// A trainable parameter: value and accumulated gradient.
+/// A trainable parameter: value and accumulated gradient. The gradient is
+/// allocated on first use (grad_buffer(), zero_grad(), or an optimizer over
+/// the parameter), so a model that is only built and served never holds one.
 struct Param {
   tensor::Matrix value;
   tensor::Matrix grad;
@@ -35,9 +37,14 @@ struct Param {
   /// owning layer's invalidation hook.
   std::uint64_t version = 0;
 
-  explicit Param(tensor::Matrix v = {})
-      : value(std::move(v)), grad(value.rows(), value.cols(), 0.0) {}
+  explicit Param(tensor::Matrix v = {}) : value(std::move(v)) {}
 
+  /// The gradient to accumulate into, zero-filled to the value's shape on
+  /// first use. Every backward pass writes through this.
+  tensor::Matrix& grad_buffer() {
+    if (grad.empty()) zero_grad();
+    return grad;
+  }
   void zero_grad() { grad = tensor::Matrix(value.rows(), value.cols(), 0.0); }
 };
 

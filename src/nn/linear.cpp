@@ -84,11 +84,11 @@ tensor::Matrix Linear::infer_with_epilogue(const tensor::Matrix& x,
 
 tensor::Matrix Linear::backward(const tensor::Matrix& grad_out) {
   // dW = x^T g, db = column sums of g, dx = g W^T.
-  tensor::add_inplace(weight_.grad,
+  tensor::add_inplace(weight_.grad_buffer(),
                       tensor::matmul(tensor::transpose(cached_input_), grad_out));
+  tensor::Matrix& db = bias_.grad_buffer();
   for (std::size_t i = 0; i < grad_out.rows(); ++i)
-    for (std::size_t j = 0; j < grad_out.cols(); ++j)
-      bias_.grad(0, j) += grad_out(i, j);
+    for (std::size_t j = 0; j < grad_out.cols(); ++j) db(0, j) += grad_out(i, j);
   return tensor::matmul(grad_out, tensor::transpose(weight_.value));
 }
 

@@ -46,6 +46,8 @@ tensor::Matrix LayerNorm::backward(const tensor::Matrix& grad_out) {
   const std::size_t rows = grad_out.rows();
   const std::size_t n = features_;
   tensor::Matrix grad_in(rows, n);
+  tensor::Matrix& dgamma = gamma_.grad_buffer();
+  tensor::Matrix& dbeta = beta_.grad_buffer();
   for (std::size_t i = 0; i < rows; ++i) {
     // dxhat = dy * gamma; dx = rstd * (dxhat - mean(dxhat) - xhat*mean(dxhat*xhat)).
     double mean_dxhat = 0.0;
@@ -61,8 +63,8 @@ tensor::Matrix LayerNorm::backward(const tensor::Matrix& grad_out) {
       const double dxhat = grad_out(i, j) * gamma_.value(0, j);
       grad_in(i, j) = cached_rstd_(i, 0) *
                       (dxhat - mean_dxhat - cached_xhat_(i, j) * mean_dxhat_xhat);
-      gamma_.grad(0, j) += grad_out(i, j) * cached_xhat_(i, j);
-      beta_.grad(0, j) += grad_out(i, j);
+      dgamma(0, j) += grad_out(i, j) * cached_xhat_(i, j);
+      dbeta(0, j) += grad_out(i, j);
     }
   }
   return grad_in;
@@ -175,8 +177,8 @@ tensor::Matrix BatchNorm2d::backward(const tensor::Matrix& grad_out) {
         sum_dy_xhat += dy * cached_xhat_(n, c * spatial_ + p);
       }
     }
-    gamma_.grad(0, c) += sum_dy_xhat;
-    beta_.grad(0, c) += sum_dy;
+    gamma_.grad_buffer()(0, c) += sum_dy_xhat;
+    beta_.grad_buffer()(0, c) += sum_dy;
     const double g = gamma_.value(0, c);
     const double rstd = cached_rstd_(0, c);
     for (std::size_t n = 0; n < batch; ++n) {

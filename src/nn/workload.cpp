@@ -307,4 +307,19 @@ TraceEstimate estimate_trace(const WorkloadTrace& trace,
   return e;
 }
 
+ListSchedule list_schedule(const WorkloadTrace& trace, std::size_t requests,
+                           std::size_t arrays, const sim::TimingModel& timing) {
+  ONESA_CHECK(arrays > 0, "list_schedule needs at least one array");
+  const std::uint64_t per_request = estimate_trace_cycles(trace, timing).total();
+  ListSchedule schedule;
+  schedule.busy_cycles.assign(arrays, 0);
+  for (std::size_t r = 0; r < requests; ++r) {
+    *std::min_element(schedule.busy_cycles.begin(), schedule.busy_cycles.end()) +=
+        per_request;
+  }
+  schedule.makespan_cycles =
+      *std::max_element(schedule.busy_cycles.begin(), schedule.busy_cycles.end());
+  return schedule;
+}
+
 }  // namespace onesa::nn

@@ -76,15 +76,12 @@ WorkloadTrace gcn_trace(std::size_t nodes = 16384, std::size_t features = 602,
 OpCensus cpu_time_census(const WorkloadTrace& trace);
 
 /// Map one trace op onto the ONE-SA cycle model, expanding softmax/layernorm
-/// into the same GEMM + MHP + CPWL sub-ops the accelerator executes. This is
-/// the per-op hook the serving tier (src/serve/) uses to execute traces
-/// incrementally on a pool worker's timing model.
+/// into the same GEMM + MHP + CPWL sub-ops the accelerator executes.
 sim::CycleStats estimate_op_cycles(const TraceOp& op, const sim::TimingModel& timing);
 
 /// MAC operations one trace op charges, mirroring OneSaAccelerator's
 /// lifetime accounting for the same decomposition (GEMM: m*k*n; each MHP
-/// pass: 2 MACs per element). Feeds fleet-wide dynamic-power totals when
-/// traces are served from a worker pool.
+/// pass: 2 MACs per element) — the dynamic-power input of a trace.
 std::uint64_t op_mac_ops(const TraceOp& op);
 
 /// Sum of op_mac_ops over the trace.
@@ -102,5 +99,19 @@ struct TraceEstimate {
   sim::CycleStats cycles;
 };
 TraceEstimate estimate_trace(const WorkloadTrace& trace, const sim::TimingModel& timing);
+
+/// `requests` identical inferences of one trace over `arrays` modelled
+/// ONE-SA arrays of one configuration, list-scheduled (Graham, "Bounds on
+/// Multiprocessing Timing Anomalies", 1969): each request in turn goes to
+/// the array that frees up first, the lowest index on a tie. Every request
+/// costs estimate_trace_cycles, so the arrays' busy totals differ by at
+/// most one request and the makespan is ceil(requests / arrays) of them.
+/// Throughput is requests / (makespan_cycles / (clock_mhz * 1e6)).
+struct ListSchedule {
+  std::vector<std::uint64_t> busy_cycles;  // per array
+  std::uint64_t makespan_cycles = 0;       // the largest busy total
+};
+ListSchedule list_schedule(const WorkloadTrace& trace, std::size_t requests,
+                           std::size_t arrays, const sim::TimingModel& timing);
 
 }  // namespace onesa::nn

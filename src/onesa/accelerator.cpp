@@ -25,32 +25,15 @@ OneSaConfig validated(OneSaConfig config) {
 }  // namespace
 
 OneSaAccelerator::OneSaAccelerator(OneSaConfig config)
-    : OneSaAccelerator(std::move(config), nullptr) {}
-
-OneSaAccelerator::OneSaAccelerator(OneSaConfig config,
-                                   std::shared_ptr<const cpwl::TableSet> tables)
     : config_(validated(std::move(config))),
-      tables_(std::move(tables)),
+      tables_(config_.granularity, config_.frac_bits),
       timing_(config_.array),
       addressing_(/*fifo_depth=*/16, ipf_lanes(config_.array),
                   config_.array.dram_latency_cycles),
       rearrange_(ipf_lanes(config_.array), config_.array.dram_latency_cycles) {
-  if (!tables_) {
-    tables_ = std::make_shared<const cpwl::TableSet>(config_.granularity, config_.frac_bits);
-  } else if (tables_->granularity() != config_.granularity) {
-    throw ConfigError("shared TableSet granularity does not match OneSaConfig");
-  } else if (tables_->get(cpwl::FunctionKind::kRelu).frac_bits() != config_.frac_bits) {
-    // Every table in a set shares one fixed-point format; probe one.
-    throw ConfigError("shared TableSet fixed-point format does not match OneSaConfig");
-  }
   if (config_.mode == ExecutionMode::kCycleAccurate) {
     array_ = std::make_unique<sim::SystolicArraySim>(config_.array);
   }
-}
-
-void OneSaAccelerator::add_lifetime(const sim::CycleStats& cycles, std::uint64_t mac_ops) {
-  lifetime_ += cycles;
-  lifetime_macs_ += mac_ops;
 }
 
 void OneSaAccelerator::reset_lifetime() {
@@ -78,7 +61,7 @@ PassOutput OneSaAccelerator::gemm(const tensor::FixMatrix& a, const tensor::FixM
 PassOutput OneSaAccelerator::elementwise(cpwl::FunctionKind f,
                                          const tensor::FixMatrix& x) {
   // IPF stage 1: segment computation + parameter fetch in the L3 buffer.
-  addressing_.load_table(tables_->get(f));
+  addressing_.load_table(tables_.get(f));
   AddressingResult fetched = addressing_.process(x);
   // IPF stage 2: merge (k, b) and pair (x, 1).
   RearrangedStreams streams = rearrange_.process(x, fetched.k, fetched.b);

@@ -40,34 +40,12 @@ struct PassOutput {
   sim::CycleStats cycles;
 };
 
-/// Snapshot of one accelerator's lifetime counters, mergeable across
-/// instances so a worker pool can report fleet-wide totals to the power
-/// model (each worker owns its own accelerator; totals add).
-struct LifetimeTotals {
-  sim::CycleStats cycles;
-  std::uint64_t mac_ops = 0;
-
-  LifetimeTotals& merge(const LifetimeTotals& o) {
-    cycles += o.cycles;
-    mac_ops += o.mac_ops;
-    return *this;
-  }
-};
-
 class OneSaAccelerator {
  public:
   explicit OneSaAccelerator(OneSaConfig config = {});
 
-  /// Share an immutable CPWL table set across accelerator instances. The
-  /// tables are read-only after construction, so N pool workers can safely
-  /// alias one set instead of rebuilding identical tables per worker; the
-  /// set's granularity must match `config.granularity`.
-  OneSaAccelerator(OneSaConfig config, std::shared_ptr<const cpwl::TableSet> tables);
-
   const OneSaConfig& config() const { return config_; }
-  const cpwl::TableSet& tables() const { return *tables_; }
-  /// The shared handle, for constructing further instances over the same set.
-  const std::shared_ptr<const cpwl::TableSet>& shared_tables() const { return tables_; }
+  const cpwl::TableSet& tables() const { return tables_; }
   const sim::TimingModel& timing() const { return timing_; }
 
   // ---------------------------------------------------------------- linear
@@ -115,12 +93,6 @@ class OneSaAccelerator {
   const sim::CycleStats& lifetime_cycles() const { return lifetime_; }
   /// MAC operations issued over the lifetime (dynamic-power input).
   std::uint64_t lifetime_mac_ops() const { return lifetime_macs_; }
-  /// Both counters as one mergeable snapshot (see LifetimeTotals).
-  LifetimeTotals lifetime() const { return {lifetime_, lifetime_macs_}; }
-  /// Charge externally-computed work (e.g. a WorkloadTrace executed against
-  /// the closed-form TimingModel) to this instance's lifetime counters, so
-  /// trace-mode serving shows up in fleet-wide power accounting.
-  void add_lifetime(const sim::CycleStats& cycles, std::uint64_t mac_ops);
   void reset_lifetime();
 
  private:
@@ -128,7 +100,7 @@ class OneSaAccelerator {
   PassOutput charge(PassOutput pass, std::uint64_t mac_ops);
 
   OneSaConfig config_;
-  std::shared_ptr<const cpwl::TableSet> tables_;
+  cpwl::TableSet tables_;
   sim::TimingModel timing_;
   std::unique_ptr<sim::SystolicArraySim> array_;  // only in cycle-accurate mode
   DataAddressing addressing_;

@@ -133,31 +133,6 @@ tensor::Matrix slice_rows(const tensor::Matrix& packed, std::size_t row0, std::s
   return out;
 }
 
-/// Simulated cycle/MAC charge of one model batch. With a registered cost
-/// trace the batch is charged one trace execution per request (the trace
-/// models one inference); otherwise the model's MAC volume streams through
-/// the array's GEMM path as a (rows x mac_per_row x 1) product — a coarse
-/// but monotone cost model that keeps real-inference serving visible in the
-/// fleet's cycle/power accounting.
-sim::CycleStats model_batch_cycles(const ModelEntry& entry, std::size_t requests,
-                                   std::size_t rows, const sim::TimingModel& timing,
-                                   std::uint64_t& macs_out) {
-  if (entry.cost_trace != nullptr) {
-    const sim::CycleStats per_request = entry.trace_cycles_for(timing);
-    sim::CycleStats total;
-    for (std::size_t i = 0; i < requests; ++i) total += per_request;
-    macs_out = entry.cost_trace_macs * requests;
-    return total;
-  }
-  nn::TraceOp op;
-  op.kind = nn::TraceOp::Kind::kGemm;
-  op.m = rows;
-  op.k = static_cast<std::size_t>(entry.mac_ops_per_row);
-  op.n = 1;
-  macs_out = nn::op_mac_ops(op);
-  return nn::estimate_op_cycles(op, timing);
-}
-
 }  // namespace
 
 void BatcherConfig::validate() const {
@@ -204,15 +179,14 @@ void DynamicBatcher::take_batch(std::vector<ServeRequest>& pending,
 
 /// Real-inference batch: ONE nn::Sequential::infer over the stacked rows
 /// (kernel-layer GEMMs on this worker thread), logits sliced back per
-/// request, simulated cycles charged to the worker's accelerator.
+/// request.
 ///
 /// Model code is the one batch path that runs caller-registered layers, so
 /// failures (shape mismatch against the registered model, a layer without an
 /// infer path, a row-count-changing model registered as batchable) must fail
 /// THIS batch's futures — never escape into worker_loop, where an uncaught
 /// exception would std::terminate the whole pool.
-BatchRecord DynamicBatcher::execute(std::vector<ServeRequest>& batch,
-                                    OneSaAccelerator& accel, std::size_t worker,
+BatchRecord DynamicBatcher::execute(std::vector<ServeRequest>& batch, std::size_t worker,
                                     std::size_t shard) const {
   ONESA_CHECK(!batch.empty(), "DynamicBatcher::execute on an empty batch");
   const auto start = ServeClock::now();
@@ -245,7 +219,7 @@ BatchRecord DynamicBatcher::execute(std::vector<ServeRequest>& batch,
       emit_error_span(req);
       deliver_error(req, error);
     }
-    return {};  // nothing completed, nothing charged
+    return {};  // nothing completed
   } catch (const std::exception& cause) {
     // Wrap the raw failure in a ModelError carrying WHERE it happened
     // (shard/worker), WHAT was running (model name + version), and the
@@ -276,14 +250,7 @@ BatchRecord DynamicBatcher::execute(std::vector<ServeRequest>& batch,
   const auto end = ServeClock::now();
   if (entry.requests_metric != nullptr) entry.requests_metric->add(batch.size());
 
-  std::uint64_t macs = 0;
-  const sim::CycleStats cycles =
-      model_batch_cycles(entry, batch.size(), total_rows, accel.timing(), macs);
-  accel.add_lifetime(cycles, macs);
-
   BatchRecord record;
-  record.cycles = cycles;
-  record.mac_ops = macs;
   record.requests = batch.size();
   record.rows = total_rows;
   record.shard = shard;
@@ -298,8 +265,6 @@ BatchRecord DynamicBatcher::execute(std::vector<ServeRequest>& batch,
     result.logits = batch.size() == 1 ? std::move(logits)
                                       : slice_rows(logits, row, req.rows());
     row += req.rows();
-    result.cycles = cycles;
-    result.mac_ops = macs;
     result.queue_ms = ms_between(req.enqueued, start);
     result.service_ms = ms_between(start, end);
     result.worker = worker;

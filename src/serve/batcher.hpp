@@ -7,13 +7,11 @@
 // bit-identical to a direct forward because every batchable layer is
 // row-independent (tests/test_serve.cpp asserts it). No rows are padded:
 // the kernels need no tile alignment. Non-batchable models (per-sequence
-// transformers, and the one-layer cost-trace entries that stand in for
-// whole-network workload traces) execute one request per pass.
+// transformers, sequence pools) execute one request per pass.
 #pragma once
 
 #include <vector>
 
-#include "onesa/accelerator.hpp"
 #include "serve/request.hpp"
 #include "serve/stats.hpp"
 
@@ -55,14 +53,13 @@ class DynamicBatcher {
   }
 
   /// Run one batch through its model, fulfill every request's promise with
-  /// its sliced logit rows, charge the simulated cycles to `accel`, and
-  /// return the batch's accounting (cycles charged once). `shard` is
+  /// its sliced logit rows, and return the batch's accounting. `shard` is
   /// stamped into every result and the record (fleet visibility; 0 for a
   /// standalone pool). The requests are consumed — on return the elements
   /// of `batch` are moved-from and only the vector's capacity is worth
   /// keeping (the worker loop reuses it for the next pop).
-  BatchRecord execute(std::vector<ServeRequest>& batch, OneSaAccelerator& accel,
-                      std::size_t worker, std::size_t shard = 0) const;
+  BatchRecord execute(std::vector<ServeRequest>& batch, std::size_t worker,
+                      std::size_t shard = 0) const;
 
  private:
   BatcherConfig config_;

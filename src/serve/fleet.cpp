@@ -1,6 +1,5 @@
 #include "serve/fleet.hpp"
 
-#include <algorithm>
 #include <string>
 #include <utility>
 
@@ -19,17 +18,13 @@ Fleet::Fleet(FleetConfig config)
   for (std::size_t s = 0; s < config_.shards; ++s) {
     ServerPoolConfig pool;
     pool.workers = config_.workers_per_shard;
-    pool.accelerator = config_.accelerator;
     pool.batcher = config_.batcher;
     // Admission lives at the fleet: shards stay unlimited so a shedding
     // decision always sees the fleet-wide backlog, never one shard's slice.
     pool.admission = {};
     pool.shard = s;
     pool.join_timeout_ms = config_.join_timeout_ms;
-    // Shard 0 builds the CPWL tables; every later shard aliases them — one
-    // immutable table set per fleet, like one registry per fleet.
-    shards_.push_back(std::make_unique<ServerPool>(
-        pool, registry_, s == 0 ? nullptr : shards_[0]->shared_tables()));
+    shards_.push_back(std::make_unique<ServerPool>(pool, registry_));
   }
   ONESA_LOG_DEBUG << "serve: fleet up with " << shards_.size() << " shards x "
                   << config_.workers_per_shard << " workers (admission cap "
@@ -162,19 +157,6 @@ std::uint64_t Fleet::sheds() const {
   std::uint64_t total = fleet_sheds_.load(std::memory_order_relaxed);
   for (const auto& shard : shards_) total += shard->sheds();
   return total;
-}
-
-LifetimeTotals Fleet::fleet_lifetime() const {
-  LifetimeTotals totals;
-  for (const auto& shard : shards_) totals.merge(shard->fleet_lifetime());
-  return totals;
-}
-
-std::uint64_t Fleet::makespan_cycles() const {
-  std::uint64_t makespan = 0;
-  for (const auto& shard : shards_)
-    makespan = std::max(makespan, shard->makespan_cycles());
-  return makespan;
 }
 
 }  // namespace onesa::serve

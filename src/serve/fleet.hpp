@@ -1,10 +1,8 @@
 // Fleet tier: N ServerPool shards behind one submit API.
 //
-// The pool is no longer the top of the serving stack — a Fleet owns S
-// shards (each a full ServerPool: its own request queue, batcher, and W
-// worker threads with one simulated accelerator each) and routes every
-// request — always a registered-model request, whether a real forward or a
-// cost-trace entry standing in for a whole network — to a shard:
+// A Fleet owns S shards (each a full ServerPool: its own request queue,
+// batcher, and W host worker threads) and routes every registered-model
+// request to a shard:
 //
 //   submit*() ───> router ──> shard 0: RequestQueue ──> W workers
 //                        ──> shard 1: RequestQueue ──> W workers
@@ -18,11 +16,11 @@
 // shards instead of piling onto shard 0.
 //
 // SHARED REGISTRY / HOT-SWAP. All shards share ONE version-aware
-// ModelRegistry (and one immutable CPWL table set), so a fleet packs each
-// model's weights once — not once per pool. swap_model() publishes a new
-// pre-packed version atomically; requests pin the version they resolved at
-// submit, in-flight batches finish on the old weights, and the batcher's
-// handle-identity rule keeps versions from ever mixing in one batch.
+// ModelRegistry, so a fleet packs each model's weights once — not once per
+// pool. swap_model() publishes a new pre-packed version atomically;
+// requests pin the version they resolved at submit, in-flight batches
+// finish on the old weights, and the batcher's handle-identity rule keeps
+// versions from ever mixing in one batch.
 //
 // FLEET ADMISSION. Shedding decisions moved up: FleetConfig::admission
 // bounds the FLEET-WIDE backlog (summed shard pending/cost). An
@@ -33,6 +31,8 @@
 // STATS. Per-shard ServeStats remain visible (shard_stats()); fleet totals
 // are their sum via ServeStats::operator+ — shard sums equal fleet totals
 // by construction. Every ServeResult and BatchRecord carries the shard id.
+// Like a shard's, the fleet's stats() never waits on a forward in flight.
+// The fleet runs no simulated array (see server_pool.hpp).
 #pragma once
 
 #include <atomic>
@@ -41,6 +41,7 @@
 #include <string>
 #include <vector>
 
+#include "onesa/config.hpp"
 #include "serve/server_pool.hpp"
 
 namespace onesa::serve {
@@ -48,7 +49,9 @@ namespace onesa::serve {
 struct FleetConfig {
   std::size_t shards = 2;
   std::size_t workers_per_shard = 2;
-  /// Replicated to every worker's accelerator instance, fleet-wide.
+  /// Read by nothing: the fleet runs no simulated array. perfbench's
+  /// workloads.cpp still sets its mode; the benchmark change that drops
+  /// that line deletes this field.
   OneSaConfig accelerator;
   /// Replicated to every shard's batcher.
   BatcherConfig batcher;
@@ -123,11 +126,6 @@ class Fleet {
   std::vector<ServeStats> shard_stats() const;
   /// Requests shed by admission control, fleet-level plus shard-level.
   std::uint64_t sheds() const;
-  /// Merged accelerator lifetime counters (power-model input).
-  LifetimeTotals fleet_lifetime() const;
-  /// Simulated makespan of the whole fleet: the S shards model S*W arrays
-  /// running in parallel, so it is the largest shard makespan.
-  std::uint64_t makespan_cycles() const;
 
  private:
   /// Shard with the least outstanding cost; the scan starts one shard

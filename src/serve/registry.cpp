@@ -19,21 +19,10 @@ obs::Counter& version_requests_counter(const std::string& name, std::uint64_t ve
 
 }  // namespace
 
-sim::CycleStats ModelEntry::trace_cycles_for(const sim::TimingModel& timing) const {
-  std::lock_guard<std::mutex> lock(cost_cache_mutex_);
-  if (!cost_cache_valid_ || !(cost_cache_config_ == timing.config())) {
-    cost_cache_cycles_ = nn::estimate_trace_cycles(*cost_trace, timing);
-    cost_cache_config_ = timing.config();
-    cost_cache_valid_ = true;
-  }
-  return cost_cache_cycles_;
-}
-
 ModelOptions ModelEntry::options() const {
   ModelOptions opts;
   opts.batchable = batchable;
   opts.batch_window_ms = batch_window_ms;
-  opts.cost_trace = cost_trace;
   opts.precision = precision;
   opts.mac_ops_per_row = mac_ops_override;
   return opts;
@@ -55,17 +44,13 @@ ModelHandle ModelRegistry::publish(std::string name, std::unique_ptr<nn::Sequent
   entry->name = name;
   entry->batchable = options.batchable;
   entry->batch_window_ms = options.batch_window_ms;
-  entry->cost_trace = std::move(options.cost_trace);
-  if (entry->cost_trace != nullptr)
-    entry->cost_trace_macs = nn::trace_mac_ops(*entry->cost_trace);
-
   entry->mac_ops_override = options.mac_ops_per_row;
   if (options.mac_ops_per_row > 0) {
     entry->mac_ops_per_row = options.mac_ops_per_row;
   } else {
-    // Census-derived per-row simulated cost (one multiply+add pair = one
-    // MAC), computed once here so the dispatcher and admission control never
-    // walk the layer graph. See ModelOptions::mac_ops_per_row for what the
+    // Census-derived per-row cost (one multiply+add pair = one MAC),
+    // computed once here so the dispatcher and admission control never walk
+    // the layer graph. See ModelOptions::mac_ops_per_row for what the
     // static census can and cannot see.
     nn::OpCensus census;
     model->count_ops(census, 1);

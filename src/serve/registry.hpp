@@ -40,15 +40,7 @@
 //                  for more riders before launching anyway (0 = launch
 //                  immediately, the pre-window behaviour). Interactive-class
 //                  requests always launch immediately regardless.
-//   cost_trace   — optional WorkloadTrace used as the simulated cycle model
-//                  of one request; without it the cycle charge falls back to
-//                  streaming the model's MAC volume through the array's GEMM
-//                  path. It is also how a whole-network workload trace
-//                  (BERT/ResNet/GCN shapes, nn/workload.hpp) is served: a
-//                  one-layer placeholder model registered with the trace as
-//                  cost_trace and batchable = false is charged exactly
-//                  nn::estimate_trace_cycles per request.
-//   mac_ops_per_row — census-derived simulated cost estimate, feeding both
+//   mac_ops_per_row — census-derived cost estimate, feeding both
 //                  least-loaded dispatch and admission control.
 #pragma once
 
@@ -60,7 +52,6 @@
 #include <vector>
 
 #include "nn/sequential.hpp"
-#include "nn/workload.hpp"
 
 namespace onesa::obs {
 class Counter;
@@ -95,8 +86,6 @@ struct ModelOptions {
   /// this long (from the head's enqueue) for more compatible riders before
   /// launching. 0 launches immediately. Only meaningful with batchable.
   double batch_window_ms = 0.0;
-  /// Optional per-request simulated cycle model (e.g. nn::bert_base_trace).
-  std::shared_ptr<const nn::WorkloadTrace> cost_trace;
   /// Which lane serves this version (see Precision). Quantization and
   /// INT16 pre-packing happen at publication, off the request path, and the
   /// quantized rep rides the same atomic version swap as the double
@@ -107,8 +96,8 @@ struct ModelOptions {
   /// on forward-set state (Activation features, sequence-pool length)
   /// contribute nothing — GEMM-bearing layers (Linear/Conv/GraphConv/
   /// attention) dominate real models and are counted statically, but for
-  /// activation-only models set this (or attach a cost_trace) so admission
-  /// control and least-loaded dispatch see a non-trivial cost.
+  /// activation-only models set this so admission control and least-loaded
+  /// dispatch see a non-trivial cost.
   std::uint64_t mac_ops_per_row = 0;
 };
 
@@ -127,14 +116,11 @@ struct ModelEntry {
   Precision precision = Precision::kDouble;
   bool batchable = false;  // matches ModelOptions: batching is opt-in
   double batch_window_ms = 0.0;
-  std::shared_ptr<const nn::WorkloadTrace> cost_trace;
-  /// Simulated MACs of one input row (census-derived; >= 1).
+  /// MACs of one input row (census-derived; >= 1).
   std::uint64_t mac_ops_per_row = 1;
   /// The explicit ModelOptions::mac_ops_per_row as given (0 = derived), so
   /// an option-preserving swap can re-derive or re-apply it faithfully.
   std::uint64_t mac_ops_override = 0;
-  /// nn::trace_mac_ops(*cost_trace), cached at registration (0 = no trace).
-  std::uint64_t cost_trace_macs = 0;
 
   /// Per-version request counter
   /// (serve_model_requests_total{model="name",version="N"}), resolved once
@@ -150,19 +136,6 @@ struct ModelEntry {
 
   /// The ModelOptions this entry was published with (option-preserving swap).
   ModelOptions options() const;
-
-  /// Per-request cycle estimate of cost_trace on `timing`, cached after the
-  /// first call per array configuration (a pool replicates one config across
-  /// its workers, so every batch after the first hits the cache instead of
-  /// re-walking the trace under the worker lock). Must only be called when
-  /// cost_trace is set.
-  sim::CycleStats trace_cycles_for(const sim::TimingModel& timing) const;
-
- private:
-  mutable std::mutex cost_cache_mutex_;
-  mutable bool cost_cache_valid_ = false;
-  mutable sim::ArrayConfig cost_cache_config_;
-  mutable sim::CycleStats cost_cache_cycles_;
 };
 
 using ModelHandle = std::shared_ptr<const ModelEntry>;

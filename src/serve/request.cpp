@@ -82,10 +82,6 @@ void shed_request(ServeRequest& req, const std::string& message, std::size_t que
 
 std::uint64_t ServeRequest::estimated_cost() const {
   if (model == nullptr) return 0;
-  // Mirror what execution will actually charge (model_batch_cycles, same
-  // predicate): a registered cost trace models one whole request; otherwise
-  // the per-row MAC volume scales with rows.
-  if (model->cost_trace != nullptr) return model->cost_trace_macs;
   return static_cast<std::uint64_t>(input.rows()) * model->mac_ops_per_row;
 }
 

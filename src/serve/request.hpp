@@ -3,12 +3,10 @@
 // A ServeRequest is one unit of client work — an nn::Sequential forward
 // pass against a registered model — with future-based completion: the
 // submitter holds a std::future<ServeResult> that becomes ready when a pool
-// worker finishes the batch containing the request. Whole-network cost
-// models (WorkloadTrace) ride the same path as registry entries with a
-// cost_trace (see registry.hpp), so the serve tier has one request kind.
-// Every request carries a priority class and an optional deadline; the
-// queue schedules earliest-deadline-first within priority classes and the
-// stats track per-request SLO outcomes. See server_pool.hpp for the runtime
+// worker finishes the batch containing the request. Every request carries a
+// priority class and an optional deadline; the queue schedules
+// earliest-deadline-first within priority classes and the stats track
+// per-request SLO outcomes. See server_pool.hpp for the runtime
 // that consumes these.
 #pragma once
 
@@ -20,7 +18,6 @@
 
 #include "serve/errors.hpp"
 #include "serve/registry.hpp"
-#include "sim/clock.hpp"
 #include "tensor/matrix.hpp"
 
 namespace onesa::serve {
@@ -51,13 +48,6 @@ struct ServeResult {
   /// pass (batch-mate rows sliced away) — bit-identical to calling the
   /// model's forward directly on the request's input.
   tensor::Matrix logits;
-
-  /// Simulated cycles of the accelerator pass that served this request. For
-  /// batched requests this is the whole batch's pass (shared by every
-  /// request in it — see batch_requests); per-worker busy totals count each
-  /// batch once.
-  sim::CycleStats cycles;
-  std::uint64_t mac_ops = 0;
 
   /// Host wall-clock accounting (queueing delay and service time, ms).
   double queue_ms = 0.0;
@@ -115,9 +105,9 @@ struct ServeRequest {
   bool was_parked = false;
   ServeClock::time_point parked_at{};
 
-  /// Simulated-work estimate in MAC operations (see estimated_cost()),
-  /// stamped once by make_model_request so the dispatcher never reads the
-  /// registry entry under the queue lock.
+  /// Work estimate in MAC operations (see estimated_cost()), stamped once
+  /// by make_model_request so the dispatcher never reads the registry entry
+  /// under the queue lock.
   std::uint64_t cost = 0;
 
   /// Completion hook (see CompletionHook); null delivers into `promise`.
@@ -125,12 +115,10 @@ struct ServeRequest {
 
   std::size_t rows() const { return input.rows(); }
 
-  /// Simulated-work estimate in MAC operations, mirroring what execution
-  /// charges: a cost-trace entry's per-request trace MACs, otherwise rows x
-  /// the entry's per-row MACs. The least-loaded dispatcher balances the sum
-  /// of these across workers, and admission control bounds the backlog's
-  /// sum, so heterogeneous request streams are managed by simulated cost
-  /// instead of request count.
+  /// Work estimate in MAC operations: rows x the entry's per-row MACs. The
+  /// least-loaded dispatcher balances the sum of these across workers, and
+  /// admission control bounds the backlog's sum, so heterogeneous request
+  /// streams are managed by cost instead of request count.
   std::uint64_t estimated_cost() const;
 };
 
@@ -161,7 +149,7 @@ void shed_request(ServeRequest& req, const std::string& message, std::size_t que
 
 /// nn::Sequential forward pass through a registered model: the batched
 /// input rows run model->infer() on the worker (kernel-layer GEMMs), and the
-/// response carries the request's logits plus the simulated cycle charge.
+/// response carries the request's logits.
 TaggedRequest make_model_request(ModelHandle model, tensor::Matrix input,
                                  SubmitOptions options = {});
 

@@ -35,14 +35,14 @@
 // batches cannot grow.
 //
 // ADMISSION CONTROL. The queue is bounded by AdmissionConfig: a cap on
-// pending requests and/or on the backlog's estimated simulated cost (sum of
+// pending requests and/or on the backlog's estimated cost (sum of
 // ServeRequest::cost, MAC units). A push that would exceed a cap is refused:
 // the newcomer's future fails with OverloadError and the queue is untouched.
 // Shed counts are exported for ServeStats.
 //
 // WORKER DISPATCH. Pool workers block in pop_batch until a batch is
 // available and it is their turn to take one: the worker whose cumulative
-// *assigned simulated cost* (sum of ServeRequest::estimated_cost over every
+// *assigned estimated cost* (sum of ServeRequest::estimated_cost over every
 // batch it has taken, ties broken by lowest index) is smallest takes the
 // next batch. Given the *sequence of batches*, the pick is deterministic,
 // never decided by which worker thread happens to be awake. Batch
@@ -142,7 +142,7 @@ class RequestQueue {
   /// expired (merged into ServeStats by the pool).
   std::uint64_t window_expiries() const;
 
-  /// Cumulative estimated simulated cost (MACs) assigned to each worker so
+  /// Cumulative estimated cost (MACs) assigned to each worker so
   /// far — the quantity dispatch levels.
   std::vector<std::uint64_t> assigned_cost() const;
 

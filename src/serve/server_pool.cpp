@@ -19,30 +19,15 @@ ServerPool::Core::Core(ServerPoolConfig cfg)
       inflight_gauge(obs::MetricsRegistry::global().gauge(
           "serve_shard_inflight_cost{shard=\"" + std::to_string(config.shard) + "\"}")) {}
 
-ServerPool::ServerPool(ServerPoolConfig config, std::shared_ptr<ModelRegistry> registry,
-                       std::shared_ptr<const cpwl::TableSet> tables)
+ServerPool::ServerPool(ServerPoolConfig config, std::shared_ptr<ModelRegistry> registry)
     : core_(std::make_shared<Core>(std::move(config))),
       registry_(registry != nullptr ? std::move(registry)
                                     : std::make_shared<ModelRegistry>()) {
   Core& core = *core_;
   ONESA_CHECK(core.config.workers > 0, "ServerPool needs at least one worker");
   core.workers.reserve(core.config.workers);
-
-  // Build the CPWL tables once (or alias the fleet-shared set); every
-  // further instance aliases them read-only (the tables are immutable after
-  // construction).
-  auto first = tables != nullptr
-                   ? std::make_unique<OneSaAccelerator>(core.config.accelerator,
-                                                        std::move(tables))
-                   : std::make_unique<OneSaAccelerator>(core.config.accelerator);
-  tables_ = first->shared_tables();
-  for (std::size_t i = 0; i < core.config.workers; ++i) {
-    auto worker = std::make_unique<Worker>();
-    worker->accel = i == 0 ? std::move(first)
-                           : std::make_unique<OneSaAccelerator>(core.config.accelerator,
-                                                                tables_);
-    core.workers.push_back(std::move(worker));
-  }
+  for (std::size_t i = 0; i < core.config.workers; ++i)
+    core.workers.push_back(std::make_unique<Worker>());
 
   try {
     for (std::size_t i = 0; i < core.workers.size(); ++i) {
@@ -60,9 +45,8 @@ ServerPool::ServerPool(ServerPoolConfig config, std::shared_ptr<ModelRegistry> r
     }
     throw;
   }
-  ONESA_LOG_DEBUG << "serve: pool up with " << core.workers.size() << " workers ("
-                  << core.config.accelerator.array.rows << "x"
-                  << core.config.accelerator.array.cols << " array each, admission cap "
+  ONESA_LOG_DEBUG << "serve: pool up with " << core.workers.size()
+                  << " workers (admission cap "
                   << core.config.admission.max_pending_requests << " requests / "
                   << core.config.admission.max_backlog_cost << " MACs, 0 = none)";
 }
@@ -137,28 +121,24 @@ void ServerPool::Core::worker_loop(std::size_t index) {
     inflight_gauge.add(static_cast<std::int64_t>(inflight));
     const bool traced = obs::tracing_enabled();
     const std::int64_t batch_t0 = traced ? obs::trace_now_us() : 0;
-    {
-      // Execute under the worker's mutex: the accelerator's lifetime
-      // counters mutate during the pass, and fleet_lifetime()/stats() may
-      // read them from a monitoring thread mid-flight. Only this worker's
-      // snapshot readers wait; other workers proceed on their own locks.
+    // The forward runs outside the worker's mutex, so stats() never waits on
+    // it; the lock covers only the stats update.
+    const BatchRecord record = batcher.execute(batch, index, config.shard);
+    // A failed batch (every promise already holds the error) returns an
+    // empty record; recording it would count a zero-request batch and skew
+    // mean_batch_requests().
+    if (record.requests > 0) {
       std::lock_guard<std::mutex> lock(w.mutex);
-      BatchRecord record = batcher.execute(batch, *w.accel, index, config.shard);
-      w.busy_cycles += record.cycles.total();
-      // A failed batch (every promise already holds the error) returns an
-      // empty record; recording it would count a zero-request batch and skew
-      // mean_batch_requests().
-      if (record.requests > 0) w.stats.record_batch(record);
-      if (traced && obs::tracing_enabled()) {
-        // Worker-track span of the whole batch execution; the kernel spans
-        // it encloses land on the same thread track and nest inside.
-        obs::trace_complete(
-            "batch", "batch", batch_t0, obs::trace_now_us() - batch_t0,
-            "\"requests\":" + std::to_string(record.requests) +
-                ",\"rows\":" + std::to_string(record.rows) +
-                ",\"shard\":" + std::to_string(config.shard) +
-                ",\"worker\":" + std::to_string(index));
-      }
+      w.stats.record_batch(record);
+    }
+    if (traced && obs::tracing_enabled()) {
+      // Worker-track span of the whole batch execution; the kernel spans it
+      // encloses land on the same thread track and nest inside.
+      obs::trace_complete("batch", "batch", batch_t0, obs::trace_now_us() - batch_t0,
+                          "\"requests\":" + std::to_string(record.requests) +
+                              ",\"rows\":" + std::to_string(record.rows) +
+                              ",\"shard\":" + std::to_string(config.shard) +
+                              ",\"worker\":" + std::to_string(index));
     }
     w.inflight_cost.store(0, std::memory_order_relaxed);
     inflight_gauge.sub(static_cast<std::int64_t>(inflight));
@@ -244,34 +224,6 @@ std::uint64_t ServerPool::outstanding_cost() const {
   for (const auto& worker : core_->workers)
     total += worker->inflight_cost.load(std::memory_order_relaxed);
   return total;
-}
-
-LifetimeTotals ServerPool::fleet_lifetime() const {
-  LifetimeTotals totals;
-  for (const auto& worker : core_->workers) {
-    std::lock_guard<std::mutex> lock(worker->mutex);
-    totals.merge(worker->accel->lifetime());
-  }
-  return totals;
-}
-
-std::uint64_t ServerPool::makespan_cycles() const {
-  std::uint64_t makespan = 0;
-  for (const auto& worker : core_->workers) {
-    std::lock_guard<std::mutex> lock(worker->mutex);
-    if (worker->busy_cycles > makespan) makespan = worker->busy_cycles;
-  }
-  return makespan;
-}
-
-std::vector<std::uint64_t> ServerPool::worker_busy_cycles() const {
-  std::vector<std::uint64_t> busy;
-  busy.reserve(core_->workers.size());
-  for (const auto& worker : core_->workers) {
-    std::lock_guard<std::mutex> lock(worker->mutex);
-    busy.push_back(worker->busy_cycles);
-  }
-  return busy;
 }
 
 std::uint64_t ServerPool::worker_heap_allocations() const {

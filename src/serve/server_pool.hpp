@@ -1,13 +1,10 @@
-// Multi-threaded batching inference runtime over a pool of simulated
-// ONE-SA accelerator instances, serving nn::Sequential inference from a
-// model registry. Whole-network cost models are registry entries too: a
-// one-layer model registered with a ModelOptions::cost_trace is charged the
-// trace's simulated cycles per request (see registry.hpp).
+// Multi-threaded batching inference runtime: N host worker threads serving
+// nn::Sequential inference from a model registry.
 //
 // Architecture (one shared queue, N workers):
 //
-//   submit*() ───> RequestQueue ──> worker 0 ── OneSaAccelerator #0
-//   ModelRegistry  (admission     ─> worker 1 ── OneSaAccelerator #1
+//   submit*() ───> RequestQueue ──> worker 0
+//   ModelRegistry  (admission     ─> worker 1
 //   (shared        control, EDF  ──> ...
 //    weights)      scheduling,
 //                  least-loaded
@@ -19,15 +16,13 @@
 // shrink their fan-out instead of oversubscribing the machine
 // (N workers x M GEMM threads — see ThreadPool::reserve).
 //
-// Each worker thread owns its own accelerator instance (analytic or
-// cycle-accurate — the config is replicated), pulls batches packed by the
-// DynamicBatcher, executes them, fulfils the per-request futures and records
-// latency into its own ServeStats. The CPWL TableSet is built once and
-// shared read-only across every instance. Aggregate views merge the
-// per-worker state: stats() for the traffic metrics, fleet_lifetime() for
-// the power model's fleet-wide cycle/MAC totals, makespan_cycles() for the
-// simulated wall time of the fleet (max per-worker busy cycles — N workers
-// model N arrays running in parallel).
+// Each worker thread pulls batches packed by the DynamicBatcher, executes
+// them, fulfils the per-request futures and records latency into its own
+// ServeStats. The forward runs outside every lock; the worker takes its
+// stats lock only to record the finished batch, so stats() never waits on a
+// forward — not even on a model that hangs. Nothing here models the
+// ONE-SA array: the paper's cycle figures for N arrays come from
+// nn::list_schedule, a pure function (nn/workload.hpp).
 //
 // BOUNDED SHUTDOWN (ServerPoolConfig::join_timeout_ms): shutdown() waits at
 // most this long for the workers to drain; a worker still inside a batch
@@ -46,7 +41,6 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
-#include "onesa/accelerator.hpp"
 #include "serve/batcher.hpp"
 #include "serve/registry.hpp"
 #include "serve/request_queue.hpp"
@@ -56,8 +50,6 @@ namespace onesa::serve {
 
 struct ServerPoolConfig {
   std::size_t workers = 4;
-  /// Replicated to every worker's accelerator instance.
-  OneSaConfig accelerator;
   BatcherConfig batcher;
   /// Backlog bounds (default: unlimited). Standalone pools set it; a fleet
   /// forces it to {} because its admission sees the fleet-wide backlog.
@@ -76,11 +68,9 @@ class ServerPool {
  public:
   /// `registry` shares a model registry across pools (the fleet passes one
   /// so weights pack once per fleet, not once per pool); nullptr gives the
-  /// pool its own. `tables` likewise shares one immutable CPWL table set
-  /// across pools; nullptr builds one for this pool.
+  /// pool its own.
   explicit ServerPool(ServerPoolConfig config,
-                      std::shared_ptr<ModelRegistry> registry = nullptr,
-                      std::shared_ptr<const cpwl::TableSet> tables = nullptr);
+                      std::shared_ptr<ModelRegistry> registry = nullptr);
   ~ServerPool();
 
   ServerPool(const ServerPool&) = delete;
@@ -102,10 +92,6 @@ class ServerPool {
 
   ModelRegistry& registry() { return *registry_; }
   const ModelRegistry& registry() const { return *registry_; }
-
-  /// The pool's immutable CPWL table set (shared across its workers; a fleet
-  /// shares it across every shard).
-  const std::shared_ptr<const cpwl::TableSet>& shared_tables() const { return tables_; }
 
   /// Reserve this pool's worker count in the kernels' shared ThreadPool (so
   /// worker-side GEMM fan-out never oversubscribes). Idempotent; normally
@@ -151,18 +137,14 @@ class ServerPool {
 
   // -------------------------------------------------------------- aggregate
 
-  /// Fleet-wide traffic statistics (merged snapshot of every worker, plus
-  /// the queue's admission-control shed counter).
+  /// Pool-wide traffic statistics (merged snapshot of every worker, plus
+  /// the queue's admission-control shed counter). Never waits on a forward
+  /// in flight. A worker records its batch just after fulfilling the
+  /// batch's futures, so a result that has only just arrived may not be
+  /// counted yet; after shutdown() every served request is.
   ServeStats stats() const;
   /// Requests shed by admission control so far.
   std::uint64_t sheds() const { return core_->queue.sheds(); }
-  /// Fleet-wide accelerator lifetime counters for the power model.
-  LifetimeTotals fleet_lifetime() const;
-  /// Simulated cycles until the last worker finishes its recorded work —
-  /// the fleet's makespan, since the N modeled arrays run in parallel.
-  std::uint64_t makespan_cycles() const;
-  /// Per-worker busy cycles (load-balance visibility).
-  std::vector<std::uint64_t> worker_busy_cycles() const;
   /// Summed operator-new count of every worker thread, as last published
   /// (after each completed batch). The allocation bench samples this before
   /// and after a measurement window: on a warmed pool the delta is 0 —
@@ -176,11 +158,9 @@ class ServerPool {
 
  private:
   struct Worker {
-    std::unique_ptr<OneSaAccelerator> accel;
     ServeStats stats;
-    std::uint64_t busy_cycles = 0;
     std::thread thread;
-    mutable std::mutex mutex;  // guards stats/busy_cycles/accel counters
+    mutable std::mutex mutex;  // guards stats; held only to record a batch
     /// Estimated cost of the batch this worker is executing right now
     /// (0 when idle). Atomic so the fleet router can read outstanding cost
     /// without serializing behind a batch execution.
@@ -213,7 +193,6 @@ class ServerPool {
 
   std::shared_ptr<Core> core_;
   std::shared_ptr<ModelRegistry> registry_;
-  std::shared_ptr<const cpwl::TableSet> tables_;
   std::uint64_t forced_detaches_ = 0;
   bool shut_down_ = false;
   bool threads_reserved_ = false;  // kernel-pool reservation released once

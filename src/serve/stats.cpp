@@ -38,8 +38,6 @@ void ServeStats::record_batch(const BatchRecord& record) {
   batches_ += 1;
   rows_ += record.rows;
   deadline_misses_ += record.deadline_misses;
-  cycles_ += record.cycles;
-  mac_ops_ += record.mac_ops;
   latency_ms_.insert(latency_ms_.end(), record.latency_ms.begin(), record.latency_ms.end());
   // Per-class attribution: the batcher fills latency_class in lockstep with
   // latency_ms; hand-built records without classes count as kNormal.
@@ -57,8 +55,6 @@ void ServeStats::merge(const ServeStats& o) {
   deadline_misses_ += o.deadline_misses_;
   sheds_ += o.sheds_;
   window_expiries_ += o.window_expiries_;
-  cycles_ += o.cycles_;
-  mac_ops_ += o.mac_ops_;
   latency_ms_.insert(latency_ms_.end(), o.latency_ms_.begin(), o.latency_ms_.end());
   for (std::size_t c = 0; c < kPriorityClasses; ++c) {
     class_latency_ms_[c].insert(class_latency_ms_[c].end(), o.class_latency_ms_[c].begin(),
@@ -88,10 +84,5 @@ double ServeStats::percentile_latency_ms(double p) const {
 }
 
 double ServeStats::mean_latency_ms() const { return mean_of(latency_ms_); }
-
-double ServeStats::requests_per_simulated_second(double clock_mhz) const {
-  const double secs = cycles_.seconds(clock_mhz);
-  return secs == 0.0 ? 0.0 : static_cast<double>(completed_) / secs;
-}
 
 }  // namespace onesa::serve

@@ -1,6 +1,5 @@
-// Serving statistics: throughput, latency percentiles, batch sizes, SLO
-// counters (deadline misses, sheds, batching-window expiries) and
-// simulated-cycle totals.
+// Serving statistics: throughput, latency percentiles, batch sizes and SLO
+// counters (deadline misses, sheds, batching-window expiries).
 //
 // Each pool worker owns one ServeStats and records into it under the
 // worker's own lock; ServerPool::stats() merges the per-worker instances
@@ -15,7 +14,6 @@
 #include <vector>
 
 #include "serve/request.hpp"
-#include "sim/clock.hpp"
 #include "tensor/matrix.hpp"
 
 namespace onesa::serve {
@@ -30,11 +28,9 @@ inline constexpr std::size_t kPriorityClasses = 3;
 using LatencySamples = std::vector<double, tensor::DefaultInitAllocator<double>>;
 using LatencyClasses = std::vector<Priority, tensor::DefaultInitAllocator<Priority>>;
 
-/// Per-batch accounting handed from the batch executor to the stats sink.
-/// Cycle/MAC charges appear once per batch; latencies once per request.
+/// Per-batch accounting handed from the batch executor to the stats sink:
+/// counts once per batch, latencies once per request.
 struct BatchRecord {
-  sim::CycleStats cycles;
-  std::uint64_t mac_ops = 0;
   std::size_t requests = 0;
   std::size_t rows = 0;  // input rows of the batched pass
   std::size_t deadline_misses = 0;  // requests completed past their deadline
@@ -92,14 +88,6 @@ class ServeStats {
   double class_percentile_latency_ms(Priority c, double p) const;
   double class_mean_latency_ms(Priority c) const;
 
-  /// Simulated totals summed over every recorded batch.
-  const sim::CycleStats& total_cycles() const { return cycles_; }
-  std::uint64_t total_mac_ops() const { return mac_ops_; }
-
-  /// Requests per simulated second at the given clock (aggregate hardware
-  /// throughput of the recorded work if it ran back-to-back on one array).
-  double requests_per_simulated_second(double clock_mhz) const;
-
  private:
   std::size_t completed_ = 0;
   std::uint64_t batches_ = 0;
@@ -107,8 +95,6 @@ class ServeStats {
   std::uint64_t deadline_misses_ = 0;
   std::uint64_t sheds_ = 0;
   std::uint64_t window_expiries_ = 0;
-  sim::CycleStats cycles_;
-  std::uint64_t mac_ops_ = 0;
   LatencySamples latency_ms_;
   std::array<LatencySamples, kPriorityClasses> class_latency_ms_;
 };

@@ -30,9 +30,8 @@ struct CycleStats {
     return *this;
   }
 
-  /// Merge helper for aggregating counters across accelerator instances
-  /// (e.g. the serving tier's worker pool feeding fleet-wide totals into the
-  /// power model).
+  /// Merge helper for aggregating counters across passes or accelerator
+  /// instances.
   friend CycleStats operator+(CycleStats a, const CycleStats& b) { return a += b; }
 
   bool operator==(const CycleStats& o) const = default;

@@ -9,7 +9,10 @@ namespace onesa::train {
 
 class Optimizer {
  public:
-  explicit Optimizer(std::vector<nn::Param*> params) : params_(std::move(params)) {}
+  /// Sizes every parameter's gradient: step() reads them whole.
+  explicit Optimizer(std::vector<nn::Param*> params) : params_(std::move(params)) {
+    for (auto* p : params_) p->grad_buffer();
+  }
   virtual ~Optimizer() = default;
 
   /// Apply one update from the accumulated gradients.

@@ -3,7 +3,9 @@
 // decomposed composite operations (softmax, layernorm, batchnorm).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <sstream>
 
 #include "common/rng.hpp"
 #include "onesa/accelerator.hpp"
@@ -217,6 +219,46 @@ TEST(Accelerator, LifetimeCountersAccumulate) {
   accel.reset_lifetime();
   EXPECT_EQ(accel.lifetime_cycles().total(), 0u);
   EXPECT_EQ(accel.lifetime_mac_ops(), 0u);
+}
+
+TEST(Accelerator, BatchSweepPassesMatchThePaperFigures) {
+  // bench_serving_throughput part 2: 64 GELU requests of 2 x 768 stacked
+  // into array passes of a row budget, each pass padded to whole array-height
+  // tiles of the reference design. Its passes, fill and cycles per request,
+  // to the digit the bench record prints (analytic cycles depend on shapes
+  // only, so the passes hold zeros).
+  OneSaConfig cfg;
+  cfg.mode = ExecutionMode::kAnalytic;
+  OneSaAccelerator accel(cfg);
+  constexpr std::size_t kRequests = 64;
+  constexpr std::size_t kRequestRows = 2;
+  constexpr std::size_t kCols = 768;
+  struct Row {
+    std::size_t budget;
+    std::size_t passes;
+    double fill;
+    const char* cycles_per_request;
+  };
+  for (const Row& want : {Row{2, 64, 0.25, "711"}, Row{8, 16, 1.0, "177.75"},
+                          Row{32, 4, 1.0, "170.438"}, Row{128, 1, 1.0, "168.609"}}) {
+    const std::size_t per_pass = std::max<std::size_t>(1, want.budget / kRequestRows);
+    const std::size_t tile = cfg.array.rows;
+    std::uint64_t cycles = 0;
+    std::size_t passes = 0;
+    std::size_t streamed_rows = 0;
+    for (std::size_t done = 0; done < kRequests; done += per_pass) {
+      const std::size_t rows = std::min(per_pass, kRequests - done) * kRequestRows;
+      const FixMatrix packed((rows + tile - 1) / tile * tile, kCols);
+      cycles += accel.elementwise(cpwl::FunctionKind::kGelu, packed).cycles.total();
+      ++passes;
+      streamed_rows += packed.rows();
+    }
+    std::ostringstream per_request;
+    per_request << static_cast<double>(cycles) / static_cast<double>(kRequests);
+    EXPECT_EQ(passes, want.passes) << "budget " << want.budget;
+    EXPECT_DOUBLE_EQ(static_cast<double>(kRequests * kRequestRows) / streamed_rows, want.fill);
+    EXPECT_EQ(per_request.str(), want.cycles_per_request) << "budget " << want.budget;
+  }
 }
 
 TEST(Accelerator, InvalidConfigRejected) {

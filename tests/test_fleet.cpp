@@ -14,7 +14,10 @@
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
+
+#include <unistd.h>
 
 #include "common/rng.hpp"
 #include "nn/activations.hpp"
@@ -38,20 +41,10 @@ using test_models::tiny_input;
 using test_models::tiny_options;
 using tensor::Matrix;
 
-OneSaConfig small_config() {
-  OneSaConfig cfg;
-  cfg.array.rows = 4;
-  cfg.array.cols = 4;
-  cfg.array.macs_per_pe = 4;
-  cfg.mode = ExecutionMode::kAnalytic;
-  return cfg;
-}
-
 FleetConfig small_fleet(std::size_t shards, std::size_t workers) {
   FleetConfig cfg;
   cfg.shards = shards;
   cfg.workers_per_shard = workers;
-  cfg.accelerator = small_config();
   return cfg;
 }
 
@@ -107,12 +100,7 @@ TEST(Fleet, ServesModelBitExactlyAndShardStatsSumToFleetTotals) {
   EXPECT_EQ(summed.batches(), total.batches());
   EXPECT_EQ(batches, total.batches());
   EXPECT_EQ(summed.rows(), total.rows());
-  EXPECT_EQ(summed.total_mac_ops(), total.total_mac_ops());
-  EXPECT_EQ(summed.total_cycles().total(), total.total_cycles().total());
   EXPECT_EQ(summed.deadline_misses(), total.deadline_misses());
-  // Simulated work appears in the merged lifetime counters and makespan.
-  EXPECT_GT(fleet.fleet_lifetime().mac_ops, 0u);
-  EXPECT_GT(fleet.makespan_cycles(), 0u);
 }
 
 TEST(Fleet, RouterPrefersTheShardWithLessOutstandingCost) {
@@ -138,14 +126,36 @@ TEST(Fleet, RouterPrefersTheShardWithLessOutstandingCost) {
   for (int i = 0; i < 8; ++i)
     light.push_back(fleet.submit_model(light_model, tiny_input(1, rng)));
   // The premise held while they were routed: shard 0's worker is still
-  // inside the gate, so the heavy request is still queued. (stats() would
-  // wait on the gated worker: it holds its stats lock across the forward.)
+  // inside the gate, so the heavy request is still queued.
   ASSERT_EQ(fleet.shard(0).pending(), 1u);
   gate->open();  // routing is decided: a misrouted request now fails, not hangs
   for (auto& f : light) EXPECT_EQ(f.get().shard, 1u);
   EXPECT_EQ(held.get().shard, 0u);
   EXPECT_EQ(heavy.get().shard, 0u);
   fleet.shutdown();
+}
+
+TEST(Fleet, StatsReturnWhileAForwardIsInFlight) {
+  // The worker records a batch's stats after the forward, under a lock it
+  // holds only for that update, so a stats read never waits on a model.
+  Fleet fleet(small_fleet(2, 1));
+  Rng rng(87);
+  const auto gate = std::make_shared<Gate>();
+  auto held = fleet.shard(0).submit_model(register_gate(fleet, gate), tiny_input(1, rng));
+  ASSERT_TRUE(gate->wait_entered());
+  auto completed = std::async(std::launch::async, [&fleet] {
+    return std::make_pair(fleet.stats().completed(), fleet.shard(0).stats().completed());
+  });
+  const bool returned =
+      completed.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  gate->open();  // a stats() stuck behind the forward finishes now instead of hanging
+  const auto [fleet_completed, shard_completed] = completed.get();
+  EXPECT_TRUE(returned) << "stats() waited on the forward in flight";
+  EXPECT_EQ(fleet_completed, 0u);
+  EXPECT_EQ(shard_completed, 0u);
+  EXPECT_NO_THROW(held.get());
+  fleet.shutdown();
+  EXPECT_EQ(fleet.stats().completed(), 1u);
 }
 
 TEST(Fleet, SharedRegistryPacksWeightsOncePerFleet) {
@@ -238,6 +248,33 @@ TEST(Fleet, FleetAdmissionShedCarriesBacklogContext) {
 }
 
 // ---------------------------------------------------------------- hot swap
+
+TEST(ModelMemory, BuildingAndPublishingMapOnlyTheWeightsAndTheirPanels) {
+  // 768 x 768 doubles is 4.5 MiB, above the pool's largest class, so every
+  // live buffer of that size is a mapping of its own: mapped_bytes counts
+  // exactly what a model holds. A build holds its weights; publishing adds
+  // their packed panels. Neither holds a gradient.
+  const auto mapped = [] { return tensor::pool::stats().mapped_bytes; };
+  const auto mapping = [](std::size_t bytes) -> std::size_t {
+    const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+    return bytes > tensor::pool::kMaxBlockBytes ? (bytes + page - 1) / page * page : 0;
+  };
+  Rng rng(86);
+  const std::size_t at_start = mapped();
+  auto model = std::make_unique<nn::Sequential>();
+  auto linear = std::make_unique<nn::Linear>(768, 768, rng);
+  const nn::Linear* layer = linear.get();  // kept alive by the model, then the entry
+  model->add(std::move(linear));
+  const std::size_t weights = mapping(768 * 768 * sizeof(double));
+  EXPECT_EQ(mapped() - at_start, weights);
+  {
+    ModelRegistry registry;
+    registry.add("big", std::move(model));
+    EXPECT_EQ(mapped() - at_start,
+              weights + mapping(layer->packed_weight()->packed_bytes()));
+  }
+  EXPECT_EQ(mapped(), at_start);
+}
 
 TEST(HotSwap, RegistryPublishesVersionsAtomicallyAndKeepsOldHandlesAlive) {
   ModelRegistry registry;
@@ -640,7 +677,6 @@ TEST(BatchingWindow, ParkedHeadNeverBlocksIncompatibleWork) {
 TEST(BatchingWindow, ExpiryCountsSurfaceInPoolAndFleetStats) {
   ServerPoolConfig cfg;
   cfg.workers = 1;
-  cfg.accelerator = small_config();
   cfg.batcher = windowed_batcher();
   ServerPool pool(cfg);
   Rng rng(92);
@@ -668,13 +704,11 @@ TEST(ServeStatsAggregation, OperatorPlusMatchesMerge) {
   BatchRecord ra;
   ra.requests = 2;
   ra.rows = 4;
-  ra.mac_ops = 50;
   ra.latency_ms = {1.0, 2.0};
   ra.latency_class = {Priority::kInteractive, Priority::kBulk};
   BatchRecord rb;
   rb.requests = 1;
   rb.rows = 4;
-  rb.mac_ops = 20;
   rb.latency_ms = {10.0};
   a.record_batch(ra);
   a.record_window_expiries(2);
@@ -684,7 +718,7 @@ TEST(ServeStatsAggregation, OperatorPlusMatchesMerge) {
   const ServeStats sum = a + b;
   EXPECT_EQ(sum.completed(), 3u);
   EXPECT_EQ(sum.batches(), 2u);
-  EXPECT_EQ(sum.total_mac_ops(), 70u);
+  EXPECT_EQ(sum.rows(), 8u);
   EXPECT_EQ(sum.sheds(), 3u);
   EXPECT_EQ(sum.window_expiries(), 2u);
   EXPECT_EQ(sum.class_completed(Priority::kInteractive), 1u);
@@ -714,6 +748,36 @@ TEST(Shutdown, DoubleShutdownIsIdempotent) {
   fleet.shutdown();
   EXPECT_NO_THROW(fleet.shutdown());
   EXPECT_NO_THROW(fleet.shutdown());
+}
+
+TEST(Shutdown, StaysBoundedWithDebugLoggingWhileAModelHangs) {
+  // Fleet::shutdown and each shard's ServerPool::shutdown end with a debug
+  // line that reads stats(). With a worker hung inside a forward, that read
+  // must not undo the join timeout.
+  FleetConfig cfg = small_fleet(1, 1);
+  cfg.join_timeout_ms = 100.0;
+  auto fleet = std::make_unique<Fleet>(cfg);
+  Rng rng(13);
+  const auto gate = std::make_shared<Gate>();
+  auto held = fleet->submit_model(register_gate(*fleet, gate), tiny_input(1, rng));
+  ASSERT_TRUE(gate->wait_entered());
+
+  test_models::DebugLogCapture debug_log;
+  const auto started = std::chrono::steady_clock::now();
+  auto shutdown = std::async(std::launch::async, [&fleet] { fleet->shutdown(); });
+  const bool returned =
+      shutdown.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  const double shutdown_ms =
+      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - started)
+          .count();
+  gate->open();  // a shutdown stuck behind the forward finishes now instead of hanging
+  shutdown.get();
+  EXPECT_TRUE(returned) << "shutdown waited on the hung forward";
+  EXPECT_GE(shutdown_ms, 100.0);
+  EXPECT_EQ(fleet->shard(0).forced_detaches(), 1u);
+  EXPECT_NE(debug_log.lines.str().find("fleet drained"), std::string::npos);
+  fleet.reset();
+  EXPECT_EQ(held.get().logits.rows(), 1u);
 }
 
 TEST(Shutdown, ConcurrentShutdownIsSafe) {

@@ -397,15 +397,6 @@ TEST(Poller, PollFallbackReportsReadinessLikeEpoll) {
 
 // ---------------------------------------------------------- server fixture
 
-OneSaConfig tiny_accel() {
-  OneSaConfig cfg;
-  cfg.array.rows = 4;
-  cfg.array.cols = 4;
-  cfg.array.macs_per_pe = 4;
-  cfg.mode = ExecutionMode::kAnalytic;
-  return cfg;
-}
-
 std::unique_ptr<nn::Sequential> tiny_mlp(Rng& rng) {
   auto model = std::make_unique<nn::Sequential>();
   model->add(std::make_unique<nn::Linear>(4, 8, rng));
@@ -432,7 +423,6 @@ serve::FleetConfig tiny_fleet(std::size_t shards = 1, std::size_t workers = 1) {
   serve::FleetConfig cfg;
   cfg.shards = shards;
   cfg.workers_per_shard = workers;
-  cfg.accelerator = tiny_accel();
   return cfg;
 }
 

@@ -35,6 +35,19 @@ OneSaConfig accel_config() {
   return cfg;
 }
 
+TEST(LinearLayer, GradientsAreAllocatedOnFirstUse) {
+  // A freshly built layer holds no gradient buffers: a model that is only
+  // built and served never pays for them. The first backward sizes them.
+  Rng rng(2);
+  Linear layer(6, 4, rng);
+  for (Param* p : layer.params()) EXPECT_TRUE(p->grad.empty());
+  layer.forward(tensor::random_uniform(3, 6, rng));
+  layer.backward(tensor::random_uniform(3, 4, rng));
+  EXPECT_EQ(layer.weight().grad.rows(), 6u);
+  EXPECT_EQ(layer.weight().grad.cols(), 4u);
+  EXPECT_EQ(layer.bias().grad.cols(), 4u);
+}
+
 TEST(LinearLayer, AccelMatchesReferenceWithinQuantization) {
   Rng rng(1);
   Linear layer(6, 4, rng);

@@ -265,8 +265,6 @@ TEST_F(ObsTest, ServedRequestsFormCompleteSpanChains) {
   {
     serve::ServerPoolConfig cfg;
     cfg.workers = 2;
-    cfg.accelerator.array.rows = 4;
-    cfg.accelerator.array.cols = 4;
     serve::ServerPool pool(cfg);
     Rng rng(99);
     const serve::ModelHandle tiny = serve::test_models::register_tiny(pool, "tiny");

@@ -179,5 +179,28 @@ TEST(TimingModel, PeakGnfsFormula) {
   EXPECT_NEAR(model.peak_gnfs(), 12.8, 1e-9);
 }
 
+TEST(CycleStats, SumAddsEveryPhase) {
+  CycleStats a;
+  a.fill_cycles = 1;
+  a.compute_cycles = 2;
+  a.drain_cycles = 3;
+  a.memory_cycles = 4;
+  a.ipf_cycles = 5;
+  CycleStats b;
+  b.fill_cycles = 10;
+  b.compute_cycles = 20;
+  b.drain_cycles = 30;
+  b.memory_cycles = 40;
+  b.ipf_cycles = 50;
+
+  const CycleStats sum = a + b;
+  EXPECT_EQ(sum.fill_cycles, 11u);
+  EXPECT_EQ(sum.compute_cycles, 22u);
+  EXPECT_EQ(sum.drain_cycles, 33u);
+  EXPECT_EQ(sum.memory_cycles, 44u);
+  EXPECT_EQ(sum.ipf_cycles, 55u);
+  EXPECT_EQ(sum.total(), a.total() + b.total());
+}
+
 }  // namespace
 }  // namespace onesa::sim

@@ -1,6 +1,12 @@
 // Tests for the paper-scale workload traces (Fig. 1 / Table IV inputs).
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "common/error.hpp"
 #include "nn/workload.hpp"
 
 namespace onesa::nn {
@@ -100,6 +106,52 @@ TEST(TraceEstimate, CyclesIncludeAllPhases) {
   EXPECT_GT(cycles.fill_cycles, 0u);
   EXPECT_GT(cycles.drain_cycles, 0u);
   EXPECT_GT(cycles.ipf_cycles, 0u);  // GELU/exp/rsqrt passes
+}
+
+/// `value` as a bench JSON record prints it (six significant digits).
+std::string printed(double value) {
+  std::ostringstream out;
+  out << value;
+  return out.str();
+}
+
+TEST(ListSchedule, BertSweepReproducesThePaperFigures) {
+  // 64 BERT-base/seq128 requests over 1/2/4/8 arrays of the reference
+  // design: the makespans and requests per simulated second the serving
+  // bench's trace sweep has always reported, to the printed digit.
+  const auto trace = bert_base_trace(128);
+  const sim::TimingModel timing(reference_config());
+  const std::uint64_t per_request = estimate_trace_cycles(trace, timing).total();
+  const double clock_hz = reference_config().clock_mhz * 1e6;
+  const std::pair<std::size_t, const char*> want_makespan[] = {
+      {1, "842.024"}, {2, "421.012"}, {4, "210.506"}, {8, "105.253"}};
+  const char* const want_rps[] = {"15.2015", "30.4029", "60.8058", "121.612"};
+  for (std::size_t i = 0; i < 4; ++i) {
+    const auto [arrays, makespan_mcycles] = want_makespan[i];
+    const ListSchedule s = list_schedule(trace, 64, arrays, timing);
+    ASSERT_EQ(s.busy_cycles.size(), arrays);
+    for (std::uint64_t busy : s.busy_cycles) EXPECT_EQ(busy, 64 / arrays * per_request);
+    EXPECT_EQ(s.makespan_cycles, 64 / arrays * per_request);
+    EXPECT_EQ(printed(static_cast<double>(s.makespan_cycles) / 1e6), makespan_mcycles);
+    EXPECT_EQ(printed(64.0 / (static_cast<double>(s.makespan_cycles) / clock_hz)),
+              want_rps[i]);
+  }
+}
+
+TEST(ListSchedule, UnevenLoadGoesToTheFirstFreeArray) {
+  // 5 requests on 4 arrays: the fifth waits for array 0, so the makespan is
+  // two requests, not the 1.25 an even split would claim.
+  const auto trace = gcn_trace(256, 32, 16, 4, 8);
+  const sim::TimingModel timing(reference_config());
+  const std::uint64_t c = estimate_trace_cycles(trace, timing).total();
+  const ListSchedule s = list_schedule(trace, 5, 4, timing);
+  EXPECT_EQ(s.busy_cycles, (std::vector<std::uint64_t>{2 * c, c, c, c}));
+  EXPECT_EQ(s.makespan_cycles, 2 * c);
+
+  const ListSchedule idle = list_schedule(trace, 0, 3, timing);
+  EXPECT_EQ(idle.busy_cycles, (std::vector<std::uint64_t>{0, 0, 0}));
+  EXPECT_EQ(idle.makespan_cycles, 0u);
+  EXPECT_THROW(list_schedule(trace, 1, 0, timing), Error);
 }
 
 TEST(Resnet50Trace, ScalesWithImageSize) {

@@ -1,6 +1,6 @@
 // Tiny registered models shared by the serve-tier suites (test_serve,
 // test_fleet, test_obs): cheap, deterministic request payloads with a fixed
-// simulated cost, so scheduling, admission and routing tests can reason
+// MAC cost, so scheduling, admission and routing tests can reason
 // about exact per-request MAC budgets. A gate model holds a worker inside
 // its forward for exactly as long as a test needs, so backlog, admission
 // and shutdown tests never depend on host timing.
@@ -11,19 +11,20 @@
 #include <cstdint>
 #include <future>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <utility>
 
+#include "common/logging.hpp"
 #include "common/rng.hpp"
 #include "nn/activations.hpp"
 #include "nn/sequential.hpp"
-#include "nn/workload.hpp"
 #include "serve/registry.hpp"
 #include "tensor/ops.hpp"
 
 namespace onesa::serve::test_models {
 
-/// Simulated cost of one input row of a tiny model unless a test asks for
+/// MAC cost of one input row of a tiny model unless a test asks for
 /// another (2 MACs per element of a 4-wide row).
 inline constexpr std::uint64_t kTinyMacsPerRow = 8;
 
@@ -46,16 +47,6 @@ inline ModelOptions tiny_options(std::uint64_t mac_ops_per_row = kTinyMacsPerRow
   options.mac_ops_per_row = mac_ops_per_row;
   options.batchable = batchable;
   options.batch_window_ms = batch_window_ms;
-  return options;
-}
-
-/// Registration options that make a tiny model the serving entry of a
-/// whole-network workload trace: each request is charged the trace's
-/// simulated cycles and MACs, and never batches.
-inline ModelOptions trace_options(std::shared_ptr<const nn::WorkloadTrace> trace) {
-  ModelOptions options;
-  options.cost_trace = std::move(trace);
-  options.batchable = false;
   return options;
 }
 
@@ -120,6 +111,23 @@ ModelHandle register_gate(Host& host, const std::shared_ptr<Gate>& gate,
   model->add(std::make_unique<GateLayer>(gate));
   return host.register_model(std::move(name), std::move(model), tiny_options());
 }
+
+/// Debug-level logging into a string for one test's lifetime, so the lines
+/// the serve tier formats only at debug level (shutdown's stats() summary)
+/// really run.
+struct DebugLogCapture {
+  std::ostringstream lines;
+  LogLevel before = Logger::instance().level();
+
+  DebugLogCapture() {
+    Logger::instance().set_sink(&lines);
+    Logger::instance().set_level(LogLevel::kDebug);
+  }
+  ~DebugLogCapture() {
+    Logger::instance().set_level(before);
+    Logger::instance().set_sink(nullptr);
+  }
+};
 
 /// A rows x cols request input in [-2, 2).
 inline tensor::Matrix tiny_input(std::size_t rows, Rng& rng, std::size_t cols = 4) {
