@@ -3,9 +3,11 @@
 // traces (plus the 512^3 acceptance point), the pack-once GEMM against the
 // per-call-packing blocked path on repeated-B inference shapes, the fused
 // bias+activation epilogue against the unfused composition, the threaded
-// path across lane counts, the batched CPWL evaluators against their scalar
-// loops, and the blocked transpose — then writes BENCH_kernels.json so the
-// bench trajectory has machine-readable data.
+// path across lane counts, the BERT FFN's two GEMMs at serving row counts
+// over panels far larger than L2 (the weight-streaming regime), the batched
+// CPWL evaluators against their scalar loops, and the blocked transpose —
+// then writes BENCH_kernels.json so the bench trajectory has
+// machine-readable data.
 //
 // Usage:
 //   bench_perf_kernels [--smoke] [--json PATH] [--threads N]
@@ -228,6 +230,45 @@ std::vector<ThreadedResult> run_threaded_case(const GemmCase& c, int reps, Rng& 
   return rows;
 }
 
+/// One forward's GEMMs of the BERT FFN (768->3072, then 3072->768) at m
+/// rows, single lane, over the two packed weights in alternation: 37.7 MB
+/// of double panels, many times any L2, so at serving row counts the
+/// forward streams B rather than computes (every other row reuses one warm
+/// B). Reported as GB/s of packed B streamed: a record, not a gate.
+struct ColdBResult {
+  std::size_t m = 0;
+  std::size_t b_bytes = 0;  // packed bytes of both weights
+  double ms = 0.0;          // median forward
+  double b_gbps() const { return static_cast<double>(b_bytes) / (ms * 1e6); }
+};
+
+std::vector<ColdBResult> run_cold_b(int reps, Rng& rng) {
+  constexpr std::size_t kModel = 768, kHidden = 3072;
+  const auto pack = [&rng](std::size_t k, std::size_t n) {
+    const Matrix w = onesa::tensor::random_uniform(k, n, rng);
+    return kernels::PackedB::pack(w.data().data(), k, n);
+  };
+  const kernels::PackedB up = pack(kModel, kHidden);
+  const kernels::PackedB down = pack(kHidden, kModel);
+  auto& pool = kernels::ThreadPool::instance();
+  kernels::ThreadPool::ScopedReserve solo(pool, pool.threads() - 1);
+  std::vector<ColdBResult> rows;
+  for (std::size_t m : {std::size_t{1}, std::size_t{16}}) {
+    const Matrix x = onesa::tensor::random_uniform(m, kModel, rng);
+    Matrix hidden(m, kHidden), y(m, kModel);
+    std::vector<double> ms;
+    for (int r = 0; r < reps + 1; ++r) {
+      const auto t0 = Clock::now();
+      kernels::gemm_packed(x.data().data(), up, hidden.data().data(), m);
+      kernels::gemm_packed(hidden.data().data(), down, y.data().data(), m);
+      if (r > 0) ms.push_back(ms_since(t0));  // the first forward warms the TLB
+    }
+    std::sort(ms.begin(), ms.end());
+    rows.push_back({m, up.packed_bytes() + down.packed_bytes(), ms[ms.size() / 2]});
+  }
+  return rows;
+}
+
 struct CpwlResult {
   std::string name;
   std::size_t evals = 0;
@@ -298,6 +339,7 @@ void write_json(const std::string& path, const std::vector<GemmResult>& gemms,
                 const std::vector<PackedResult>& packed,
                 const std::vector<FusedResult>& fused,
                 const std::vector<ThreadedResult>& threaded,
+                const std::vector<ColdBResult>& cold_b,
                 const std::vector<CpwlResult>& cpwls, const TransposeResult& transpose,
                 bool smoke, double accept_speedup, bool accept_pass,
                 double packed_accept_speedup, bool packed_accept_pass) {
@@ -362,6 +404,15 @@ void write_json(const std::string& path, const std::vector<GemmResult>& gemms,
         << ", \"ms\": " << t.ms
         << ", \"speedup_vs_1t\": " << t.speedup_vs_1t << "}"
         << (i + 1 < threaded.size() ? "," : "") << "\n";
+  }
+  out << "  ],\n";
+  out << "  \"cold_b\": [\n";
+  for (std::size_t i = 0; i < cold_b.size(); ++i) {
+    const ColdBResult& b = cold_b[i];
+    out << "    {\"name\": \"bert-ffn-pair-m" << b.m << "\", \"m\": " << b.m
+        << ", \"b_bytes\": " << b.b_bytes << ", \"ms\": " << b.ms
+        << ", \"b_gbps\": " << b.b_gbps() << "}" << (i + 1 < cold_b.size() ? "," : "")
+        << "\n";
   }
   out << "  ],\n";
   out << "  \"cpwl\": [\n";
@@ -504,6 +555,15 @@ int main(int argc, char** argv) {
     }
   }
 
+  // Full-size weights in smoke mode too: the streaming regime is the point.
+  const std::vector<ColdBResult> cold_b = run_cold_b(smoke ? 3 : 21, rng);
+  std::printf("\n%-22s %6s %10s %10s %10s\n", "cold B (ffn pair)", "m", "B MB", "ms",
+              "B GB/s");
+  for (const ColdBResult& b : cold_b) {
+    std::printf("%-22s %6zu %10.1f %10.2f %10.1f\n", "bert-ffn-pair", b.m,
+                static_cast<double>(b.b_bytes) / 1e6, b.ms, b.b_gbps());
+  }
+
   std::vector<CpwlResult> cpwls = {run_cpwl_double(cpwl_n, reps, rng),
                                    run_cpwl_fixed(cpwl_n, reps, rng)};
   for (const CpwlResult& c : cpwls) {
@@ -547,7 +607,7 @@ int main(int argc, char** argv) {
                 packed_accept_speedup, packed_accept_pass ? "PASS" : "FAIL");
   }
 
-  write_json(json_path, gemms, packed_results, fused_results, threaded_results, cpwls,
+  write_json(json_path, gemms, packed_results, fused_results, threaded_results, cold_b, cpwls,
              transpose, smoke, accept_speedup, accept_pass, packed_accept_speedup,
              packed_accept_pass);
   std::printf("wrote %s\n", json_path.c_str());

@@ -152,12 +152,57 @@ fixed::Fix16 SegmentTable::eval_fixed(fixed::Fix16 x) const {
   return acc.result();
 }
 
+#if defined(__x86_64__)
+/// Eight eval() lanes per iteration, bit-exact with the scalar path: the
+/// same t (an exact multiply or the IEEE divide), truncation, floor
+/// correction and clamp in wrapping int32 lanes, a gather of (k, b), then
+/// k*x rounded and b added — the product is pinned in a register so the
+/// compiler cannot contract the two into an FMA, which rounds once and
+/// would differ from eval(). x == y (in place) is fine: each chunk is
+/// loaded before it is stored.
+// Same gcc 12 -Wmaybe-uninitialized false positive as below.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+__attribute__((target("avx512f"))) static std::size_t eval_double_avx512(
+    const double* x, double* y, std::size_t len, bool multiply, double scale, int lo, int hi,
+    const double* k, const double* b) {
+  const __m512d vscale = _mm512_set1_pd(scale);
+  const __m512d one = _mm512_set1_pd(1.0);
+  const __m256i vlo = _mm256_set1_epi32(lo);
+  const __m256i vhi = _mm256_set1_epi32(hi);
+  std::size_t i = 0;
+  for (; i + 8 <= len; i += 8) {
+    const __m512d xv = _mm512_loadu_pd(x + i);
+    const __m512d t = multiply ? _mm512_mul_pd(xv, vscale) : _mm512_div_pd(xv, vscale);
+    __m256i s = _mm512_cvttpd_epi32(t);  // static_cast<int>(t)
+    const __mmask8 above = _mm512_cmp_pd_mask(_mm512_cvtepi32_pd(s), t, _CMP_GT_OQ);
+    s = _mm256_sub_epi32(s, _mm512_cvttpd_epi32(_mm512_maskz_mov_pd(above, one)));
+    s = _mm256_min_epi32(_mm256_max_epi32(s, vlo), vhi);
+    const __m256i idx = _mm256_sub_epi32(s, vlo);
+    __m512d prod = _mm512_mul_pd(_mm512_i32gather_pd(idx, k, 8), xv);
+    __asm__("" : "+v"(prod));
+    _mm512_storeu_pd(y + i, _mm512_add_pd(prod, _mm512_i32gather_pd(idx, b, 8)));
+  }
+  return i;
+}
+#pragma GCC diagnostic pop
+#endif  // __x86_64__
+
 void SegmentTable::eval_batch(std::span<const double> x, std::span<double> y) const {
   ONESA_CHECK(x.size() == y.size(),
               "eval_batch spans differ: " << x.size() << " vs " << y.size());
   const int lo = min_segment_;
   const int hi = max_segment_;
-  for (std::size_t i = 0; i < x.size(); ++i) {
+  std::size_t i = 0;
+#if defined(__x86_64__)
+  static const bool kVector = __builtin_cpu_supports("avx512f");
+  if (kVector) {
+    i = eval_double_avx512(x.data(), y.data(), x.size(), pow2_granularity_,
+                           pow2_granularity_ ? inv_granularity_ : granularity_, lo, hi,
+                           k_params_.data(), b_params_.data());
+  }
+#endif
+  for (; i < x.size(); ++i) {
     int s = grid_segment(x[i]);
     s = s < lo ? lo : s;
     s = s > hi ? hi : s;

@@ -11,9 +11,9 @@ namespace onesa::nn {
 namespace {
 
 /// Epilogue adapter: the kernel layer stays free of cpwl includes, so the
-/// table evaluation crosses as an opaque function pointer.
-double table_eval_adapter(const void* table, double x) {
-  return static_cast<const cpwl::SegmentTable*>(table)->eval(x);
+/// table evaluation crosses as an opaque batch function pointer.
+void table_batch_adapter(const void* table, const double* x, double* y, std::size_t len) {
+  static_cast<const cpwl::SegmentTable*>(table)->eval_batch({x, len}, {y, len});
 }
 
 }  // namespace
@@ -71,7 +71,7 @@ tensor::Matrix Linear::infer_with_epilogue(const tensor::Matrix& x,
   if (kind == tensor::kernels::Epilogue::Kind::kBiasTable) {
     ONESA_CHECK(table != nullptr, "linear kBiasTable epilogue needs a segment table");
     epi.table = table;
-    epi.table_eval = table_eval_adapter;
+    epi.table_eval = table_batch_adapter;
   }
   // The output buffer recycles through the tensor buffer pool (see
   // DefaultInitAllocator), and the view overload shape-checks the GEMM

@@ -12,7 +12,11 @@
 //    requests are registry-time, not request-time, in this codebase (model
 //    weights and their packed panels), so each gets an anonymous mapping of
 //    its own: freeing it unmaps it, and a hot-swapped model's memory goes
-//    back to the OS instead of staying in the heap's arenas. A mapping
+//    back to the OS instead of staying in the heap's arenas. Each mapping
+//    starts on a 2 MiB boundary and is advised MADV_HUGEPAGE and populated
+//    with MADV_POPULATE_WRITE, so a forward that streams a weight's panels
+//    crosses one TLB entry per 2 MiB, not per 4 KiB (base pages, populated
+//    by touch, where the kernel refuses either advice). A mapping
 //    counts as one allocation of the calling thread (alloc_count.hpp), so
 //    the allocation gates would still catch one on the request path; live
 //    mapped bytes are in stats().mapped_bytes; under ASan the page tail
@@ -41,7 +45,7 @@
 namespace onesa::tensor::pool {
 
 /// Smallest / largest pooled block. Requests above kMaxBlockBytes get an
-/// anonymous mapping each (counted in stats().mapped_bytes).
+/// anonymous mapping each, 2 MiB-aligned (counted in stats().mapped_bytes).
 inline constexpr std::size_t kMinBlockBytes = 64;
 inline constexpr std::size_t kMaxBlockBytes = std::size_t{1} << 22;  // 4 MiB
 /// Every pooled block's alignment.

@@ -65,8 +65,26 @@ constexpr std::size_t kMCPacked = 128;
 // (Non-finite operands are outside the contract: the reference's aik==0
 // skip can hide 0*Inf/NaN products the blocked kernels would surface.)
 // Deterministic mode bypasses the micro-kernels entirely.
+//
+// Prefetch: a model weight's panels are far larger than L2 and are read once
+// per forward, so at serving row counts the GEMM is a stream of B from
+// memory, limited by the TLB (the pool maps weights on 2 MiB pages, see
+// buffer_pool.hpp) and by how far ahead B is fetched. blocked_compute hands
+// the first tile row of each sliver the next sliver's base (null after a
+// panel's last sliver, so nothing past the panel is touched), and the x86
+// tiles pull it into L2 while they compute. Measured single lane on a
+// 4-vCPU AVX-512 Xeon, the 768-3072-768 double FFN with four models in
+// rotation (151 MB of panels, streamed from DRAM), 2 MiB pages, per-call
+// interleaved medians against a tile that prefetched one line 8 steps ahead
+// at T0: both lines at T0 gave 0.94x / 0.96x / 0.99x at 1 / 16 / 64 rows,
+// both lines plus the next sliver 0.83x / 0.90x / 0.97x; on the AVX2 tile
+// the next-sliver prefetch alone gave 0.77x / 0.88x / 0.97x. Bits are
+// unchanged: prefetches only move lines between caches.
 
-using MicroKernelFn = void (*)(const double*, const double*, std::size_t, double*);
+/// A tile: (ap, bp, bnext, kc, acc). `bnext` is the B sliver the caller
+/// runs next (null when none), which a tile may prefetch while it computes.
+using MicroKernelFn = void (*)(const double*, const double*, const double*, std::size_t,
+                               double*);
 
 /// Full-tile store hook of a tile set (nullptr = scalar store loops).
 /// The enumerator values are load-bearing: implementations decode
@@ -87,7 +105,8 @@ using StoreTileFn = void (*)(double* c, std::size_t ldc, const double* acc, int 
 /// caller's buffer): the compiler then knows it cannot alias the packed
 /// inputs and keeps the accumulators in vector registers.
 void micro_kernel_generic(const double* __restrict ap, const double* __restrict bp,
-                          std::size_t kc, double* __restrict acc_out) {
+                          const double* /*bnext*/, std::size_t kc,
+                          double* __restrict acc_out) {
   constexpr std::size_t MR = 4;
   constexpr std::size_t nr = 8;
   double acc[MR * nr];
@@ -107,9 +126,12 @@ void micro_kernel_generic(const double* __restrict ap, const double* __restrict 
 #ifdef ONESA_GEMM_X86_KERNELS
 /// Hand-scheduled 4x8 AVX2+FMA tile: 8 ymm accumulators (4 rows x 2
 /// 4-double vectors), one broadcast per A element, two B vector loads per k
-/// step — 13 live ymm registers, no spills.
+/// step — 13 live ymm registers, no spills. Each k step reads one cache line
+/// of the sliver; the tile pulls the matching line of the next sliver into
+/// L2 (the AVX-512 tile's T0 half measured no further gain here).
 __attribute__((target("avx2,fma"))) void micro_kernel_avx2(const double* __restrict ap,
                                                            const double* __restrict bp,
+                                                           const double* bnext,
                                                            std::size_t kc,
                                                            double* __restrict acc_out) {
   constexpr std::size_t nr = 8;
@@ -118,6 +140,8 @@ __attribute__((target("avx2,fma"))) void micro_kernel_avx2(const double* __restr
   __m256d c20 = _mm256_setzero_pd(), c21 = _mm256_setzero_pd();
   __m256d c30 = _mm256_setzero_pd(), c31 = _mm256_setzero_pd();
   for (std::size_t p = 0; p < kc; ++p) {
+    if (bnext != nullptr)
+      _mm_prefetch(reinterpret_cast<const char*>(bnext + p * nr), _MM_HINT_T1);
     const __m256d b0 = _mm256_loadu_pd(bp + p * nr);
     const __m256d b1 = _mm256_loadu_pd(bp + p * nr + 4);
     __m256d a = _mm256_broadcast_sd(ap + p * 4 + 0);
@@ -149,8 +173,8 @@ __attribute__((target("avx2,fma"))) void micro_kernel_avx2(const double* __restr
 /// element the k-loop order is the AVX2 tile's, so the two agree bit for
 /// bit; the tile height only groups rows.
 __attribute__((target("avx512f"))) void micro_kernel_avx512_8x16(
-    const double* __restrict ap, const double* __restrict bp, std::size_t kc,
-    double* __restrict acc_out) {
+    const double* __restrict ap, const double* __restrict bp, const double* bnext,
+    std::size_t kc, double* __restrict acc_out) {
   constexpr std::size_t nr = 16;
   constexpr std::size_t mr = 8;
   __m512d c00 = _mm512_setzero_pd(), c01 = _mm512_setzero_pd();
@@ -162,10 +186,16 @@ __attribute__((target("avx512f"))) void micro_kernel_avx512_8x16(
   __m512d c60 = _mm512_setzero_pd(), c61 = _mm512_setzero_pd();
   __m512d c70 = _mm512_setzero_pd(), c71 = _mm512_setzero_pd();
   for (std::size_t p = 0; p < kc; ++p) {
-    // Stay ~8 k-steps ahead of the B stream: the packed sliver is a pure
-    // sequential read, so a single T0 prefetch per step hides the L2->L1
-    // latency the 16-FMA body cannot.
+    // Each k step reads two cache lines of the sliver. Stay 8 steps (1 KiB)
+    // ahead of this sliver at T0, both lines, to hide the L2->L1 latency the
+    // 16-FMA body cannot; and pull the next sliver into L2 at the same rate,
+    // so it streams from memory while this one computes.
     _mm_prefetch(reinterpret_cast<const char*>(bp + (p + 8) * nr), _MM_HINT_T0);
+    _mm_prefetch(reinterpret_cast<const char*>(bp + (p + 8) * nr + 8), _MM_HINT_T0);
+    if (bnext != nullptr) {
+      _mm_prefetch(reinterpret_cast<const char*>(bnext + p * nr), _MM_HINT_T1);
+      _mm_prefetch(reinterpret_cast<const char*>(bnext + p * nr + 8), _MM_HINT_T1);
+    }
     const __m512d b0 = _mm512_loadu_pd(bp + p * nr);
     const __m512d b1 = _mm512_loadu_pd(bp + p * nr + 8);
     __m512d a = _mm512_set1_pd(ap[p * mr + 0]);
@@ -312,12 +342,19 @@ bool deterministic_from_env() {
 
 /// Epilogue pass over a whole output block, used by the reference-order
 /// fallbacks (where the GEMM itself ran unfused). Element order matches the
-/// unfused add_row_broadcast + activation sweeps exactly.
+/// unfused add_row_broadcast + activation sweeps exactly: bias add first,
+/// then the activation (ReLU as v > 0 ? v : 0, which equals
+/// cpwl::eval_reference(kRelu, v) bit for bit).
 void apply_epilogue_block(double* c, std::size_t m, std::size_t n, const Epilogue& epi) {
   if (epi.kind == Epilogue::Kind::kNone) return;
+  const bool relu = epi.kind == Epilogue::Kind::kBiasRelu;
   for (std::size_t i = 0; i < m; ++i) {
     double* crow = c + i * n;
-    for (std::size_t j = 0; j < n; ++j) crow[j] = epilogue_apply(epi, j, crow[j]);
+    for (std::size_t j = 0; j < n; ++j) {
+      const double v = crow[j] + epi.bias[j];
+      crow[j] = relu ? (v > 0.0 ? v : 0.0) : v;
+    }
+    if (epi.kind == Epilogue::Kind::kBiasTable) epi.table_eval(epi.table, crow, crow, n);
   }
 }
 
@@ -366,7 +403,10 @@ void pack_a_block(const double* a, std::size_t k, std::size_t ic, std::size_t kc
 /// The epilogue, if any, is fused into the store of the LAST k-panel: each
 /// output element receives bias+activation exactly once, after its full
 /// k-sum is formed, in the same order the unfused composed ops would apply
-/// them.
+/// them. A table activation is the one exception to per-tile fusion: the
+/// tiles store v + bias, then the table's batch evaluator runs over each
+/// row of the finished column block (still cache-hot), one call per row
+/// instead of one indirect call per element.
 template <typename BPanelFn, typename ABlockFn>
 void blocked_compute(double* c, std::size_t m, std::size_t k, std::size_t n,
                      const Epilogue& epi, const MicroKernel& mk, std::size_t mc,
@@ -374,6 +414,8 @@ void blocked_compute(double* c, std::size_t m, std::size_t k, std::size_t n,
   const MicroKernelFn micro = mk.fn;
   const std::size_t mr = mk.mr;
   const std::size_t nr = mk.nr;
+  const bool table = epi.kind == Epilogue::Kind::kBiasTable;
+  const Epilogue::Kind store_kind = table ? Epilogue::Kind::kBias : epi.kind;
 
   for (std::size_t jc = 0; jc < n; jc += kNC) {
     const std::size_t ncb = std::min(kNC, n - jc);
@@ -389,36 +431,38 @@ void blocked_compute(double* c, std::size_t m, std::size_t k, std::size_t n,
 
         for (std::size_t jr = 0; jr < ncb; jr += nr) {
           const double* bp = bpack + jr * kcb;
+          // The sliver after this one, for the first tile row to prefetch;
+          // null past the panel's last sliver, so nothing beyond it is read.
+          const double* bnext = jr + nr < ncb ? bp + nr * kcb : nullptr;
           const std::size_t w = std::min(nr, ncb - jr);
           for (std::size_t ir = 0; ir < mcb; ir += mr) {
             const double* ap = apack + ir * kcb;
             const std::size_t h = std::min(mr, mcb - ir);
             double acc[kMaxMr * kMaxNr];
-            micro(ap, bp, kcb, acc);
+            micro(ap, bp, ir == 0 ? bnext : nullptr, kcb, acc);
             double* cdst = c + (ic + ir) * n + jc + jr;
-            if (mk.store != nullptr && h == mr && w == nr &&
-                !(last_panel && epi.kind == Epilogue::Kind::kBiasTable)) {
+            if (mk.store != nullptr && h == mr && w == nr) {
               // Full interior tile on a kernel with a vectorized store:
               // copy/accumulate (+ bias / + bias+ReLU) in 16 vector ops,
               // same element-wise op order as the scalar loops below.
               int mode;
               const double* brow = nullptr;
-              if (last_panel && epi.kind != Epilogue::Kind::kNone) {
+              if (last_panel && store_kind != Epilogue::Kind::kNone) {
                 brow = epi.bias + jc + jr;
-                mode = epi.kind == Epilogue::Kind::kBiasRelu
+                mode = store_kind == Epilogue::Kind::kBiasRelu
                            ? (first_panel ? kStoreCopyBiasRelu : kStoreAccumBiasRelu)
                            : (first_panel ? kStoreCopyBias : kStoreAccumBias);
               } else {
                 mode = first_panel ? kStoreCopy : kStoreAccum;
               }
               mk.store(cdst, n, acc, mode, brow);
-            } else if (last_panel && epi.kind != Epilogue::Kind::kNone) {
+            } else if (last_panel && store_kind != Epilogue::Kind::kNone) {
               // Specialized per-kind store loops: the switch is hoisted out
               // of the element sweep and the bias sliver is read through a
               // __restrict local, so the bias/ReLU epilogues stay
               // vectorizable instead of reloading epi per element.
               const double* __restrict bias = epi.bias + jc + jr;
-              switch (epi.kind) {
+              switch (store_kind) {
                 case Epilogue::Kind::kBias:
                   for (std::size_t r = 0; r < h; ++r)
                     for (std::size_t cc = 0; cc < w; ++cc) {
@@ -438,16 +482,7 @@ void blocked_compute(double* c, std::size_t m, std::size_t k, std::size_t n,
                       cdst[r * n + cc] = v > 0.0 ? v : 0.0;
                     }
                   break;
-                case Epilogue::Kind::kBiasTable:
-                  for (std::size_t r = 0; r < h; ++r)
-                    for (std::size_t cc = 0; cc < w; ++cc) {
-                      const double v = (first_panel
-                                            ? acc[r * nr + cc]
-                                            : cdst[r * n + cc] + acc[r * nr + cc]) +
-                                       bias[cc];
-                      cdst[r * n + cc] = epi.table_eval(epi.table, v);
-                    }
-                  break;
+                case Epilogue::Kind::kBiasTable:  // stored as kBias (store_kind)
                 case Epilogue::Kind::kNone:
                   break;  // unreachable (outer if)
               }
@@ -460,6 +495,12 @@ void blocked_compute(double* c, std::size_t m, std::size_t k, std::size_t n,
                 for (std::size_t cc = 0; cc < w; ++cc)
                   cdst[r * n + cc] += acc[r * nr + cc];
             }
+          }
+        }
+        if (last_panel && table) {
+          for (std::size_t r = ic; r < ic + mcb; ++r) {
+            double* crow = c + r * n + jc;
+            epi.table_eval(epi.table, crow, crow, ncb);
           }
         }
       }

@@ -132,38 +132,24 @@ using PackedBInt16 = PackedPanels<std::int16_t>;
 /// Post-GEMM epilogue fused into the micro-tile store (and into the final
 /// output pass of the reference-order fallbacks): bias broadcast plus an
 /// optional activation, applied exactly once per output element after its
-/// full k-sum is formed. `bias` must point at n doubles for every kind but
-/// kNone. kBiasTable evaluates an opaque scalar table (e.g.
-/// cpwl::SegmentTable) through the function pointer so the kernel layer
-/// stays free of upper-layer includes.
+/// full k-sum is formed, ordered exactly like the unfused sequence (bias
+/// add first, then activation) so fused results are bit-identical to
+/// matmul + add_row_broadcast + activation. `bias` must point at n doubles
+/// for every kind but kNone. kBiasTable evaluates an opaque table (e.g.
+/// cpwl::SegmentTable) through a batch function pointer, one call per
+/// output row segment, so the kernel layer stays free of upper-layer
+/// includes; the hook must equal the table's scalar evaluation bit for bit.
 struct Epilogue {
   enum class Kind : std::uint8_t { kNone, kBias, kBiasRelu, kBiasTable };
-  using TableEvalFn = double (*)(const void* table, double x);
+  /// y[i] = table(x[i]) for i < len; x == y (in place) must work.
+  using TableBatchFn = void (*)(const void* table, const double* x, double* y,
+                                std::size_t len);
 
   Kind kind = Kind::kNone;
   const double* bias = nullptr;
-  TableEvalFn table_eval = nullptr;  // kBiasTable only
-  const void* table = nullptr;       // kBiasTable only
+  TableBatchFn table_eval = nullptr;  // kBiasTable only
+  const void* table = nullptr;        // kBiasTable only
 };
-
-/// y = epilogue(x) for output column j. Ordered exactly like the unfused
-/// sequence (bias add first, then activation) so fused results are
-/// bit-identical to matmul + add_row_broadcast + activation.
-inline double epilogue_apply(const Epilogue& e, std::size_t j, double v) {
-  switch (e.kind) {
-    case Epilogue::Kind::kNone:
-      return v;
-    case Epilogue::Kind::kBias:
-      return v + e.bias[j];
-    case Epilogue::Kind::kBiasRelu: {
-      const double b = v + e.bias[j];
-      return b > 0.0 ? b : 0.0;  // == cpwl::eval_reference(kRelu, b), bit for bit
-    }
-    case Epilogue::Kind::kBiasTable:
-      return e.table_eval(e.table, v + e.bias[j]);
-  }
-  return v;
-}
 
 // ------------------------------------------------------------ pack counter
 //

@@ -6,9 +6,15 @@
 // operator-new counting hook the allocation bench measures with.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <cinttypes>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -238,6 +244,41 @@ TEST(BufferPool, OversizeMatrixIsOneCountedMappingReturnedOnFree) {
     EXPECT_EQ(big(kRows - 1, kCols - 1), 1.0);
   }
   EXPECT_EQ(alloccount::thread_deallocations() - frees_before, 1u);
+  EXPECT_EQ(pool::stats().mapped_bytes, mapped_before);
+}
+
+// A model weight or its panels is streamed whole by every forward, so its
+// mapping starts on a 2 MiB boundary where a transparent huge page can back
+// it; the counted length stays the page-rounded request. Whether the kernel
+// actually hands out huge pages depends on the host's THP setting and free
+// memory, so AnonHugePages is reported, not asserted.
+TEST(BufferPool, OversizeMappingStartsOnAHugePageBoundary) {
+  constexpr std::size_t kHugePage = std::size_t{2} << 20;
+  constexpr std::size_t kRows = 641, kCols = 1000;  // 5128000 B: not whole pages
+  const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+  const std::size_t bytes = kRows * kCols * sizeof(double);
+  static_assert(kRows * kCols * sizeof(double) > pool::kMaxBlockBytes);
+  const std::size_t mapped_before = pool::stats().mapped_bytes;
+  {
+    Matrix big(kRows, kCols, 1.0);
+    const auto start = reinterpret_cast<std::uintptr_t>(big.data().data());
+    EXPECT_EQ(start % kHugePage, 0u);
+    EXPECT_EQ(pool::stats().mapped_bytes - mapped_before, (bytes + page - 1) / page * page);
+    EXPECT_EQ(big(kRows - 1, kCols - 1), 1.0);
+
+    std::ifstream smaps("/proc/self/smaps");
+    std::string line;
+    bool in_block = false;
+    while (std::getline(smaps, line)) {
+      std::uintptr_t lo = 0, hi = 0;
+      if (std::sscanf(line.c_str(), "%" SCNxPTR "-%" SCNxPTR " ", &lo, &hi) == 2) {
+        in_block = lo <= start && start < hi;
+      } else if (in_block && line.rfind("AnonHugePages:", 0) == 0) {
+        std::printf("[ info ] the 5 MiB block's mapping: %s\n", line.c_str());
+        RecordProperty("AnonHugePages", line.substr(14));
+      }
+    }
+  }
   EXPECT_EQ(pool::stats().mapped_bytes, mapped_before);
 }
 

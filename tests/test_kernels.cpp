@@ -298,14 +298,25 @@ TEST(GemmPacked, FusedEpilogueMatchesUnfusedAcrossShapes) {
         biased.map([](double v) { return cpwl::eval_reference(cpwl::FunctionKind::kRelu, v); });
     EXPECT_EQ(got, relued) << "kBiasRelu " << s.m << "x" << s.k << "x" << s.n;
 
+    // The table runs through its batch evaluator (vectorized where the CPU
+    // allows) and must equal the scalar eval() element for element. A
+    // second, wide bias pushes outputs past both clamp segments of the
+    // GELU table's [-8, 8] domain.
     epi.kind = Epilogue::Kind::kBiasTable;
     epi.table = &table;
-    epi.table_eval = [](const void* t, double x) {
-      return static_cast<const cpwl::SegmentTable*>(t)->eval(x);
+    epi.table_eval = [](const void* t, const double* x, double* y, std::size_t len) {
+      static_cast<const cpwl::SegmentTable*>(t)->eval_batch({x, len}, {y, len});
     };
     tensor::kernels::gemm_packed(a.data().data(), packed, got.data().data(), s.m, epi);
     const Matrix tabled = biased.map([&](double v) { return table.eval(v); });
     EXPECT_EQ(got, tabled) << "kBiasTable " << s.m << "x" << s.k << "x" << s.n;
+
+    const Matrix wide_bias = tensor::random_uniform(1, s.n, rng, -40.0, 40.0);
+    epi.bias = wide_bias.data().data();
+    tensor::kernels::gemm_packed(a.data().data(), packed, got.data().data(), s.m, epi);
+    const Matrix wide = tensor::add_row_broadcast(tensor::matmul(a, b), wide_bias);
+    EXPECT_EQ(got, wide.map([&](double v) { return table.eval(v); }))
+        << "kBiasTable, wide bias " << s.m << "x" << s.k << "x" << s.n;
   }
 }
 
